@@ -187,14 +187,16 @@ let build ?(scenario = "config") config =
   match Config_codec.to_json config with
   | Error e -> Error e
   | Ok config_json ->
-      let valid = Result.is_ok (Config.validate config) in
-      let graded, confirmed =
-        if valid then Witness.certified config else (Lint.analyze config, [])
+      (* One interval analysis feeds the lint rules, every witness and the
+         serialized analysis section. *)
+      let (graded, confirmed), analysis =
+        match Config.validate config with
+        | Error _ -> ((Lint.analyze config, []), J.Null)
+        | Ok () ->
+            let ai = A.analyze config in
+            (Witness.certified_with ai config, analysis_to_json ai)
       in
       let diags = D.dedupe graded in
-      let analysis =
-        if valid then analysis_to_json (A.analyze config) else J.Null
-      in
       let witnesses = List.map (fun (_, w) -> witness_to_json w) confirmed in
       let fields =
         [

@@ -598,20 +598,6 @@ let rules =
     ("RTHV020", "sustained partition demand exceeds the TDMA share");
   ]
 
-let analyze_ctx config =
-  match Config.validate config with
-  | Error msg -> Error msg
-  | Ok () ->
-      let ai = Absint.analyze config in
-      Ok
-        {
-          config;
-          cycle = ai.Absint.cycle;
-          c_ctx = ai.Absint.c_ctx;
-          slots = Rthv_core.Slot_plan.slots (Config.slot_plan config);
-          ai;
-        }
-
 let all_rules =
   [
     rule_slot_covers_ctx;
@@ -635,13 +621,24 @@ let all_rules =
     rule_sustained_demand;
   ]
 
+let analyze_with ai config =
+  let ctx =
+    {
+      config;
+      cycle = ai.Absint.cycle;
+      c_ctx = ai.Absint.c_ctx;
+      slots = Rthv_core.Slot_plan.slots (Config.slot_plan config);
+      ai;
+    }
+  in
+  Diagnostic.sort (List.concat_map (fun rule -> rule ctx) all_rules)
+
 let analyze config =
-  match analyze_ctx config with
+  match Config.validate config with
   | Error msg ->
       [
         D.error ~code:"RTHV001" ~loc:"config"
           ~hint:"remaining rules assume a structurally valid configuration"
           msg;
       ]
-  | Ok ctx ->
-      Diagnostic.sort (List.concat_map (fun rule -> rule ctx) all_rules)
+  | Ok () -> analyze_with (Absint.analyze config) config

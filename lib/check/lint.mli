@@ -66,6 +66,12 @@ val analyze : Rthv_core.Config.t -> Diagnostic.t list
     the configuration fails [Config.validate], only [RTHV001] is reported
     (the remaining rules assume structural validity). *)
 
+val analyze_with : Absint.t -> Rthv_core.Config.t -> Diagnostic.t list
+(** [analyze_with ai config] runs every rule against [ai], which must be
+    [Absint.analyze config] of a configuration that passes
+    [Config.validate]: {!analyze} without its own interval analysis, for
+    callers such as {!Certify} that reuse one analysis across passes. *)
+
 val rules : (string * string) list
 (** [(code, one-line description)] for every static rule, in code order. *)
 

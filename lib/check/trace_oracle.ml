@@ -85,6 +85,10 @@ type active = {
 type state = {
   spec : spec;
   mutable diags : D.t list;
+  mutable index : int;
+  mutable at : Cycles.t;
+      (* Position and timestamp of the entry being replayed: a diagnostic's
+         location, formatted only when one is reported. *)
   mutable last_time : Cycles.t;
   mutable owner : int;
   irq_line : (int, int) Hashtbl.t;
@@ -118,13 +122,15 @@ let source_by_line st line =
 
 let report st d = st.diags <- d :: st.diags
 
-let structural st ~loc message =
-  report st (D.error ~code:"RTHV106" ~loc message)
+let here st = Format.asprintf "trace[%d] t=%a" st.index Cycles.pp st.at
+
+let structural st message =
+  report st (D.error ~code:"RTHV106" ~loc:(here st) message)
 
 (* RTHV102: an admitted activation must keep the configured distances to the
    previously admitted activations of its line (the monitor's own rule —
    eq. (14) is sound only because the admitted stream conforms). *)
-let check_admission st ~loc ss arrival =
+let check_admission st ss arrival =
   match ss.ss_condition with
   | None -> ()
   | Some fn ->
@@ -137,7 +143,7 @@ let check_admission st ~loc ss arrival =
           let need = DF.delta fn q in
           if Cycles.( - ) arrival prev < need then
             report st
-              (D.error ~code:"RTHV102" ~loc
+              (D.error ~code:"RTHV102" ~loc:(here st)
                  ~hint:"the monitor must deny activations closer than \
                         delta^- to the admitted history"
                  (Format.asprintf
@@ -172,12 +178,12 @@ let close_span st time =
 
 let steal st cost = st.span_stolen <- Cycles.( + ) st.span_stolen cost
 
-let finish_interposition st ~loc ~time a =
+let finish_interposition st ~time a =
   let execution = Cycles.( - ) (Cycles.( - ) time a.a_start) a.a_allowance in
   (match a.a_source with
   | Some ss when execution > ss.ss_budget ->
       report st
-        (D.error ~code:"RTHV103" ~loc
+        (D.error ~code:"RTHV103" ~loc:(here st)
            ~hint:"the hypervisor must cut the interposition the moment the \
                   budget is exhausted (Figure 4b)"
            (Format.asprintf
@@ -204,15 +210,13 @@ let finish_interposition st ~loc ~time a =
   steal st cost;
   st.active <- None
 
-let entry_loc index (e : Hyp_trace.entry) =
-  Format.asprintf "trace[%d] t=%a" index Cycles.pp e.Hyp_trace.time
-
 let step st index (e : Hyp_trace.entry) =
-  let loc = entry_loc index e in
   let time = e.Hyp_trace.time in
+  st.index <- index;
+  st.at <- time;
   if time < st.last_time then
     report st
-      (D.error ~code:"RTHV101" ~loc
+      (D.error ~code:"RTHV101" ~loc:(here st)
          (Format.asprintf
             "trace timestamps go backwards: %a after %a" Cycles.pp time
             Cycles.pp st.last_time));
@@ -227,11 +231,11 @@ let step st index (e : Hyp_trace.entry) =
   | Hyp_trace.Irq_raised { irq; line } ->
       st.raise_seen <- true;
       if source_by_line st line = None then
-        structural st ~loc
+        structural st
           (Printf.sprintf "irq %d raised on unconfigured line %d" irq line);
       if Hashtbl.mem st.raised irq then
         report st
-          (D.error ~code:"RTHV108" ~loc
+          (D.error ~code:"RTHV108" ~loc:(here st)
              ~hint:"each IRQ instance id must be raised exactly once; a \
                     duplicate raise breaks the causal span accounting"
              (Printf.sprintf "irq %d raised twice" irq))
@@ -242,11 +246,11 @@ let step st index (e : Hyp_trace.entry) =
       ()
   | Hyp_trace.Irq_coalesced { line } ->
       if source_by_line st line = None then
-        structural st ~loc
+        structural st
           (Printf.sprintf "coalesced raise on unconfigured line %d" line)
   | Hyp_trace.Slot_switch { from_partition; to_partition } ->
       if from_partition <> st.owner then
-        structural st ~loc
+        structural st
           (Printf.sprintf
              "slot switch from partition %d, but partition %d owned the slot"
              from_partition st.owner);
@@ -260,7 +264,7 @@ let step st index (e : Hyp_trace.entry) =
           bump_allowance ss.ss_c_th;
           steal st ss.ss_c_th
       | None ->
-          structural st ~loc
+          structural st
             (Printf.sprintf "top handler on unconfigured line %d" line))
   | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } -> (
       Hashtbl.replace st.irq_line irq line;
@@ -275,7 +279,7 @@ let step st index (e : Hyp_trace.entry) =
           | None -> Hashtbl.replace st.admitted_count line (ref 1));
           (match st.pending with
           | Some (previous, _) ->
-              structural st ~loc
+              structural st
                 (Printf.sprintf
                    "activation admitted while irq %d's admitted \
                     interposition has not started yet"
@@ -283,20 +287,20 @@ let step st index (e : Hyp_trace.entry) =
           | None -> ());
           st.pending <- Some (irq, ref 0);
           match source_by_line st line with
-          | Some ss -> check_admission st ~loc ss arrival
+          | Some ss -> check_admission st ss arrival
           | None ->
-              structural st ~loc
+              structural st
                 (Printf.sprintf "monitor decision on unconfigured line %d" line)))
   | Hyp_trace.Interposition_start { irq; target } ->
       (match st.active with
       | Some a ->
-          structural st ~loc
+          structural st
             (Printf.sprintf
                "interposition for irq %d starts while irq %d's is still \
                 active"
                irq a.a_irq);
           (* Judge the abandoned window at the point it was superseded. *)
-          finish_interposition st ~loc ~time a
+          finish_interposition st ~time a
       | None -> ());
       let allowance =
         match st.pending with
@@ -304,7 +308,7 @@ let step st index (e : Hyp_trace.entry) =
             st.pending <- None;
             Cycles.( * ) st.spec.c_ctx !crossings
         | Some _ | None ->
-            structural st ~loc
+            structural st
               (Printf.sprintf
                  "interposition for irq %d starts without a matching \
                   admitted monitor decision"
@@ -314,18 +318,18 @@ let step st index (e : Hyp_trace.entry) =
       let source =
         match Hashtbl.find_opt st.irq_line irq with
         | None ->
-            structural st ~loc
+            structural st
               (Printf.sprintf "interposition for unknown irq %d" irq);
             None
         | Some line -> (
             match source_by_line st line with
             | None ->
-                structural st ~loc
+                structural st
                   (Printf.sprintf "interposition on unconfigured line %d" line);
                 None
             | Some ss ->
                 if ss.ss_subscriber <> target then
-                  structural st ~loc
+                  structural st
                     (Printf.sprintf
                        "interposition targets partition %d but line %d's \
                         subscriber is partition %d"
@@ -345,40 +349,40 @@ let step st index (e : Hyp_trace.entry) =
       match st.active with
       | Some a when a.a_target = target -> a.a_allowance <- Cycles.( + ) a.a_allowance st.spec.c_ctx
       | Some a ->
-          structural st ~loc
+          structural st
             (Printf.sprintf
                "boundary crossing reported for partition %d but the active \
                 interposition targets partition %d"
                target a.a_target)
       | None ->
-          structural st ~loc
+          structural st
             "boundary crossing reported with no interposition in flight")
   | Hyp_trace.Interposition_end { target; reason = _ } -> (
       match st.active with
       | None ->
-          structural st ~loc "interposition end with no interposition in flight"
+          structural st "interposition end with no interposition in flight"
       | Some a ->
           if a.a_target <> target then
-            structural st ~loc
+            structural st
               (Printf.sprintf
                  "interposition end for partition %d but the active \
                   interposition targets partition %d"
                  target a.a_target);
-          finish_interposition st ~loc ~time a)
+          finish_interposition st ~time a)
   | Hyp_trace.Bottom_handler_done { irq; partition } -> (
       (* RTHV108: every completion must match exactly one raise — no orphan
          completions (if the trace records raises at all) and no duplicate
          completions of the same instance. *)
       if Hashtbl.mem st.bh_done irq then
         report st
-          (D.error ~code:"RTHV108" ~loc
+          (D.error ~code:"RTHV108" ~loc:(here st)
              ~hint:"a bottom handler completes its IRQ instance exactly once"
              (Printf.sprintf "irq %d's bottom handler completed twice" irq))
       else begin
         Hashtbl.replace st.bh_done irq ();
         if st.raise_seen && not (Hashtbl.mem st.raised irq) then
           report st
-            (D.error ~code:"RTHV108" ~loc
+            (D.error ~code:"RTHV108" ~loc:(here st)
                ~hint:"every bottom-handler completion must trace back to an \
                       Irq_raised event for the same instance id"
                (Printf.sprintf
@@ -402,7 +406,7 @@ let step st index (e : Hyp_trace.entry) =
         | Some a when a.a_target = partition -> ()
         | Some _ | None ->
             report st
-              (D.error ~code:"RTHV105" ~loc
+              (D.error ~code:"RTHV105" ~loc:(here st)
                  ~hint:"outside its own slot a bottom handler may only run \
                         inside an admitted interposition (Section 5)"
                  (Printf.sprintf
@@ -499,6 +503,8 @@ let replay spec entries =
     {
       spec;
       diags = [];
+      index = 0;
+      at = Cycles.zero;
       last_time = Cycles.zero;
       owner = 0;
       irq_line = Hashtbl.create 64;

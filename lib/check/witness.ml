@@ -394,23 +394,13 @@ let service_witness config ai (diag : D.t) =
           w_digest = digest_of (List.sort compare bursts);
         }
 
-let synthesize config (diag : D.t) =
+let synthesize ai config (diag : D.t) =
   if diag.D.severity <> D.Error then None
   else
-    match (Config.validate config, List.assoc_opt diag.D.code channels) with
-    | Error _, _ | _, None -> None
-    | Ok (), Some predicted ->
-        let ai = Absint.analyze config in
-        if predicted = "RTHV104" then interference_witness config ai diag
-        else service_witness config ai diag
-
-let all config =
-  List.filter_map
-    (fun (diag : D.t) ->
-      match synthesize config diag with
-      | Some w -> Some (diag, w)
-      | None -> None)
-    (Lint.analyze config)
+    match List.assoc_opt diag.D.code channels with
+    | None -> None
+    | Some "RTHV104" -> interference_witness config ai diag
+    | Some _ -> service_witness config ai diag
 
 (* The static rules refute against *proved* (eq.-(14)-style upper-bound)
    interference; a refutation can therefore hold under the proved bounds yet
@@ -432,8 +422,7 @@ let demote (diag : D.t) =
          replay could not realize this violation]";
   }
 
-let certified config =
-  let diags = Lint.analyze config in
+let certified_with ai config =
   let witnesses = ref [] in
   let graded =
     List.map
@@ -443,13 +432,18 @@ let certified config =
           || not (List.mem_assoc diag.D.code channels)
         then diag
         else
-          match synthesize config diag with
+          match synthesize ai config diag with
           | Some w when w.w_confirmed ->
               witnesses := (diag, w) :: !witnesses;
               diag
           | Some _ | None -> demote diag)
-      diags
+      (Lint.analyze_with ai config)
   in
   (graded, List.rev !witnesses)
+
+let certified config =
+  match Config.validate config with
+  | Error _ -> (Lint.analyze config, [])
+  | Ok () -> certified_with (Absint.analyze config) config
 
 let digest_of_arrivals = digest_of

@@ -84,16 +84,12 @@ val digest_of_arrivals :
     arrival streams.  Exposed so {!Certify.recheck} can re-verify a
     serialized witness's digest without re-running synthesis. *)
 
-val synthesize : Rthv_core.Config.t -> Diagnostic.t -> t option
-(** Synthesize and replay the witness for one diagnostic of [config].
-    [None] when the diagnostic is not an Error, its rule has no witness
-    channel, its location no longer resolves, or the configuration fails
-    validation. *)
-
-val all : Rthv_core.Config.t -> (Diagnostic.t * t) list
-(** Run {!Lint.analyze} and witness every Error that has a channel, in
-    diagnostic order.  The linter's certification obligation: each returned
-    witness should satisfy [w_confirmed]. *)
+val synthesize : Absint.t -> Rthv_core.Config.t -> Diagnostic.t -> t option
+(** [synthesize ai config diag] synthesizes and replays the witness for one
+    diagnostic of [config], a configuration that passes [Config.validate];
+    [ai] must be [Absint.analyze config].  [None] when the diagnostic is
+    not an Error, its rule has no witness channel, or its location no
+    longer resolves. *)
 
 val certified : Rthv_core.Config.t -> Diagnostic.t list * (Diagnostic.t * t) list
 (** The counterexample-guided pipeline behind [rthv_lint --certify]: lint,
@@ -103,3 +99,11 @@ val certified : Rthv_core.Config.t -> Diagnostic.t list * (Diagnostic.t * t) lis
     either carries a confirmed witness in the second component or is a
     structural rule with no simulation channel (RTHV001, RTHV011), so the
     certified verdict never cries wolf.  Diagnostic order is preserved. *)
+
+val certified_with :
+  Absint.t -> Rthv_core.Config.t -> Diagnostic.t list * (Diagnostic.t * t) list
+(** [certified_with ai config] is {!certified} for a configuration that
+    passes [Config.validate], with [ai = Absint.analyze config] computed by
+    the caller: the lint pass and every witness read this one analysis.
+    {!Certify.build} uses it to serialize the same analysis it certified
+    against. *)

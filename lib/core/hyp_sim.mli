@@ -118,7 +118,9 @@ val set_audit_hook : (Config.t -> Hyp_trace.t -> unit) option -> unit
 val audit_hook_installed : unit -> bool
 
 val audit_trace_capacity : int
-(** Ring-buffer capacity of auto-attached audit traces (2^20 entries). *)
+(** Retention bound of auto-attached audit traces (2^20 entries) — the
+    longest run an audit can judge, not an allocation: the ring grows with
+    the events a run records (see {!Hyp_trace.create}). *)
 
 val run : ?horizon:Rthv_engine.Cycles.t -> t -> unit
 (** Run until every generated IRQ has completed its bottom handler (and all

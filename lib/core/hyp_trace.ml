@@ -25,13 +25,17 @@ type entry = { time : Cycles.t; event : event }
 
 (* Parallel arrays instead of an [entry option array]: [record] writes a
    plain int and an (already-allocated, caller-owned) event pointer, so the
-   ring itself allocates nothing at steady state — this is what lets the
-   flight recorder ride along on every run (see Flight_recorder) without
-   perturbing the allocation benchmarks.  Unwritten [events] slots hold a
-   shared dummy and are never read ([total] bounds every traversal). *)
+   ring itself allocates nothing once it has reached [capacity] — this is
+   what lets the flight recorder ride along on every run (see
+   Flight_recorder) without perturbing the allocation benchmarks.  The
+   arrays start at [first_block] entries and double up to [capacity], so a
+   short run pays for the events it records rather than for a retention
+   bound sized for the longest run.  Unwritten [events] slots hold a shared
+   dummy and are never read ([total] bounds every traversal). *)
 type t = {
-  times : int array;
-  events : event array;
+  mutable times : int array;
+  mutable events : event array;
+  capacity : int;  (* most entries retained; the arrays never exceed it *)
   mutable next : int;  (* next write position *)
   mutable total : int;  (* events ever recorded *)
   mutable spill : (time:Cycles.t -> event -> unit) option;
@@ -39,41 +43,65 @@ type t = {
 
 let dummy_event = Irq_coalesced { line = -1 }
 
+(* 256 words is the largest block the minor heap takes, so a ring that
+   never outgrows it costs one minor allocation per array. *)
+let first_block = 256
+
 let create ?(capacity = 65_536) () =
   if capacity <= 0 then invalid_arg "Hyp_trace.create: capacity must be positive";
+  let n = Stdlib.min capacity first_block in
   {
-    times = Array.make capacity 0;
-    events = Array.make capacity dummy_event;
+    times = Array.make n 0;
+    events = Array.make n dummy_event;
+    capacity;
     next = 0;
     total = 0;
     spill = None;
   }
 
-let capacity t = Array.length t.times
+let capacity t = t.capacity
 let set_spill t f = t.spill <- Some f
 let clear_spill t = t.spill <- None
+
+(* The write index reached the end of the arrays.  Below [capacity] the
+   ring has never wrapped, so its entries fill the arrays in order: double
+   them and keep writing after the old end.  At [capacity], wrap. *)
+let grow_or_wrap t =
+  let n = Array.length t.times in
+  if n = t.capacity then 0
+  else begin
+    let m = Stdlib.min t.capacity (2 * n) in
+    let times = Array.make m 0 and events = Array.make m dummy_event in
+    Array.blit t.times 0 times 0 n;
+    Array.blit t.events 0 events 0 n;
+    t.times <- times;
+    t.events <- events;
+    n
+  end
 
 let record t ~time event =
   let i = t.next in
   t.times.(i) <- time;
   t.events.(i) <- event;
   let i = i + 1 in
-  t.next <- (if i = Array.length t.times then 0 else i);
+  t.next <- (if i = Array.length t.times then grow_or_wrap t else i);
   t.total <- t.total + 1;
   match t.spill with None -> () | Some f -> f ~time event
 
-let length t = Stdlib.min t.total (Array.length t.times)
+let length t = Stdlib.min t.total t.capacity
 let recorded t = t.total
-let dropped t = Stdlib.max 0 (t.total - Array.length t.times)
+let dropped t = Stdlib.max 0 (t.total - t.capacity)
 
 let to_list t =
-  let capacity = Array.length t.times in
   let n = length t in
-  let start = if t.total <= capacity then 0 else t.next in
+  (* Until the first wrap the entries sit in order from index 0, whatever
+     the arrays' current size; after it the arrays are [capacity] long and
+     the oldest entry is the next one to be overwritten. *)
+  let start = if t.total <= t.capacity then 0 else t.next in
   let rec collect i acc =
     if i = n then List.rev acc
     else
-      let j = (start + i) mod capacity in
+      let j = (start + i) mod t.capacity in
       collect (i + 1) ({ time = t.times.(j); event = t.events.(j) } :: acc)
   in
   collect 0 []

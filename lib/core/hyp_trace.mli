@@ -2,8 +2,8 @@
 
     A bounded ring buffer of timestamped scheduling events, the moral
     equivalent of the trace buffer a real hypervisor exposes for
-    certification evidence and debugging.  Recording is O(1); when the
-    buffer is full the oldest entries are dropped (and counted). *)
+    certification evidence and debugging.  Recording is amortised O(1);
+    when the buffer is full the oldest entries are dropped (and counted). *)
 
 type event =
   | Slot_switch of { from_partition : int; to_partition : int }
@@ -50,18 +50,24 @@ type entry = { time : Rthv_engine.Cycles.t; event : event }
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Default capacity 65536 entries.  @raise Invalid_argument if
-    non-positive. *)
+(** [capacity] (default 65536) is the most entries the ring retains, not
+    an allocation: the ring starts with a small block and its memory grows
+    with the entries recorded, doubling until it holds [capacity] entries.
+    A short run in a ring sized for the longest one pays only for what it
+    records.  @raise Invalid_argument if non-positive. *)
 
 val capacity : t -> int
+(** The retention bound passed to {!create}. *)
 
 val record : t -> time:Rthv_engine.Cycles.t -> event -> unit
-(** O(1) and allocation-free: the ring stores the timestamp and the
-    caller-allocated event value in parallel arrays, so steady-state
-    recording costs two stores (this is the flight-recorder property —
-    tracing can stay on for every run).  When a {!set_spill} hook is
-    installed it is invoked after the store, adding one field load and a
-    branch to the unhooked path. *)
+(** Amortised O(1): the ring stores the timestamp and the caller-allocated
+    event value in parallel arrays.  While fewer than [capacity] entries
+    have been recorded, reaching the end of the arrays doubles them; once
+    the ring is full it is allocation-free and a record costs two stores
+    and one compare (this is the flight-recorder property — tracing can
+    stay on for every run).  When a {!set_spill} hook is installed it is
+    invoked after the store, adding one field load and a branch to the
+    unhooked path. *)
 
 val set_spill : t -> (time:Rthv_engine.Cycles.t -> event -> unit) -> unit
 (** Install a per-record spill hook: every {!record} also hands the entry

@@ -33,10 +33,38 @@ let tamper s =
   Bytes.set b i (if s.[i] = '5' then '6' else '5');
   Bytes.to_string b
 
+(* MD5 of every artifact the recheck tests build, as serialized before
+   witness replays grew their trace rings on demand and shared one interval
+   analysis: a performance change to the certification pipeline must leave
+   every artifact byte-identical. *)
+let artifact_md5 =
+  [
+    ("quickstart", "b9c61f4edcf6a01d7810899612d3ad25");
+    ("conformant", "d696a11190b2ed3b27967d64366a54d8");
+    ("avionics_ima", "dc56fa2d53412bf275c7b2f7a1ab20b1");
+    ("automotive_ecu", "6e820b2604a4da0fb375dea0e3c3ef26");
+    ("mixed_policies", "4a08f09906c6b0e6eb8ef8722287a33b");
+    ("demo_bad", "1d008fe25bfc56f26da05dd0d03b4785");
+    ("demo_policy_bad", "29c08bd8b423bf8129eb9523f17c6c31");
+    ("cfg-0000", "3337149f48754f471ad21a1568fe040e");
+    ("cfg-0001", "efef0918ab278a0832b989097a5ead15");
+    ("cfg-0002", "b114370b48907305eab2c68b86c1ade8");
+    ("cfg-0003", "668e71a49abf59a3f1aea38cd79210c9");
+  ]
+
+let check_md5 name s =
+  match List.assoc_opt name artifact_md5 with
+  | None -> Alcotest.failf "%s: no pinned artifact digest" name
+  | Some md5 ->
+      Alcotest.(check string)
+        (name ^ " artifact byte-identical") md5
+        (Digest.to_hex (Digest.string s))
+
 let test_scenarios_recheck () =
   List.iter
     (fun (name, builder) ->
       let s = build name (builder ()) in
+      check_md5 name s;
       (match Certify.recheck_string s with
       | Ok () -> ()
       | Error msgs ->
@@ -51,6 +79,7 @@ let test_fleet_recheck () =
   List.iter
     (fun (name, config) ->
       let s = build name config in
+      check_md5 name s;
       match Certify.recheck_string s with
       | Ok () -> ()
       | Error msgs ->

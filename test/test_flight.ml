@@ -13,7 +13,16 @@ module DF = Rthv_analysis.Distance_fn
 module Gen = Rthv_workload.Gen
 
 (* Ring wraparound: record k events into a capacity-c ring; the last
-   min(c, k) survive in order, and the totals account for every event. *)
+   min(c, k) survive in order, and the totals account for every event.
+   Capacities reach past the ring's first allocation block (256 entries),
+   so the arrays double before they wrap, and the record counts include
+   the boundaries around the first wrap: c-1, c, c+1 and 3c. *)
+let ring_sizes =
+  QCheck2.Gen.(
+    let* cap = oneof [ 1 -- 32; 200 -- 2100 ] in
+    let+ k = oneof [ 0 -- 100; oneofl [ cap - 1; cap; cap + 1; 3 * cap ] ] in
+    (cap, k))
+
 let prop_ring_wraparound (cap, k) =
   let t = Hyp_trace.create ~capacity:cap () in
   for i = 0 to k - 1 do
@@ -127,6 +136,27 @@ let test_dump_on_oracle_violation () =
                 (List.length entries > 0)
           | Error msg -> Alcotest.failf "re-import failed: %s" msg))
 
+(* The oracle formats a diagnostic's location when it reports it, not
+   for every entry it replays: the RTHV102 locations of the violating run
+   must still name the same entries and times. *)
+let test_violation_locations () =
+  match violating_run () with
+  | () -> Alcotest.fail "expected Audit_failure"
+  | exception Rthv_check.Audit_hook.Audit_failure diags ->
+      let locs =
+        List.filter_map
+          (fun (d : Rthv_check.Diagnostic.t) ->
+            if d.Rthv_check.Diagnostic.code = "RTHV102" then
+              Some d.Rthv_check.Diagnostic.loc
+            else None)
+          diags
+      in
+      Alcotest.(check int) "RTHV102 diagnostics" 26 (List.length locs);
+      List.iter
+        (fun loc ->
+          Alcotest.(check bool) (loc ^ " reported") true (List.mem loc locs))
+        [ "trace[9] t=1010.64us"; "trace[282] t=24750.64us" ]
+
 let test_dump_on_uncaught_exception () =
   let dir = fresh_dir () in
   FR.enable ~dir ();
@@ -185,12 +215,13 @@ let test_disabled_recorder_dumps_nothing () =
 let suite =
   [
     Testutil.qtest "ring wraparound keeps the last capacity entries"
-      QCheck2.Gen.(pair (1 -- 32) (0 -- 100))
-      prop_ring_wraparound;
+      ring_sizes prop_ring_wraparound;
     Alcotest.test_case "steady-state record is allocation-free" `Quick
       test_record_allocation_free;
     Alcotest.test_case "oracle violation dumps a replayable ring" `Quick
       test_dump_on_oracle_violation;
+    Alcotest.test_case "oracle violation locations are pinned" `Quick
+      test_violation_locations;
     Alcotest.test_case "uncaught exception dumps the ring" `Quick
       test_dump_on_uncaught_exception;
     Alcotest.test_case "disabled recorder never dumps" `Quick

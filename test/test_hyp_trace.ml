@@ -32,6 +32,26 @@ let test_capacity_validated () =
     (Invalid_argument "Hyp_trace.create: capacity must be positive") (fun () ->
       ignore (Hyp_trace.create ~capacity:0 () : Hyp_trace.t))
 
+(* A ring sized for the longest audited run allocates for the entries it
+   records, not for its capacity: 1,000 records into a 2^20-entry ring cost
+   two small blocks and their doublings, where a full-size ring would cost
+   two 2^20-word arrays. *)
+let test_capacity_is_not_allocated () =
+  let ev = Hyp_trace.Irq_coalesced { line = 0 } in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let t = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  for i = 0 to 999 do
+    Hyp_trace.record t ~time:i ev
+  done;
+  let allocated = words () -. before in
+  Alcotest.(check int) "all retained" 1_000 (Hyp_trace.length t);
+  if allocated >= 16_000. then
+    Alcotest.failf "1000 records allocated %.0f words (bound 16000)" allocated
+
 let run_traced ~shaping =
   let trace = Hyp_trace.create () in
   let config =
@@ -127,6 +147,8 @@ let suite =
     Alcotest.test_case "ring buffer basics" `Quick test_ring_buffer_basics;
     Alcotest.test_case "ring buffer wraps" `Quick test_ring_buffer_wraps;
     Alcotest.test_case "capacity validated" `Quick test_capacity_validated;
+    Alcotest.test_case "capacity is a bound, not an allocation" `Quick
+      test_capacity_is_not_allocated;
     Alcotest.test_case "simulation records events" `Quick test_sim_records_events;
     Alcotest.test_case "timestamps monotone" `Quick test_trace_times_monotone;
     Alcotest.test_case "monitor decisions traced" `Quick
