@@ -31,12 +31,11 @@
    (the simulation is deterministic, so phase words are reproducible to
    the word).  A baseline without a profile section skips the check.
 
-   The "fastforward" section's rows (15k-IRQ step/ff, 1M-IRQ streaming)
-   are gated like micro rows.  Two further hard gates: a sweep row whose
-   pool ran >1 effective domains FAILS below 1.0x (parallel slower than
+   The "stream" section's rows (15k IRQs retained, 1M IRQs streaming) are
+   gated like micro rows.  One further hard gate: a sweep row whose pool
+   ran >1 effective domains FAILS below 1.0x (parallel slower than
    sequential is a real regression once Par's single-core fallback is
-   ruled out), and the step-over-ff speedup FAILS below 0.9x (the
-   event-compressed engine must not lose to the step reference). *)
+   ruled out). *)
 
 module Json = Rthv_obs.Json
 
@@ -124,31 +123,25 @@ let load path =
               entries
         | _ -> []
       in
-      (* Fast-forward engine rows (15k step/ff, 1M streaming) are gated
-         like micro rows; the step-over-ff speedup is gated separately. *)
-      let ff_rows, ff_speedup =
-        match member "fastforward" doc with
-        | Some (Json.Obj _ as ff) ->
-            let rows =
-              match member "rows" ff with
-              | Some (Json.List rows) ->
-                  List.filter_map
-                    (fun r ->
-                      match
-                        ( string_field "name" r,
-                          number (member "ns_per_run" r),
-                          number (member "minor_words_per_run" r) )
-                      with
-                      | Some name, Some ns, Some words ->
-                          Some ("fastforward:" ^ name, { ns; words })
-                      | _ -> None)
-                    rows
-              | _ -> []
-            in
-            (rows, number (member "speedup_step_over_ff" ff))
-        | _ -> ([], None)
+      (* Streaming rows (15k retained, 1M streaming), gated like micro
+         rows. *)
+      let stream_rows =
+        match Option.bind (member "stream" doc) (member "rows") with
+        | Some (Json.List rows) ->
+            List.filter_map
+              (fun r ->
+                match
+                  ( string_field "name" r,
+                    number (member "ns_per_run" r),
+                    number (member "minor_words_per_run" r) )
+                with
+                | Some name, Some ns, Some words ->
+                    Some ("stream:" ^ name, { ns; words })
+                | _ -> None)
+              rows
+        | _ -> []
       in
-      (micro, profile, sweep, ff_rows, ff_speedup)
+      (micro, profile, sweep, stream_rows)
 
 let () =
   let ratio = ref 5.0 in
@@ -179,10 +172,10 @@ let () =
           "usage: diff BASELINE.json CURRENT.json [--ratio R] [--words-slack \
            W] [--words-ratio WR]"
   in
-  let baseline_micro, baseline_profile, _, baseline_ff, _ =
+  let baseline_micro, baseline_profile, _, baseline_stream =
     load baseline_path
   in
-  let current_micro, current_profile, current_sweep, current_ff, ff_speedup =
+  let current_micro, current_profile, current_sweep, current_stream =
     load current_path
   in
   let failures = ref 0 in
@@ -217,7 +210,7 @@ let () =
   Printf.printf "%-48s %12s %12s %8s\n" "benchmark" "base ns" "curr ns" "ratio";
   compare_rows baseline_micro current_micro;
   compare_rows baseline_profile current_profile;
-  compare_rows baseline_ff current_ff;
+  compare_rows baseline_stream current_stream;
   (* A parallel sweep must beat sequential whenever the pool actually ran
      more than one domain — Par skips the fan-out machinery below that, so
      any sub-1.0x speedup with real parallelism is a regression, not
@@ -239,16 +232,6 @@ let () =
             "%-48s note: single core, sequential path both sides (%.2fx)\n"
             ("sweep:" ^ name) speedup)
     current_sweep;
-  (* The event-compressed engine must never run materially slower than the
-     step reference on the same binary; 0.9 absorbs wall-clock noise
-     between the two timed loops. *)
-  (match ff_speedup with
-  | Some s when s < 0.9 ->
-      incr failures;
-      Printf.printf
-        "%-48s FF REGRESSION: fast-forward slower than step (%.2fx)\n"
-        "fastforward:speedup" s
-  | _ -> ());
   if !failures > 0 then begin
     Printf.printf "\n%d regression(s) against %s (ratio > %.1fx or > %+.1f \
                    minor words and > %.2fx)\n"

@@ -1,15 +1,12 @@
 (* Regenerate the golden rows for test/test_golden.ml.
 
-   Runs every canonical scenario through the *step* (reference) engine and
-   prints one OCaml record literal per scenario, in the exact format the
-   golden table expects.  Use after an intentional behaviour change:
+   Runs every canonical scenario and prints one OCaml record literal per
+   scenario, in the exact format the golden table expects.  Use after an
+   intentional behaviour change:
 
      dune exec bench/gen_golden.exe
 
-   then paste the rows over the [goldens] list.  The fast-forward engine
-   must reproduce the same rows byte for byte — the golden suite checks
-   both modes against the same digests, so regenerating from step mode
-   never masks a mode divergence. *)
+   then paste the rows over the [goldens] list. *)
 
 module Hyp_sim = Rthv_core.Hyp_sim
 module Hyp_trace = Rthv_core.Hyp_trace
@@ -33,9 +30,7 @@ let () =
     (fun (name, build) ->
       let config = build () in
       let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-      let sim =
-        Hyp_sim.create ~trace ~mode:Rthv_engine.Fast_forward.Step config
-      in
+      let sim = Hyp_sim.create ~trace config in
       Hyp_sim.run sim;
       let s = Hyp_sim.stats sim in
       let records = Hyp_sim.records sim in

@@ -6,7 +6,7 @@
 
    Usage:  dune exec bench/main.exe [-- section ... [options]]
    Sections: fig3 fig6a fig6b fig6c fig7 overhead analysis ablation multi
-   robustness micro profile fastforward sweep all (default: all).
+   robustness micro profile stream sweep all (default: all).
    Options:
      --jobs N     worker domains for the sweep engine (default: RTHV_JOBS
                   or the machine's recommended domain count)
@@ -218,38 +218,6 @@ let micro_bodies () : (string * (unit -> unit)) list =
            conforms_ts := !conforms_ts + 600;
            ignore (Monitor.conforms steady_monitor !conforms_ts))
   in
-  (* The queue is hoisted so the heap array is reused across the batch:
-     the bench measures the push/pop cycle itself, not the construction
-     and regrowth of a fresh queue every run (which used to dominate the
-     allocation column at 848 words/run). *)
-  let batch_queue = Rthv_engine.Event_queue.create () in
-  let event_queue =
-    ( "event_queue push+pop x100",
-      fun () ->
-           for i = 0 to 99 do
-             Rthv_engine.Event_queue.push batch_queue
-               ~time:(i * 7919 mod 1000) i
-           done;
-           while not (Rthv_engine.Event_queue.is_empty batch_queue) do
-             ignore (Rthv_engine.Event_queue.pop batch_queue)
-           done)
-  in
-  (* Steady-state queue at the simulator's typical occupancy: one push +
-     one pop against a warm 64-entry heap, no construction cost. *)
-  let steady_queue = Rthv_engine.Event_queue.create () in
-  let () =
-    for i = 0 to 63 do
-      Rthv_engine.Event_queue.push steady_queue ~time:(i * 97) i
-    done
-  in
-  let queue_ts = ref (64 * 97) in
-  let event_queue_steady =
-    ( "event_queue push+pop steady (64)",
-      fun () ->
-           queue_ts := !queue_ts + 97;
-           Rthv_engine.Event_queue.push steady_queue ~time:!queue_ts 0;
-           ignore (Rthv_engine.Event_queue.pop steady_queue))
-  in
   let busy_window =
     let curve = AC.sporadic ~d_min_us:1544 in
     ( "busy-window fixed point (eq. 11)",
@@ -357,8 +325,6 @@ let micro_bodies () : (string * (unit -> unit)) list =
     monitor_check;
     monitor_admit_steady;
     monitor_conforms;
-    event_queue;
-    event_queue_steady;
     busy_window;
     learner;
     sim_throughput;
@@ -500,16 +466,16 @@ let profile_section () =
       !json_profile
 
 (* ------------------------------------------------------------------ *)
-(* Fast-forward engine: step vs event-compressed wall-clock            *)
+(* Streaming: 15k IRQs with records retained, 1M IRQs without          *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock and exact per-run allocation of the Figure-6-sized run under
-   both engine modes, plus a 1M-IRQ streaming run (retain=false: no record
+(* Wall-clock and exact per-run allocation of the Figure-6-sized run with
+   records retained, plus a 1M-IRQ streaming run (retain=false: no record
    accumulation) that must complete within a small wall-clock budget.  The
    same workload generator and shaping as the bechamel 15k row, so the
    numbers anchor against the micro section.  RTHV_1M_BUDGET_S (seconds,
    float) turns the 1M row into a hard gate for CI smoke runs. *)
-let ff_timed runs f =
+let per_run runs f =
   f ();
   (* warm *)
   let w0 = Gc.minor_words () in
@@ -519,29 +485,21 @@ let ff_timed runs f =
   let dw = Gc.minor_words () -. w0 in
   (dt /. float_of_int runs *. 1e9, dw /. float_of_int runs)
 
-let json_fastforward : (string * Json.t) list ref = ref []
+let json_stream : (string * Json.t) list ref = ref []
 
-let fastforward () =
-  banner "Fast-forward engine: step vs event-compressed";
+let stream () =
+  banner "Streaming: 15k IRQs retained, 1M IRQs streaming";
   let interarrivals_15k =
     Gen.exponential ~seed:1 ~mean:(Cycles.of_us 1544) ~count:15_000
   in
   let shaping = Config.Fixed_monitor (DF.d_min (Cycles.of_us 1544)) in
   let config_15k = Params.config ~interarrivals:interarrivals_15k ~shaping in
-  let run_mode mode () =
-    let sim = Hyp_sim.create ~mode config_15k in
-    Hyp_sim.run sim
+  let ns_15k, words_15k =
+    per_run 20 (fun () -> Hyp_sim.run (Hyp_sim.create config_15k))
   in
-  let step_ns, step_w = ff_timed 20 (run_mode Rthv_engine.Fast_forward.Step) in
-  let ff_ns, ff_w =
-    ff_timed 20 (run_mode Rthv_engine.Fast_forward.Fast_forward)
-  in
-  let speedup = if ff_ns > 0. then step_ns /. ff_ns else Float.nan in
   Format.fprintf ppf "  %-40s %12s  %s@." "" "ns/run" "minor words/run";
-  Format.fprintf ppf "  %-40s %12.0f  %15.0f@." "15k IRQs, step" step_ns step_w;
-  Format.fprintf ppf "  %-40s %12.0f  %15.0f@." "15k IRQs, fast-forward" ff_ns
-    ff_w;
-  Format.fprintf ppf "  step/ff speedup: %.2fx@." speedup;
+  Format.fprintf ppf "  %-40s %12.0f  %15.0f@." "15k IRQs, retained" ns_15k
+    words_15k;
   (* 1M IRQs, streaming: the scale target.  retain=false drops per-IRQ
      record retention (stats and traces are unaffected), so the run is
      O(live events) in memory however long the workload. *)
@@ -556,7 +514,7 @@ let fastforward () =
   let wall_s = Unix.gettimeofday () -. t0 in
   let words_1m = Gc.minor_words () -. w0 in
   let completed = (Hyp_sim.stats sim).Hyp_sim.completed_irqs in
-  Format.fprintf ppf "  1M IRQs, fast-forward (retain=false): %.2fs wall \
+  Format.fprintf ppf "  1M IRQs, streaming (retain=false): %.2fs wall \
                       (%.0f ns/IRQ, %d completed)@."
     wall_s
     (wall_s *. 1e9 /. float_of_int completed)
@@ -572,31 +530,24 @@ let fastforward () =
       | Some b -> Format.fprintf ppf "  within budget (%.2fs <= %.2fs)@." wall_s b
       | None -> ())
   | None -> ());
-  json_fastforward :=
+  json_stream :=
     [
       ( "rows",
         Json.List
           [
             Json.Obj
               [
-                ("name", Json.String "15k step");
-                ("ns_per_run", Json.Float step_ns);
-                ("minor_words_per_run", Json.Float step_w);
+                ("name", Json.String "15k retained");
+                ("ns_per_run", Json.Float ns_15k);
+                ("minor_words_per_run", Json.Float words_15k);
               ];
             Json.Obj
               [
-                ("name", Json.String "15k ff");
-                ("ns_per_run", Json.Float ff_ns);
-                ("minor_words_per_run", Json.Float ff_w);
-              ];
-            Json.Obj
-              [
-                ("name", Json.String "1m ff retain=false");
+                ("name", Json.String "1m streaming");
                 ("ns_per_run", Json.Float (wall_s *. 1e9));
                 ("minor_words_per_run", Json.Float words_1m);
               ];
           ] );
-      ("speedup_step_over_ff", Json.Float speedup);
       ("wall_1m_s", Json.Float wall_s);
       ("completed_1m", Json.Int completed);
     ]
@@ -673,7 +624,7 @@ let sections =
     ("robustness", robustness);
     ("micro", micro);
     ("profile", profile_section);
-    ("fastforward", fastforward);
+    ("stream", stream);
     ("sweep", sweep);
   ]
 
@@ -726,7 +677,7 @@ let () =
             ("jobs", Json.Int (Par.default_jobs ()));
             ("micro", Json.List (List.rev !json_micro));
             ("profile", Json.List (List.rev !json_profile));
-            ("fastforward", Json.Obj !json_fastforward);
+            ("stream", Json.Obj !json_stream);
             ("sweep", Json.Obj (List.rev !json_sweep));
           ]
       in

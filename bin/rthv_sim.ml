@@ -8,7 +8,6 @@
      rthv_sim --experiment fig6b                            # paper experiment *)
 
 module Cycles = Rthv_engine.Cycles
-module Fast_forward = Rthv_engine.Fast_forward
 module Config = Rthv_core.Config
 module Hyp_sim = Rthv_core.Hyp_sim
 module Irq_record = Rthv_core.Irq_record
@@ -41,15 +40,6 @@ let monitor_kind_conv =
     | Monitor_budget -> Format.fprintf ppf "budget"
     | Monitor_combo -> Format.fprintf ppf "combo"
   in
-  Cmdliner.Arg.conv (parse, print)
-
-let mode_conv =
-  let parse s =
-    match Fast_forward.of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf m = Format.pp_print_string ppf (Fast_forward.to_string m) in
   Cmdliner.Arg.conv (parse, print)
 
 let build_interarrivals ~trace ~seed ~mean_us ~d_min_us ~count =
@@ -94,7 +84,7 @@ let profile_out_format path =
     Error
       (Printf.sprintf "--profile %S: expected a .json or .txt extension" path)
 
-let write_profile ~mode ~path prof =
+let write_profile ~path prof =
   match profile_out_format path with
   | Error msg ->
       Format.eprintf "%s@." msg;
@@ -102,22 +92,7 @@ let write_profile ~mode ~path prof =
   | Ok fmt ->
       let rendered =
         match fmt with
-        | `Json ->
-            (* Stamp the engine mode into the rthv-profile/1 document so a
-               saved profile says which stepping engine produced it
-               (Prof.of_json ignores unknown keys). *)
-            let doc =
-              match Rthv_obs.Prof.to_json prof with
-              | Rthv_obs.Json.Obj fields ->
-                  Rthv_obs.Json.Obj
-                    (fields
-                    @ [
-                        ( "mode",
-                          Rthv_obs.Json.String (Fast_forward.to_string mode) );
-                      ])
-              | other -> other
-            in
-            Rthv_obs.Json.to_string doc ^ "\n"
+        | `Json -> Rthv_obs.Json.to_string (Rthv_obs.Prof.to_json prof) ^ "\n"
         | `Txt -> Format.asprintf "%a" Rthv_obs.Prof.pp_table prof
       in
       let oc = open_out path in
@@ -148,7 +123,7 @@ let write_metrics ~path registry =
         path;
       0
 
-let run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us count
+let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
     seed monitor budget weighted_cycle_us strict_tdma show_histogram csv_out
     vcd_out trace_out metrics_out profile_out slo trace =
   let partitions =
@@ -225,7 +200,7 @@ let run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us count
         Some w
     | _ -> None
   in
-  let sim = Hyp_sim.create ?trace ~mode config in
+  let sim = Hyp_sim.create ?trace config in
   let registry = Rthv_obs.Registry.create () in
   let profiler = Option.map (fun _ -> Rthv_obs.Prof.create ()) profile_out in
   let slo_t =
@@ -320,13 +295,7 @@ let run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us count
             let partition_names =
               Array.of_list (List.map (fun (p : Config.partition) -> p.Config.pname) partitions)
             in
-            Rthv_core.Trace_export.save_chrome
-              ~metadata:
-                [
-                  ( "mode",
-                    Rthv_obs.Json.String (Fast_forward.to_string mode) );
-                ]
-              ~partition_names ~path trace;
+            Rthv_core.Trace_export.save_chrome ~partition_names ~path trace;
             Format.printf "wrote %d trace events to %s (chrome)@."
               (Rthv_core.Hyp_trace.length trace)
               path;
@@ -343,7 +312,7 @@ let run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us count
   in
   let profile_status =
     match (profile_out, profiler) with
-    | Some path, Some p -> write_profile ~mode ~path p
+    | Some path, Some p -> write_profile ~path p
     | _ -> 0
   in
   let slo_status =
@@ -362,7 +331,7 @@ let run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us count
     (Stdlib.max (Stdlib.max trace_status metrics_status) profile_status)
     slo_status
 
-let run_experiment ~mode metrics_out profile_out name =
+let run_experiment metrics_out profile_out name =
   let module Fig6 = Rthv_experiments.Fig6 in
   let ppf = Format.std_formatter in
   (* The sweep drivers fold per-task registries (and absorb per-task phase
@@ -412,19 +381,15 @@ let run_experiment ~mode metrics_out profile_out name =
     in
     let profile_status =
       match (profile_out, profiler) with
-      | Some path, Some p -> write_profile ~mode ~path p
+      | Some path, Some p -> write_profile ~path p
       | _ -> 0
     in
     Stdlib.max metrics_status profile_status
 
-let main jobs mode experiment slots subscriber c_th_us c_bh_us mean_us
+let main jobs experiment slots subscriber c_th_us c_bh_us mean_us
     d_min_us count seed monitor budget weighted_cycle_us strict_tdma histogram
     csv_out vcd_out trace_out metrics_out profile_out slo flight_dir trace =
   Option.iter Rthv_par.Par.set_default_jobs jobs;
-  (* Canned experiments build their simulators internally, where the engine
-     defaults from RTHV_SIM_MODE — export the flag so every path (custom
-     run, experiment sweep, analysis) sees the same mode. *)
-  Unix.putenv Fast_forward.env_var (Fast_forward.to_string mode);
   Option.iter
     (fun dir -> Rthv_core.Flight_recorder.enable ~dir ())
     flight_dir;
@@ -435,7 +400,7 @@ let main jobs mode experiment slots subscriber c_th_us c_bh_us mean_us
                         experiments@.";
         1
       end
-      else run_experiment ~mode metrics_out profile_out name
+      else run_experiment metrics_out profile_out name
   | None ->
       if subscriber < 0 || subscriber >= List.length slots then begin
         Format.eprintf "subscriber %d out of range for %d partitions@."
@@ -447,7 +412,7 @@ let main jobs mode experiment slots subscriber c_th_us c_bh_us mean_us
         1
       end
       else
-        run_custom ~mode slots subscriber c_th_us c_bh_us mean_us d_min_us
+        run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us
           count seed monitor budget weighted_cycle_us strict_tdma histogram
           csv_out vcd_out trace_out metrics_out profile_out slo trace
 
@@ -472,19 +437,6 @@ let jobs =
            or the machine's recommended domain count; 1 forces the \
            sequential path).  Results are byte-identical for any value.  \
            Custom single-scenario simulations always run on one domain.")
-
-let mode =
-  Arg.(
-    value
-    & opt mode_conv (Fast_forward.default ())
-    & info [ "mode" ] ~docv:"step|ff"
-        ~doc:
-          "Stepping engine: $(b,ff) (fast-forward, event-compressed — jumps \
-           idle and intra-segment spans, the default) or $(b,step) (the \
-           reference cycle-stepped loop).  Both produce byte-identical \
-           observables; $(b,step) exists as the oracle.  The default \
-           honours $(b,RTHV_SIM_MODE); the flag overrides it and is \
-           exported to canned experiments.")
 
 let slots =
   Arg.(
@@ -665,7 +617,7 @@ let cmd =
   Cmd.v
     (Cmd.info "rthv_sim" ~doc)
     Term.(
-      const main $ jobs $ mode $ experiment $ slots $ subscriber $ c_th_us
+      const main $ jobs $ experiment $ slots $ subscriber $ c_th_us
       $ c_bh_us
       $ mean_us $ d_min_us $ count $ seed $ monitor $ budget
       $ weighted_cycle_us $ strict_tdma $ histogram $ csv_out $ vcd_out

@@ -18,7 +18,6 @@
    plus per-event-kind trace counts; --metrics selects the rendering. *)
 
 module Cycles = Rthv_engine.Cycles
-module Fast_forward = Rthv_engine.Fast_forward
 module Config = Rthv_core.Config
 module Hyp_sim = Rthv_core.Hyp_sim
 module Hyp_trace = Rthv_core.Hyp_trace
@@ -44,7 +43,7 @@ let line_subscribers config =
     config.Config.sources;
   Some table
 
-let record_scenario ~capacity ~registry ~mode name =
+let record_scenario ~capacity ~registry name =
   match Scenarios.find name with
   | None ->
       Error
@@ -54,7 +53,7 @@ let record_scenario ~capacity ~registry ~mode name =
       let config = build () in
       let trace = Hyp_trace.create ~capacity () in
       let recorder = Obs.Recorder.create ~registry () in
-      let sim = Hyp_sim.create ~trace ~mode config in
+      let sim = Hyp_sim.create ~trace config in
       Obs.Sink.with_sink (Obs.Recorder.sink recorder) (fun () ->
           Hyp_sim.run sim);
       let names =
@@ -166,24 +165,16 @@ let write_output ~out render =
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (render ()))
 
-let main jobs mode flight_dir source format out to_store partition from_us
+let main jobs flight_dir source format out to_store partition from_us
     to_us metrics capacity =
   Option.iter Rthv_par.Par.set_default_jobs jobs;
   Option.iter
     (fun dir -> Rthv_core.Flight_recorder.enable ~dir ())
     flight_dir;
   let registry = Obs.Registry.create () in
-  (* Re-exports did not simulate, so only a fresh recording gets the engine
-     mode stamped into the Chrome trace metadata. *)
-  let metadata =
-    match source with
-    | Scenario _ ->
-        [ ("mode", Obs.Json.String (Fast_forward.to_string mode)) ]
-    | From_jsonl _ | From_store _ -> []
-  in
   let recorded =
     match source with
-    | Scenario name -> record_scenario ~capacity ~registry ~mode name
+    | Scenario name -> record_scenario ~capacity ~registry name
     | From_jsonl path -> (
         match Trace_export.load_jsonl ~path with
         | Ok entries -> Ok (entries, None, None)
@@ -213,7 +204,7 @@ let main jobs mode flight_dir source format out to_store partition from_us
          match format with
          | Chrome ->
              write_output ~out (fun () ->
-                 Trace_export.chrome_string ~metadata ?partition_names trace
+                 Trace_export.chrome_string ?partition_names trace
                  ^ "\n")
          | Jsonl ->
              write_output ~out (fun () -> Trace_export.jsonl_string trace)
@@ -388,27 +379,6 @@ let jobs =
            or the machine's recommended domain count).  A single scenario \
            recording is one simulation and always runs on one domain; \
            $(b,profile --repeat) shards across domains.")
-
-let mode_conv =
-  let parse s =
-    match Fast_forward.of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
-  in
-  let print ppf m = Format.pp_print_string ppf (Fast_forward.to_string m) in
-  Arg.conv (parse, print)
-
-let mode =
-  Arg.(
-    value
-    & opt mode_conv (Fast_forward.default ())
-    & info [ "mode" ] ~docv:"step|ff"
-        ~doc:
-          "Stepping engine for a fresh recording: $(b,ff) (event-compressed \
-           fast-forward, the default) or $(b,step) (the reference loop).  \
-           Both record byte-identical timelines; the chosen mode is stamped \
-           into the Chrome trace metadata.  Ignored with $(b,--from-jsonl) \
-           / $(b,--from-store).  The default honours $(b,RTHV_SIM_MODE).")
 
 let flight_dir =
   Arg.(
@@ -892,7 +862,7 @@ let query_cmd =
 
 let default_term =
   Term.(
-    const main $ jobs $ mode $ flight_dir $ source $ format $ out $ to_store
+    const main $ jobs $ flight_dir $ source $ format $ out $ to_store
     $ partition $ from_us $ to_us $ metrics $ capacity)
 
 let cmd =

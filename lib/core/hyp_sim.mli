@@ -28,9 +28,12 @@
       {!Boundary_policy.Strict_cut} it is cut, keeps its remaining work at
       the queue head and resumes in its partition's next slot.
 
-    Internally this module is only the stepping engine and a façade: routing
+    Internally this module is only the simulation loop and a façade: routing
     decisions live in {!Sim_route}, boundary handling in {!Sim_boundary},
-    runtime state in {!Sim_state}, statistics assembly in {!Sim_stats}.  The
+    runtime state in {!Sim_state}, statistics assembly in {!Sim_stats}.
+    The loop jumps from event to event over one
+    {!Rthv_engine.Event_arena}: a segment of work runs until it completes
+    or the next arrival or slot boundary is due, whichever comes first.  The
     policy questions — admit this interposition?  what are the slot lengths?
     cut the handler at the boundary? — are answered by the {!Admission},
     {!Slot_plan} and {!Boundary_policy} values built from the configuration,
@@ -70,7 +73,6 @@ type stats = Sim_stats.t = {
 val create :
   ?trace:Hyp_trace.t ->
   ?policies:(string * Admission.t) list ->
-  ?mode:Rthv_engine.Fast_forward.mode ->
   ?retain:bool ->
   Config.t ->
   t
@@ -90,22 +92,14 @@ val create :
     not be audited against shaping-derived rules unless the override is at
     least as strict as the declared shaping.
 
-    [?mode] selects the stepping engine (see {!Rthv_engine.Fast_forward}):
-    the reference [Step] engine or the default [Fast_forward] engine.  Both
-    produce byte-identical traces, records, statistics and telemetry — the
-    golden and differential test suites enforce it; the default is
-    {!Rthv_engine.Fast_forward.default}, which honours the [RTHV_SIM_MODE]
-    environment variable.
-
     [?retain] (default [true]): when [false], per-IRQ completion records
     (and the guests' completion lists) are not accumulated — streaming runs
-    over millions of IRQs keep O(1) memory.  {!records} then returns [[]];
-    {!stats} is unaffected (completion counts are maintained separately).
+    over millions of IRQs keep O(1) memory: the remaining per-IRQ state is
+    sized by the IRQs in flight at once, not by the run length.  {!records}
+    then returns [[]]; {!stats} is unaffected (completion counts are
+    maintained separately).
     @raise Invalid_argument if [Config.validate] fails or a policy names an
     unknown source. *)
-
-val mode : t -> Rthv_engine.Fast_forward.mode
-(** The stepping engine this simulation was created with. *)
 
 val set_audit_hook : (Config.t -> Hyp_trace.t -> unit) option -> unit
 (** Install (or clear) the global post-run audit hook.  While installed,

@@ -7,12 +7,11 @@
    events live in a packed {!Rthv_engine.Event_arena} (int payloads, no
    boxed entries), hypervisor work items live in a pooled ring of parallel
    arrays tagged by {!hyp_kind} (no records, no closures), and in-flight
-   IRQ state is found by indexing the IRQ id into a growing array instead
-   of hashing. *)
+   IRQ state is found by masking the IRQ id into a power-of-two table
+   instead of hashing. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
-module Fast_forward = Rthv_engine.Fast_forward
 module Guest = Rthv_rtos.Guest
 module Ipc = Rthv_rtos.Ipc
 module Irq_queue = Rthv_rtos.Irq_queue
@@ -59,7 +58,7 @@ let k_steals = function
   | K_top_handler | K_monitor | K_slot_switch -> false
 
 (* Shared placeholder for ring slots whose kind carries no IRQ
-   (K_ctx_back, K_slot_switch) and for completed [pending_by_irq] slots.
+   (K_ctx_back, K_slot_switch) and for free [pending_by_irq] slots.
    Never dispatched on, never mutated. *)
 let dummy_source_cfg : Config.source =
   {
@@ -97,7 +96,6 @@ let dummy_pending =
 type t = {
   platform : Platform.t;
   config : Config.t;
-  mode : Fast_forward.mode;
   boundary : Boundary_policy.t;
   trace : Hyp_trace.t option;
   mutable prof : Rthv_obs.Prof.t;
@@ -126,7 +124,8 @@ type t = {
   mutable hq_irq : int array;
   mutable hq_head : int;
   mutable hq_len : int;
-  (* In-flight IRQs indexed by IRQ id ([dummy_pending] once completed). *)
+  (* In-flight IRQs at slot [irq land (capacity - 1)], power-of-two
+     capacity ([dummy_pending] in free slots); see [pending_add]. *)
   mutable pending_by_irq : pending_irq array;
   c_mon : Cycles.t;
   c_sched : Cycles.t;
@@ -205,19 +204,31 @@ let hyp_pop t =
 
 (* --- in-flight IRQ table ------------------------------------------------ *)
 
-let pending_add t irq p =
-  let cap = Array.length t.pending_by_irq in
-  if irq >= cap then begin
-    let cap' = Stdlib.max (cap * 2) (irq + 1) in
+(* Only live IRQs hold a slot, so the table is sized by the in-flight peak,
+   not by the run length: the 1M-IRQ streaming bench keeps its first 64
+   slots.  The table doubles only when [irq]'s slot holds a live IRQ; ids
+   that differ modulo the capacity still differ modulo twice the capacity,
+   so re-placing the live entries cannot collide. *)
+let pending_slot t irq = irq land (Array.length t.pending_by_irq - 1)
+
+let rec pending_add t irq p =
+  let i = pending_slot t irq in
+  if t.pending_by_irq.(i).p_irq < 0 then t.pending_by_irq.(i) <- p
+  else begin
+    let cap' = 2 * Array.length t.pending_by_irq in
     let grown = Array.make cap' dummy_pending in
-    Array.blit t.pending_by_irq 0 grown 0 cap;
-    t.pending_by_irq <- grown
-  end;
-  t.pending_by_irq.(irq) <- p
+    Array.iter
+      (fun q -> if q.p_irq >= 0 then grown.(q.p_irq land (cap' - 1)) <- q)
+      t.pending_by_irq;
+    t.pending_by_irq <- grown;
+    pending_add t irq p
+  end
 
 (* The in-flight record of [irq], or [dummy_pending] (p_irq = -1) if the
    IRQ already completed. *)
-let pending_get t irq = t.pending_by_irq.(irq)
+let pending_get t irq =
+  let p = t.pending_by_irq.(pending_slot t irq) in
+  if p.p_irq = irq then p else dummy_pending
 
 let trace_event_at t time event =
   match t.trace with
@@ -339,7 +350,7 @@ let finalize_completion t (item : Irq_queue.item) =
     t.records <- record :: t.records
   end;
   t.n_completed <- t.n_completed + 1;
-  t.pending_by_irq.(p.p_irq) <- dummy_pending;
+  t.pending_by_irq.(pending_slot t p.p_irq) <- dummy_pending;
   t.live_irqs <- t.live_irqs - 1;
   if tracing t then
     trace_event t

@@ -17,25 +17,13 @@
 (** {2 Chrome Trace Event JSON} *)
 
 val chrome_json :
-  ?metadata:(string * Rthv_obs.Json.t) list ->
-  ?partition_names:string array ->
-  Hyp_trace.t ->
-  Rthv_obs.Json.t
+  ?partition_names:string array -> Hyp_trace.t -> Rthv_obs.Json.t
 (** The full document: [{"traceEvents": [...], "displayTimeUnit": "ns"}].
-    [partition_names] decorates the per-partition thread names.
-    [metadata] lands verbatim in the Chrome trace format's top-level
-    ["metadata"] object (omitted when empty) — the recorders stamp the
-    engine mode ([step] or [fast_forward]) here so an exported timeline
-    says how it was produced. *)
+    [partition_names] decorates the per-partition thread names. *)
 
-val chrome_string :
-  ?metadata:(string * Rthv_obs.Json.t) list ->
-  ?partition_names:string array ->
-  Hyp_trace.t ->
-  string
+val chrome_string : ?partition_names:string array -> Hyp_trace.t -> string
 
 val save_chrome :
-  ?metadata:(string * Rthv_obs.Json.t) list ->
   ?partition_names:string array ->
   path:string ->
   Hyp_trace.t ->

@@ -100,12 +100,3 @@ let drop t =
       sift_down t 0
     end
   end
-
-let clear t = t.size <- 0
-
-let to_sorted_list t =
-  let entries =
-    Array.init t.size (fun i -> (t.times.(i), t.seqs.(i), t.payloads.(i)))
-  in
-  Array.sort compare entries;
-  Array.to_list entries

@@ -1,20 +1,19 @@
 (** Allocation-free priority queue of timed events with int payloads.
 
-    The packed variant of {!Event_queue} used by the simulation hot path: a
-    binary min-heap keyed by [(time, sequence)] whose entries live in three
-    preallocated parallel [int] arrays (time, insertion sequence, payload)
-    instead of boxed records.  Push, peek and drop allocate nothing once the
-    arena has grown to its working size, so a simulation reusing one arena
-    across millions of events never touches the minor heap for event
-    scheduling.
+    The simulation's one event heap: a binary min-heap keyed by
+    [(time, sequence)] whose entries live in three preallocated parallel
+    [int] arrays (time, insertion sequence, payload) instead of boxed
+    records.  Push, peek and drop allocate nothing once the arena has grown
+    to its working size, so a simulation reusing one arena across millions
+    of events never touches the minor heap for event scheduling.
 
     Payloads are plain integers; the caller owns the encoding (the
     hypervisor simulation packs its [Boundary]/[Arrival of source] event
     type as [-1] / the source index).
 
-    Ordering matches {!Event_queue}: events at the same instant are
-    delivered in insertion order — the property the simulation relies on
-    when a slot boundary and an IRQ coincide. *)
+    Events at the same instant are delivered in insertion order — the
+    property the simulation relies on when a slot boundary and an IRQ
+    coincide. *)
 
 type t
 
@@ -36,7 +35,7 @@ val push : t -> time:Cycles.t -> int -> unit
 
 val head_time : t -> Cycles.t
 (** Earliest scheduled time, or {!no_event} when empty.  O(1), no
-    allocation (unlike [Event_queue.peek_time]'s [option]). *)
+    allocation (no [option] to box). *)
 
 val head_payload : t -> int
 (** Payload of the earliest event.  Only meaningful when [not (is_empty
@@ -44,9 +43,3 @@ val head_payload : t -> int
 
 val drop : t -> unit
 (** Remove the earliest event (no-op when empty).  Allocation-free. *)
-
-val clear : t -> unit
-
-val to_sorted_list : t -> (Cycles.t * int * int) list
-(** Non-destructive [(time, seq, payload)] snapshot in delivery order, for
-    tests and debugging dumps only — it copies and sorts the live heap. *)

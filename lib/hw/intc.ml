@@ -73,11 +73,6 @@ let is_pending t line =
   check_line t line;
   t.pending.(line)
 
-let any_pending t =
-  let n = Array.length t.pending in
-  let rec scan i = i < n && (t.pending.(i) || scan (i + 1)) in
-  scan 0
-
 let is_masked t line =
   check_line t line;
   t.masked.(line)

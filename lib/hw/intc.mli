@@ -49,11 +49,6 @@ val unmask : t -> line -> unit
 
 val is_pending : t -> line -> bool
 
-val any_pending : t -> bool
-(** Whether any line is pending (masked or not) — the controller-level
-    next-event query: a fast-forwarding engine may only jump over an
-    interval when no pending flag could deliver within it. *)
-
 val is_masked : t -> line -> bool
 
 val stats : t -> stats

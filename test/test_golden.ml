@@ -9,14 +9,14 @@
    any drift in routing order, admission counting or trace emission shows
    up as a digest mismatch here.
 
-   The property tests at the bottom pin the seams themselves: a static
-   Slot_plan is observationally equal to the Tdma table it compiles to,
-   Admission.of_monitor is equal to driving the Monitor directly, and a
-   composite with a provably vacuous bucket decides exactly like the plain
-   monitor. *)
+   A randomized property runs generated policy mixes with and without
+   record retention, and the properties at the bottom pin the seams
+   themselves: a static Slot_plan is observationally equal to the Tdma
+   table it compiles to, Admission.of_monitor is equal to driving the
+   Monitor directly, and a composite with a provably vacuous bucket decides
+   exactly like the plain monitor. *)
 
 module Cycles = Rthv_engine.Cycles
-module Fast_forward = Rthv_engine.Fast_forward
 module Config = Rthv_core.Config
 module Hyp_sim = Rthv_core.Hyp_sim
 module Hyp_trace = Rthv_core.Hyp_trace
@@ -74,23 +74,19 @@ let serialize_record (r : Irq_record.t) =
 
 let digest s = Digest.to_hex (Digest.string s)
 
-let run_scenario ~mode name =
+let run_scenario name =
   let config =
     match Scenarios.find name with
     | Some f -> f ()
     | None -> Alcotest.failf "unknown scenario %s" name
   in
   let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-  let sim = Hyp_sim.create ~trace ~mode config in
+  let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
   (Hyp_sim.stats sim, Hyp_sim.records sim, trace)
 
-(* Every scenario is checked against the SAME golden in BOTH engine modes:
-   the goldens were captured from the step (reference) engine, so a pass in
-   [Fast_forward] proves the compressed engine's observable behaviour —
-   stats, record stream, trace emission — is byte-identical to stepping. *)
-let check_golden ~mode name (g : golden) () =
-  let stats, records, trace = run_scenario ~mode name in
+let check_golden name (g : golden) () =
+  let stats, records, trace = run_scenario name in
   let ci = Alcotest.(check int) in
   ci "completed" g.g_completed stats.Hyp_sim.completed_irqs;
   ci "direct" g.g_direct stats.Hyp_sim.direct;
@@ -122,14 +118,16 @@ let check_golden ~mode name (g : golden) () =
     "trace digest" g.g_trace_digest
     (digest (Format.asprintf "%a" Hyp_trace.pp trace))
 
-(* --- step / fast-forward differential ------------------------------------ *)
+(* --- retained / streaming differential ----------------------------------- *)
 
-(* Randomized configurations and workloads pushed through BOTH engine modes
-   must agree on every observable: the statistics record, the serialized
-   Irq_record stream, the pretty-printed hypervisor trace, and the bound
-   headroom report computed from the emitted latency summaries.  This is the
-   property the golden rows pin for the canonical scenarios, generalized to
-   arbitrary configurations. *)
+(* Randomized configurations mixing every shaping family, reprogrammed and
+   absolute arrivals, and both boundary policies run twice in one process
+   under the audited simulator and the full observability stack: once
+   retaining records, once streaming ([~retain:false]).  Retention may only
+   change the record list: the statistics record, the pretty-printed
+   hypervisor trace, and the bound headroom report computed from the
+   emitted latency summaries must agree, so the second run also catches
+   state leaking from the first. *)
 
 type diff_case = {
   dc_slots_us : int list;  (* per-partition slot lengths *)
@@ -191,31 +189,28 @@ let diff_config (c : diff_case) =
     ~finish_bh_at_boundary:c.dc_defer
     ~partitions ~sources ()
 
-(* One run of a config under the given mode, with the full observability
-   stack attached, reduced to a comparable fingerprint. *)
-let diff_run mode config =
+(* One run of a config, with the full observability stack attached,
+   reduced to a comparable fingerprint. *)
+let diff_run ~retain config =
   let registry = Registry.create () in
   let recorder = Recorder.create ~registry () in
   let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-  let sim = Hyp_sim.create ~trace ~mode config in
+  let sim = Hyp_sim.create ~trace ~retain config in
   Sink.with_sink (Recorder.sink recorder) (fun () -> Hyp_sim.run sim);
-  let stats = Hyp_sim.stats sim in
-  let records =
-    digest
-      (String.concat "\n" (List.map serialize_record (Hyp_sim.records sim)))
-  in
   let trace_digest = digest (Format.asprintf "%a" Hyp_trace.pp trace) in
   let headroom = Headroom.verdicts config registry in
-  (stats, records, trace_digest, headroom)
+  (Hyp_sim.stats sim, Hyp_sim.records sim, trace_digest, headroom)
 
-let prop_modes_agree case =
+let prop_retain_agrees case =
   let config = diff_config case in
   match Config.validate config with
   | Error _ -> QCheck2.assume_fail ()
   | Ok () ->
-      let s1, r1, t1, h1 = diff_run Fast_forward.Step config in
-      let s2, r2, t2, h2 = diff_run Fast_forward.Fast_forward config in
-      s1 = s2 && String.equal r1 r2 && String.equal t1 t2 && h1 = h2
+      let s1, r1, t1, h1 = diff_run ~retain:true config in
+      let s2, r2, t2, h2 = diff_run ~retain:false config in
+      s1 = s2 && String.equal t1 t2 && h1 = h2
+      && List.length r1 = s1.Hyp_sim.completed_irqs
+      && r2 = []
 
 (* --- seam properties ----------------------------------------------------- *)
 
@@ -311,22 +306,15 @@ let weighted_params_gen =
 let equal_weights_gen = QCheck2.Gen.(pair (1 -- 6) (1 -- 10_000))
 
 let suite =
-  List.concat_map
+  List.map
     (fun (name, g) ->
-      [
-        Alcotest.test_case
-          (Printf.sprintf "golden: %s [step]" name)
-          `Slow
-          (check_golden ~mode:Fast_forward.Step name g);
-        Alcotest.test_case
-          (Printf.sprintf "golden: %s [ff]" name)
-          `Slow
-          (check_golden ~mode:Fast_forward.Fast_forward name g);
-      ])
+      Alcotest.test_case
+        (Printf.sprintf "golden: %s (stats, records, trace)" name)
+        `Slow (check_golden name g))
     goldens
   @ [
-      Testutil.qtest ~count:60 "step == fast-forward (randomized configs)"
-        diff_case_gen prop_modes_agree;
+      Testutil.qtest ~count:60 "retained == streaming (randomized configs)"
+        diff_case_gen prop_retain_agrees;
       Testutil.qtest "static plan == Tdma" slots_gen prop_static_plan_is_tdma;
       Testutil.qtest "equal weights apportion uniformly" equal_weights_gen
         prop_equal_weights_uniform;

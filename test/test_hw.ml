@@ -1,9 +1,7 @@
 module Cpu = Rthv_hw.Cpu
 module Ctx_cost = Rthv_hw.Ctx_cost
 module Intc = Rthv_hw.Intc
-module Timer = Rthv_hw.Timer
 module Platform = Rthv_hw.Platform
-module Simulator = Rthv_engine.Simulator
 
 let test_cpu_costs () =
   Testutil.check_cycles "1 instr = 1 cycle on ARM9" 128
@@ -69,66 +67,6 @@ let test_intc_bad_line () =
     (Invalid_argument "Intc: line 2 out of range") (fun () ->
       Intc.raise_line intc 2)
 
-let test_intc_any_pending () =
-  let intc = Intc.create ~lines:3 in
-  Intc.set_handler intc (fun _ -> ());
-  Alcotest.(check bool) "initially none" false (Intc.any_pending intc);
-  Intc.raise_line intc 1;
-  Alcotest.(check bool) "pending after raise" true (Intc.any_pending intc);
-  Intc.ack intc 1;
-  Alcotest.(check bool) "clear after ack" false (Intc.any_pending intc);
-  (* A masked raise still sets the flag — a jump over it would lose the
-     delivery a later unmask performs. *)
-  Intc.mask intc 2;
-  Intc.raise_line intc 2;
-  Alcotest.(check bool) "masked raise is pending" true (Intc.any_pending intc)
-
-let test_timer_fire_and_reprogram () =
-  let sim = Simulator.create () in
-  let intc = Intc.create ~lines:1 in
-  let fired = ref [] in
-  Intc.set_handler intc (fun _ -> fired := Simulator.now sim :: !fired);
-  let timer = Timer.create ~sim ~intc ~line:0 in
-  Timer.program timer ~delay:100;
-  Alcotest.(check bool) "armed" true (Timer.is_armed timer);
-  Alcotest.(check (option int)) "deadline" (Some 100) (Timer.deadline timer);
-  Alcotest.(check (option int))
-    "next_fire_at = deadline" (Timer.deadline timer)
-    (Timer.next_fire_at timer);
-  (* Reprogram before expiry: one-shot semantics replace the deadline. *)
-  Timer.program timer ~delay:200;
-  Simulator.run sim;
-  Alcotest.(check (list int)) "fired once at new deadline" [ 200 ] !fired;
-  Alcotest.(check bool) "disarmed after fire" false (Timer.is_armed timer)
-
-let test_timer_cancel () =
-  let sim = Simulator.create () in
-  let intc = Intc.create ~lines:1 in
-  let fired = ref 0 in
-  Intc.set_handler intc (fun _ -> incr fired);
-  let timer = Timer.create ~sim ~intc ~line:0 in
-  Timer.program timer ~delay:50;
-  Timer.cancel timer;
-  Simulator.run sim;
-  Alcotest.(check int) "cancelled timer does not fire" 0 !fired
-
-let test_timer_chain () =
-  (* Reprogramming from inside the handler, as the paper's experiment does. *)
-  let sim = Simulator.create () in
-  let intc = Intc.create ~lines:1 in
-  let timer = ref None in
-  let fired = ref [] in
-  Intc.set_handler intc (fun line ->
-      Intc.ack intc line;
-      fired := Simulator.now sim :: !fired;
-      if List.length !fired < 3 then
-        Timer.program (Option.get !timer) ~delay:100);
-  timer := Some (Timer.create ~sim ~intc ~line:0);
-  Timer.program (Option.get !timer) ~delay:100;
-  Simulator.run sim;
-  Alcotest.(check (list int)) "chained periodic firing" [ 100; 200; 300 ]
-    (List.rev !fired)
-
 let suite =
   [
     Alcotest.test_case "cpu cost model" `Quick test_cpu_costs;
@@ -138,9 +76,4 @@ let suite =
     Alcotest.test_case "intc non-counting flags" `Quick test_intc_non_counting;
     Alcotest.test_case "intc masking" `Quick test_intc_masking;
     Alcotest.test_case "intc line validation" `Quick test_intc_bad_line;
-    Alcotest.test_case "intc any_pending" `Quick test_intc_any_pending;
-    Alcotest.test_case "timer one-shot and reprogram" `Quick
-      test_timer_fire_and_reprogram;
-    Alcotest.test_case "timer cancel" `Quick test_timer_cancel;
-    Alcotest.test_case "timer handler chain" `Quick test_timer_chain;
   ]

@@ -515,6 +515,126 @@ let test_empty_interarrivals_source () =
   Alcotest.(check int) "no IRQs generated" 0
     (Hyp_sim.stats sim).Hyp_sim.completed_irqs
 
+(* --- growable tables at their initial capacity N and at N+1 ------------ *)
+
+module Sim_state = Rthv_core.Sim_state
+
+let test_streaming_pending_table_bounded () =
+  (* A streaming run keeps per-IRQ state for the IRQs in flight only: the
+     in-flight table must not grow with the IRQ count. *)
+  let n = 100_000 in
+  let interarrivals = Gen.exponential ~seed:7 ~mean:(us 1544) ~count:n in
+  let sim =
+    Hyp_sim.create ~retain:false
+      (config ~subscriber:1
+         ~shaping:(Config.Fixed_monitor (DF.d_min (us 1544)))
+         interarrivals)
+  in
+  Hyp_sim.run sim;
+  Alcotest.(check int) "all complete" n
+    (Hyp_sim.stats sim).Hyp_sim.completed_irqs;
+  let slots = Array.length sim.Sim_state.pending_by_irq in
+  if slots > 1024 then
+    Alcotest.failf "in-flight table grew to %d slots over %d IRQs" slots n
+
+(* [n] sources on distinct lines all raise at 7000us.  The slot switch at
+   6000us has already passed through the hypervisor ring, so its head is
+   off zero and the 17th top handler grows a wrapped ring. *)
+let hyp_ring_burst n =
+  let sources =
+    List.init n (fun k ->
+        Config.source ~name:(Printf.sprintf "s%02d" k) ~line:k ~subscriber:0
+          ~c_th_us:5 ~c_bh_us:10 ~interarrivals:[| us 7_000 |]
+          ~arrival_mode:Config.Absolute ())
+  in
+  let sim = run (Config.make ~partitions ~sources ()) in
+  let records = Hyp_sim.records sim in
+  Alcotest.(check int) "every IRQ completes" n
+    (Hyp_sim.stats sim).Hyp_sim.completed_irqs;
+  Alcotest.(check (list int)) "each IRQ once" (List.init n Fun.id)
+    (List.map (fun r -> r.Irq_record.irq) records);
+  Alcotest.(check (list string)) "delivered in source order"
+    (List.init n (Printf.sprintf "s%02d"))
+    (List.map (fun r -> r.Irq_record.source) records);
+  Testutil.check_cycles "first top handler starts at the raise" (us 7_000)
+    (List.hd records).Irq_record.top_start;
+  ignore
+    (List.fold_left
+       (fun prev r ->
+         Testutil.check_cycles
+           (Printf.sprintf "IRQ %d starts when IRQ %d ends" r.Irq_record.irq
+              prev.Irq_record.irq)
+           prev.Irq_record.top_end r.Irq_record.top_start;
+         r)
+       (List.hd records) (List.tl records)
+      : Irq_record.t);
+  Array.length sim.Sim_state.hq_kind
+
+let test_hyp_ring_at_capacity () =
+  Alcotest.(check int) "16 items fit the initial ring" 16 (hyp_ring_burst 16)
+
+let test_hyp_ring_past_capacity () =
+  Alcotest.(check int) "the 17th item doubles the ring" 32 (hyp_ring_burst 17)
+
+(* [n] IRQs in flight at once.  "warm" IRQs 0-69 each complete before the
+   next arrives, so "long" gets id 70 (slot 6 of the 64-slot table) and
+   stays pending until the housekeeping slot at 12000us; [n - 1] "burst"
+   IRQs delayed to P2's slot join it.  A last "burst" IRQ at 10000us gets
+   id [70 + n].  For [n] = 64 that id collides with IRQ 70 modulo 64; for
+   [n] = 65 the burst's own IRQ 134 collides first.  Either way the table
+   grows while IRQ 70 sits at a slot it must leave. *)
+let pending_table_case n =
+  let warm_arrivals = List.init 70 (fun k -> us (100 + (50 * k))) in
+  let burst_arrivals =
+    List.init (n - 1) (fun k -> us (3_700 + (20 * k))) @ [ us 10_000 ]
+  in
+  let absolute name ~line ~subscriber ~c_bh_us arrivals =
+    let distances =
+      snd (List.fold_left_map (fun prev t -> (t, t - prev)) 0 arrivals)
+    in
+    Config.source ~name ~line ~subscriber ~c_th_us:5 ~c_bh_us
+      ~interarrivals:(Array.of_list distances) ~arrival_mode:Config.Absolute
+      ()
+  in
+  let cfg =
+    Config.make ~partitions
+      ~sources:
+        [
+          absolute "warm" ~line:0 ~subscriber:0 ~c_bh_us:10 warm_arrivals;
+          absolute "long" ~line:1 ~subscriber:2 ~c_bh_us:50 [ us 3_600 ];
+          absolute "burst" ~line:2 ~subscriber:1 ~c_bh_us:50 burst_arrivals;
+        ]
+      ()
+  in
+  let partial = Hyp_sim.create cfg in
+  Hyp_sim.run ~horizon:(us 5_000) partial;
+  Alcotest.(check int) "IRQs in flight at 5000us" n partial.Sim_state.live_irqs;
+  let slots_in_flight = Array.length partial.Sim_state.pending_by_irq in
+  let sim = run cfg in
+  let records = Hyp_sim.records sim in
+  Alcotest.(check (list int)) "each IRQ completes once"
+    (List.init (71 + n) Fun.id)
+    (List.map (fun r -> r.Irq_record.irq) records);
+  Alcotest.(check (list (pair string int)))
+    "each IRQ keeps its own source and arrival"
+    (List.map (fun t -> ("warm", t)) warm_arrivals
+    @ [ ("long", us 3_600) ]
+    @ List.map (fun t -> ("burst", t)) burst_arrivals)
+    (List.map (fun r -> (r.Irq_record.source, r.Irq_record.arrival)) records);
+  Alcotest.(check bool) "completion frees every slot" true
+    (Array.for_all
+       (fun p -> p.Sim_state.p_irq < 0)
+       sim.Sim_state.pending_by_irq);
+  slots_in_flight
+
+let test_pending_table_at_capacity () =
+  Alcotest.(check int) "64 in flight fill the initial table" 64
+    (pending_table_case 64)
+
+let test_pending_table_past_capacity () =
+  Alcotest.(check int) "the 65th in-flight IRQ doubles the table" 128
+    (pending_table_case 65)
+
 let suite =
   suite
   @ [
@@ -522,4 +642,14 @@ let suite =
       Alcotest.test_case "run is idempotent" `Quick test_run_idempotent;
       Alcotest.test_case "empty interarrival array" `Quick
         test_empty_interarrivals_source;
+      Alcotest.test_case "streaming keeps the in-flight table small" `Quick
+        test_streaming_pending_table_bounded;
+      Alcotest.test_case "hyp ring at capacity (16)" `Quick
+        test_hyp_ring_at_capacity;
+      Alcotest.test_case "hyp ring past capacity (17)" `Quick
+        test_hyp_ring_past_capacity;
+      Alcotest.test_case "in-flight table at capacity (64)" `Quick
+        test_pending_table_at_capacity;
+      Alcotest.test_case "in-flight table past capacity (65)" `Quick
+        test_pending_table_past_capacity;
     ]

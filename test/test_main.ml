@@ -8,9 +8,7 @@ let () =
     [
       ("engine.cycles", Test_cycles.suite);
       ("engine.prng", Test_prng.suite);
-      ("engine.event_queue", Test_event_queue.suite);
       ("engine.event_arena", Test_event_arena.suite);
-      ("engine.simulator", Test_simulator.suite);
       ("hw", Test_hw.suite);
       ("analysis.distance_fn", Test_distance_fn.suite);
       ("analysis.arrival_curve", Test_arrival_curve.suite);
