@@ -119,13 +119,16 @@ let validate t =
   let check_source acc source =
     match acc with
     | Error _ as e -> e
-    | Ok lines ->
+    | Ok (lines, names) ->
         if source.subscriber < 0 || source.subscriber >= n_partitions then
           Error (Printf.sprintf "source %s: bad subscriber" source.name)
         else if source.line < 0 || source.line >= t.platform.Rthv_hw.Platform.intc_lines
         then Error (Printf.sprintf "source %s: line out of range" source.name)
         else if List.mem source.line lines then
           Error (Printf.sprintf "source %s: duplicate line %d" source.name source.line)
+        else if List.mem source.name names then
+          (* Policies, monitors, bounds and records are keyed by name. *)
+          Error (Printf.sprintf "duplicate source name %S" source.name)
         else if source.c_th <= 0 || source.c_bh <= 0 then
           Error (Printf.sprintf "source %s: non-positive WCET" source.name)
         else if Array.exists (fun d -> d < 0) source.interarrivals then
@@ -157,7 +160,7 @@ let validate t =
           (match shaping_ok with
           | Error msg ->
               Error (Printf.sprintf "source %s: %s" source.name msg)
-          | Ok () -> Ok (source.line :: lines))
+          | Ok () -> Ok (source.line :: lines, source.name :: names))
   in
   let check_ports () =
     let rec unique = function
@@ -209,7 +212,7 @@ let validate t =
     match check_plan () with
     | Error _ as e -> e
     | Ok () -> (
-        match List.fold_left check_source (Ok []) t.sources with
+        match List.fold_left check_source (Ok ([], [])) t.sources with
         | Error _ as e -> e
         | Ok _ -> check_ports ())
 

@@ -134,7 +134,9 @@ val finish_bh_at_boundary : t -> bool
 (** [Boundary_policy.defers t.boundary] — the legacy boolean view. *)
 
 val validate : t -> (unit, string) result
-(** Checks subscriber indices, line uniqueness and ranges, positive WCETs,
+(** Checks subscriber indices, line uniqueness and ranges, source-name
+    uniqueness (policies, monitors and bounds are looked up by name),
+    positive WCETs,
     non-negative interarrivals, shaping parameter sanity — including that
     every monitoring condition ({!Fixed_monitor}, {!Monitor_and_bucket},
     and a {!Self_learning} seed bound) is {!Rthv_analysis.Distance_fn.finite},

@@ -8,8 +8,11 @@
    {!Rthv_engine.Event_arena}: each segment runs the current context
    (hypervisor ring, then a live interposition, then the slot owner) up to
    its work's completion or the next external event, whichever comes
-   first.  Hypervisor bursts drain inline, and nothing on the per-IRQ path
-   allocates. *)
+   first.  Hypervisor bursts drain inline.  Without a trace, a sink or
+   task activation, the per-IRQ path of a streaming ([retain=false]) run
+   allocates nothing; [test_streaming_run_allocation] in
+   test/test_hyp_sim.ml pins it at <= 2 minor words per IRQ.  A retained
+   run allocates what it keeps: each IRQ's record and queue item. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
@@ -108,7 +111,8 @@ let create ?trace ?(policies = []) ?(retain = true) config =
     |> List.filter_map (fun src -> src.cfg.Config.activates)
   in
   let n = Array.length guests in
-  let _, _, slot_end = Tdma.slot_bounds_at tdma 0 in
+  let slot = Tdma.slot () in
+  Tdma.locate tdma 0 slot;
   let trace =
     match (trace, !audit_hook) with
     | (Some _ as some), _ -> some
@@ -120,7 +124,7 @@ let create ?trace ?(policies = []) ?(retain = true) config =
           Some (Hyp_trace.create ~capacity:(Flight_recorder.capacity ()) ())
         else None
   in
-  let hq_cap = 16 in
+  let hq_cap = 16 and pf_cap = 64 in
   let t =
     {
       platform;
@@ -141,7 +145,14 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       hq_irq = Array.make hq_cap (-1);
       hq_head = 0;
       hq_len = 0;
-      pending_by_irq = Array.make 64 dummy_pending;
+      pf_irq = Array.make pf_cap (-1);
+      pf_source = Array.make pf_cap 0;
+      pf_arrival = Array.make pf_cap 0;
+      pf_top_start = Array.make pf_cap 0;
+      pf_top_end = Array.make pf_cap 0;
+      pf_decision = Array.make pf_cap 0;
+      pf_bh_start = Array.make pf_cap 0;
+      pf_class = Array.make pf_cap Irq_record.Delayed;
       c_mon = Platform.monitor_cost platform;
       c_sched = Platform.sched_manip_cost platform;
       c_ctx = Platform.ctx_switch_cost platform;
@@ -150,11 +161,12 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       ip_budget = 0;
       interposition_pending = false;
       retain_records = retain;
-      records = [];
+      records = (if retain then Array.make pf_cap no_record else [||]);
+      item_pool = [||];
+      item_pool_len = 0;
       n_completed = 0;
       next_irq_id = 0;
-      slot_owner = 0;
-      slot_end;
+      slot;
       stolen_in_slot = 0;
       stolen_total = Array.make n 0;
       stolen_slot_max = Array.make n 0;
@@ -176,7 +188,7 @@ let create ?trace ?(policies = []) ?(retain = true) config =
     }
   in
   Intc.set_handler intc (Sim_route.deliver t);
-  Event_arena.push t.events ~time:(Tdma.next_boundary tdma 0) ev_boundary;
+  Event_arena.push t.events ~time:slot.Tdma.slot_end ev_boundary;
   Array.iter
     (fun src ->
       let distances = src.cfg.Config.interarrivals in
@@ -207,14 +219,18 @@ let create ?trace ?(policies = []) ?(retain = true) config =
    is still >= every previously recorded trace timestamp. *)
 let note_bh_start t (item : Irq_queue.item) elapsed =
   if item.Irq_queue.remaining = item.Irq_queue.total then begin
-    let p = pending_get t item.Irq_queue.irq in
-    if p.p_irq = item.Irq_queue.irq && p.p_bh_start < 0 then begin
+    let irq = item.Irq_queue.irq in
+    let i = pending_slot t irq in
+    if t.pf_irq.(i) = irq && t.pf_bh_start.(i) < 0 then begin
       let start = Cycles.( - ) t.now elapsed in
-      p.p_bh_start <- start;
+      t.pf_bh_start.(i) <- start;
       if tracing t then
         trace_event_at t start
           (Hyp_trace.Bottom_handler_start
-             { irq = p.p_irq; partition = p.p_source.cfg.Config.subscriber })
+             {
+               irq;
+               partition = t.sources.(t.pf_source.(i)).cfg.Config.subscriber;
+             })
     end
   end
 
@@ -236,7 +252,6 @@ let hyp_item_step t =
   let i = t.hq_head in
   let kind = t.hq_kind.(i) in
   let irq = t.hq_irq.(i) in
-  let p = if irq >= 0 then pending_get t irq else dummy_pending in
   let remaining = t.hq_remaining.(i) in
   let seg_end =
     let fin = Cycles.( + ) t.now remaining in
@@ -248,14 +263,14 @@ let hyp_item_step t =
   t.now <- seg_end;
   if not t.hq_started.(i) then begin
     t.hq_started.(i) <- true;
-    Sim_route.hyp_start t kind p (Cycles.( - ) t.now elapsed)
+    Sim_route.hyp_start t kind irq (Cycles.( - ) t.now elapsed)
   end;
   let remaining' = Cycles.( - ) remaining elapsed in
   t.hq_remaining.(i) <- remaining';
   if k_steals kind then steal t elapsed;
   if remaining' = 0 then begin
     hyp_pop t;
-    Sim_route.hyp_done t kind p
+    Sim_route.hyp_done t kind irq
   end;
   drain t
 
@@ -300,15 +315,13 @@ and interp_step t =
   end
 
 and partition_step t =
-  let owner = t.slot_owner in
-  let guest = t.guests.(owner) in
+  let guest = t.guests.(t.slot.Tdma.owner) in
+  let slot_end = t.slot.Tdma.slot_end in
   let release_bound =
-    if not (Guest.has_tasks guest) then t.slot_end
+    if not (Guest.has_tasks guest) then slot_end
     else begin
       Guest.advance_to guest t.now;
-      match Guest.next_release guest with
-      | Some r -> Cycles.min r t.slot_end
-      | None -> t.slot_end
+      Guest.next_release_before guest slot_end
     end
   in
   let ne = Event_arena.head_time t.events in
@@ -327,30 +340,29 @@ and partition_step t =
     if item.Irq_queue.remaining = 0 then finalize_completion t item;
     drain t
   end
-  else
-    match Guest.pick_ready guest with
-    | Some job ->
-        let seg_end =
-          let fin = Cycles.( + ) t.now job.Task.remaining in
-          Cycles.min (Cycles.min fin release_bound) ne
-        in
-        assert (seg_end >= t.now);
-        let elapsed = Cycles.( - ) seg_end t.now in
-        t.now <- seg_end;
-        Guest.consume_task guest ~now:t.now ~elapsed job;
-        if
-          job.Task.remaining = 0
-          && List.memq job.Task.task t.activation_specs
-        then t.live_aperiodic <- t.live_aperiodic - 1;
-        drain t
-    | None ->
-        let seg_end = Cycles.min release_bound ne in
-        assert (seg_end >= t.now);
-        let elapsed = Cycles.( - ) seg_end t.now in
-        t.now <- seg_end;
-        if Guest.busy_loop guest then Guest.consume_filler guest ~elapsed
-        else Guest.consume_idle guest ~elapsed;
-        drain t
+  else if Guest.has_ready guest then begin
+    let job = Guest.pick_ready guest in
+    let seg_end =
+      let fin = Cycles.( + ) t.now job.Task.remaining in
+      Cycles.min (Cycles.min fin release_bound) ne
+    in
+    assert (seg_end >= t.now);
+    let elapsed = Cycles.( - ) seg_end t.now in
+    t.now <- seg_end;
+    Guest.consume_task guest ~now:t.now ~elapsed job;
+    if job.Task.remaining = 0 && List.memq job.Task.task t.activation_specs
+    then t.live_aperiodic <- t.live_aperiodic - 1;
+    drain t
+  end
+  else begin
+    let seg_end = Cycles.min release_bound ne in
+    assert (seg_end >= t.now);
+    let elapsed = Cycles.( - ) seg_end t.now in
+    t.now <- seg_end;
+    if Guest.busy_loop guest then Guest.consume_filler guest ~elapsed
+    else Guest.consume_idle guest ~elapsed;
+    drain t
+  end
 
 let quiescent t =
   t.scheduled_arrivals = 0 && t.live_irqs = 0 && t.live_aperiodic = 0
@@ -397,9 +409,12 @@ let run ?(horizon = default_horizon) t =
   end
 
 let records t =
-  List.sort
-    (fun a b -> Stdlib.compare a.Irq_record.irq b.Irq_record.irq)
-    t.records
+  let acc = ref [] in
+  for irq = Array.length t.records - 1 downto 0 do
+    let r = t.records.(irq) in
+    if r != no_record then acc := r :: !acc
+  done;
+  !acc
 
 let stats t = Sim_stats.assemble t
 

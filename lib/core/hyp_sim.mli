@@ -95,7 +95,8 @@ val create :
     [?retain] (default [true]): when [false], per-IRQ completion records
     (and the guests' completion lists) are not accumulated — streaming runs
     over millions of IRQs keep O(1) memory: the remaining per-IRQ state is
-    sized by the IRQs in flight at once, not by the run length.  {!records}
+    sized by the IRQs in flight at once, not by the run length, and a
+    completed bottom-half queue item is reused for a later IRQ.  {!records}
     then returns [[]]; {!stats} is unaffected (completion counts are
     maintained separately).
     @raise Invalid_argument if [Config.validate] fails or a policy names an
@@ -122,7 +123,10 @@ val run : ?horizon:Rthv_engine.Cycles.t -> t -> unit
     simulated hour).  Idempotent once finished. *)
 
 val records : t -> Irq_record.t list
-(** Completed IRQ records, in arrival order. *)
+(** Completed IRQ records, in arrival order, which is IRQ-id order: the
+    simulation stores each record at its IRQ id, so this is one O(n) pass
+    over the store, with no sort.  IRQs still in flight (after a [horizon]
+    cut) are absent.  Each call builds a fresh list. *)
 
 val stats : t -> stats
 

@@ -10,60 +10,63 @@ open Sim_state
 
 (* Defer the partition switch while the slot owner is in the middle of a
    bottom handler: let it finish, bounded by the handler's remaining budget.
-   Returns the new deferred boundary time, or None to switch now. *)
+   Returns the new deferred boundary time, or -1 to switch now. *)
 let boundary_deferral t =
-  if not (Boundary_policy.defers t.boundary) then None
-  else if t.ip_target >= 0 then None
+  if not (Boundary_policy.defers t.boundary) then -1
+  else if t.ip_target >= 0 then -1
   else
-    let queue = Guest.queue t.guests.(t.slot_owner) in
-    if Irq_queue.is_empty queue then None
+    let queue = Guest.queue t.guests.(t.slot.Tdma.owner) in
+    if Irq_queue.is_empty queue then -1
     else
       let item = Irq_queue.head queue in
       if
         item.Irq_queue.remaining > 0
         && item.Irq_queue.remaining < item.Irq_queue.total
-      then Some (Cycles.( + ) t.now item.Irq_queue.remaining)
-      else None
+      then Cycles.( + ) t.now item.Irq_queue.remaining
+      else -1
 
 let handle_boundary t =
   Prof.enter t.prof ph_boundary;
-  (match boundary_deferral t with
-  | Some deferred ->
-      t.bh_boundary_deferrals <- t.bh_boundary_deferrals + 1;
+  let deferred = boundary_deferral t in
+  if deferred >= 0 then begin
+    t.bh_boundary_deferrals <- t.bh_boundary_deferrals + 1;
+    if tracing t then
+      trace_event t
+        (Hyp_trace.Boundary_deferred
+           { owner = t.slot.Tdma.owner; until = deferred });
+    if obs_active () then obs_count "rthv_bh_boundary_deferrals_total";
+    (* Keep the old owner in place; extend its slot to the deferred check
+       so execution can proceed, and re-examine then. *)
+    t.slot.Tdma.slot_end <- deferred;
+    Event_arena.push t.events ~time:deferred ev_boundary
+  end
+  else begin
+    (* A running interposition is NOT cut at the boundary: its budget
+       bounds the overrun by C_BH, so worst-case latency of conforming
+       interrupts stays independent of the TDMA cycle (Section 5's
+       claim).  The spill is charged to the incoming slot's owner as
+       stolen time. *)
+    if t.ip_target >= 0 then begin
+      t.boundary_crossings <- t.boundary_crossings + 1;
       if tracing t then
         trace_event t
-          (Hyp_trace.Boundary_deferred
-             { owner = t.slot_owner; until = deferred });
-      if obs_active () then obs_count "rthv_bh_boundary_deferrals_total";
-      (* Keep the old owner in place; extend its slot to the deferred check
-         so execution can proceed, and re-examine then. *)
-      t.slot_end <- deferred;
-      Event_arena.push t.events ~time:deferred ev_boundary
-  | None ->
-      (* A running interposition is NOT cut at the boundary: its budget
-         bounds the overrun by C_BH, so worst-case latency of conforming
-         interrupts stays independent of the TDMA cycle (Section 5's
-         claim).  The spill is charged to the incoming slot's owner as
-         stolen time. *)
-      if t.ip_target >= 0 then begin
-        t.boundary_crossings <- t.boundary_crossings + 1;
-        if tracing t then
-          trace_event t
-            (Hyp_trace.Interposition_crossed_boundary { target = t.ip_target });
-        if obs_active () then obs_count "rthv_boundary_crossings_total"
-      end;
-      close_slot_accounting t;
-      let previous_owner = t.slot_owner in
-      let owner, _slot_start, slot_end = Tdma.slot_bounds_at t.tdma t.now in
-      if tracing t then
-        trace_event t
-          (Hyp_trace.Slot_switch
-             { from_partition = previous_owner; to_partition = owner });
-      if obs_active () then obs_count "rthv_slot_switches_total";
-      t.slot_owner <- owner;
-      t.slot_end <- slot_end;
-      enqueue_hyp t K_slot_switch ~cost:t.c_ctx dummy_pending;
-      Event_arena.push t.events
-        ~time:(Tdma.next_boundary t.tdma t.now)
-        ev_boundary);
+          (Hyp_trace.Interposition_crossed_boundary { target = t.ip_target });
+      if obs_active () then obs_count "rthv_boundary_crossings_total"
+    end;
+    close_slot_accounting t;
+    let previous_owner = t.slot.Tdma.owner in
+    (* One lookup yields the new owner and its slot end, which is also the
+       next boundary. *)
+    Tdma.locate t.tdma t.now t.slot;
+    if tracing t then
+      trace_event t
+        (Hyp_trace.Slot_switch
+           {
+             from_partition = previous_owner;
+             to_partition = t.slot.Tdma.owner;
+           });
+    if obs_active () then obs_count "rthv_slot_switches_total";
+    enqueue_hyp t K_slot_switch ~cost:t.c_ctx (-1);
+    Event_arena.push t.events ~time:t.slot.Tdma.slot_end ev_boundary
+  end;
   Prof.leave t.prof

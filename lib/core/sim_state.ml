@@ -3,12 +3,13 @@
    stepping ({!Hyp_sim}) layers.  This module owns the mutable world; the
    layers above it own the decisions.
 
-   The hot-path containers are allocation-free by construction: external
+   The per-IRQ containers are allocation-free by construction: external
    events live in a packed {!Rthv_engine.Event_arena} (int payloads, no
    boxed entries), hypervisor work items live in a pooled ring of parallel
-   arrays tagged by {!hyp_kind} (no records, no closures), and in-flight
-   IRQ state is found by masking the IRQ id into a power-of-two table
-   instead of hashing. *)
+   arrays tagged by {!hyp_kind} (no records, no closures), in-flight IRQ
+   state lives in parallel int columns found by masking the IRQ id (no
+   hashing, no per-IRQ record), and streaming runs recycle completed
+   bottom-half queue items. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
@@ -29,21 +30,10 @@ type runtime_source = {
   mutable next_arrival : int;
 }
 
-type pending_irq = {
-  p_irq : int;
-  p_source : runtime_source;
-  p_arrival : Cycles.t;
-  mutable p_top_start : Cycles.t;
-  mutable p_top_end : Cycles.t;
-  mutable p_decision : Cycles.t;  (* classification fixed; -1 until then *)
-  mutable p_bh_start : Cycles.t;  (* first bottom-half cycle; -1 until then *)
-  mutable p_class : Irq_record.classification;
-}
-
 (* Hypervisor-context work items: highest priority, FIFO, non-preemptible.
    Each kind identifies the continuation that used to be an [on_done]
-   closure; the IRQ kinds carry their in-flight IRQ (whose [p_source] is
-   the source), the others need no context. *)
+   closure; the IRQ kinds carry their in-flight IRQ's id, the others need
+   no context. *)
 type hyp_kind =
   | K_top_handler  (* modified top handler; completion routes the IRQ *)
   | K_monitor  (* paid admission check (C_MON) *)
@@ -57,40 +47,18 @@ let k_steals = function
   | K_sched_manip | K_ctx_to | K_ctx_back -> true
   | K_top_handler | K_monitor | K_slot_switch -> false
 
-(* Shared placeholder for ring slots whose kind carries no IRQ
-   (K_ctx_back, K_slot_switch) and for free [pending_by_irq] slots.
-   Never dispatched on, never mutated. *)
-let dummy_source_cfg : Config.source =
+(* Filler for rows of [records] whose IRQ has not completed; never
+   returned. *)
+let no_record =
   {
-    Config.name = "";
+    Irq_record.irq = -1;
+    source = "";
     line = 0;
-    subscriber = 0;
-    c_th = 1;
-    c_bh = 1;
-    interarrivals = [||];
-    arrival_mode = Config.Reprogram;
-    shaping = Config.No_shaping;
-    activates = None;
-  }
-
-let dummy_source =
-  {
-    cfg = dummy_source_cfg;
-    s_idx = -1;
-    admission = Admission.of_shaping ~cycle:1 Config.No_shaping;
-    next_arrival = 0;
-  }
-
-let dummy_pending =
-  {
-    p_irq = -1;
-    p_source = dummy_source;
-    p_arrival = 0;
-    p_top_start = 0;
-    p_top_end = 0;
-    p_decision = 0;
-    p_bh_start = 0;
-    p_class = Irq_record.Delayed;
+    arrival = 0;
+    top_start = 0;
+    top_end = 0;
+    classification = Irq_record.Delayed;
+    completion = 0;
   }
 
 type t = {
@@ -113,8 +81,8 @@ type t = {
   (* Hypervisor work-item ring: parallel arrays, power-of-two capacity,
      FIFO between [hq_head] and [hq_head + hq_len) modulo capacity.  The
      IRQ context is stored as its id ([-1] for the kinds carrying none) and
-     resolved through [pending_by_irq] on dispatch — an all-int ring incurs
-     no write barriers and nothing for the GC to scan.  Every item
+     resolved through the in-flight table on dispatch — an all-int ring
+     incurs no write barriers and nothing for the GC to scan.  Every item
      referencing an IRQ runs before that IRQ finalizes (its bottom handler
      cannot execute while hypervisor work is queued), so the id is always
      resolvable when the item is dispatched. *)
@@ -124,9 +92,17 @@ type t = {
   mutable hq_irq : int array;
   mutable hq_head : int;
   mutable hq_len : int;
-  (* In-flight IRQs at slot [irq land (capacity - 1)], power-of-two
-     capacity ([dummy_pending] in free slots); see [pending_add]. *)
-  mutable pending_by_irq : pending_irq array;
+  (* In-flight IRQ table: one row per live IRQ at [irq land (capacity -
+     1)] across parallel columns of one power-of-two capacity; see
+     [pending_add].  [pf_irq] holds the row's IRQ id, -1 when free. *)
+  mutable pf_irq : int array;
+  mutable pf_source : int array;  (* index into [sources] *)
+  mutable pf_arrival : Cycles.t array;
+  mutable pf_top_start : Cycles.t array;
+  mutable pf_top_end : Cycles.t array;
+  mutable pf_decision : Cycles.t array;  (* class fixed; -1 until then *)
+  mutable pf_bh_start : Cycles.t array;  (* first bottom-half cycle, or -1 *)
+  mutable pf_class : Irq_record.classification array;
   c_mon : Cycles.t;
   c_sched : Cycles.t;
   c_ctx : Cycles.t;
@@ -139,11 +115,19 @@ type t = {
   mutable ip_budget : Cycles.t;
   mutable interposition_pending : bool;
   retain_records : bool;
-  mutable records : Irq_record.t list;  (* newest first *)
+  (* Completed records by IRQ id ([no_record] where the IRQ has not
+     completed): ids are dense from 0, so reading them back in arrival
+     order is one pass, no sort.  Grows by doubling from 64 rows. *)
+  mutable records : Irq_record.t array;
+  (* Streaming runs only: completed queue items, reused by the next top
+     handlers ([item_pool_len] of them at the front). *)
+  mutable item_pool : Irq_queue.item array;
+  mutable item_pool_len : int;
   mutable n_completed : int;
   mutable next_irq_id : int;
-  mutable slot_owner : int;
-  mutable slot_end : Cycles.t;
+  slot : Tdma.slot;
+      (* Owner and end of the running slot; a deferred switch extends the
+         end. *)
   mutable stolen_in_slot : Cycles.t;
   stolen_total : Cycles.t array;
   stolen_slot_max : Cycles.t array;
@@ -188,14 +172,14 @@ let hyp_grow t =
   t.hq_irq <- irq';
   t.hq_head <- 0
 
-let enqueue_hyp t kind ~cost (p : pending_irq) =
+let enqueue_hyp t kind ~cost irq =
   if cost < 0 then invalid_arg "Hyp_sim: negative hypervisor work";
   if t.hq_len = Array.length t.hq_kind then hyp_grow t;
   let i = (t.hq_head + t.hq_len) land (Array.length t.hq_kind - 1) in
   t.hq_kind.(i) <- kind;
   t.hq_remaining.(i) <- cost;
   t.hq_started.(i) <- false;
-  t.hq_irq.(i) <- p.p_irq;
+  t.hq_irq.(i) <- irq;
   t.hq_len <- t.hq_len + 1
 
 let hyp_pop t =
@@ -204,31 +188,50 @@ let hyp_pop t =
 
 (* --- in-flight IRQ table ------------------------------------------------ *)
 
-(* Only live IRQs hold a slot, so the table is sized by the in-flight peak,
+(* Only live IRQs hold a row, so the table is sized by the in-flight peak,
    not by the run length: the 1M-IRQ streaming bench keeps its first 64
-   slots.  The table doubles only when [irq]'s slot holds a live IRQ; ids
+   rows.  The table doubles only when [irq]'s row holds a live IRQ; ids
    that differ modulo the capacity still differ modulo twice the capacity,
-   so re-placing the live entries cannot collide. *)
-let pending_slot t irq = irq land (Array.length t.pending_by_irq - 1)
+   so re-placing the live rows cannot collide. *)
+let pending_slot t irq = irq land (Array.length t.pf_irq - 1)
 
-let rec pending_add t irq p =
+let pending_grow t =
+  let ids = t.pf_irq in
+  let cap' = 2 * Array.length ids in
+  let move column fill =
+    let column' = Array.make cap' fill in
+    Array.iteri
+      (fun i irq ->
+        if irq >= 0 then column'.(irq land (cap' - 1)) <- column.(i))
+      ids;
+    column'
+  in
+  t.pf_source <- move t.pf_source 0;
+  t.pf_arrival <- move t.pf_arrival 0;
+  t.pf_top_start <- move t.pf_top_start 0;
+  t.pf_top_end <- move t.pf_top_end 0;
+  t.pf_decision <- move t.pf_decision 0;
+  t.pf_bh_start <- move t.pf_bh_start 0;
+  t.pf_class <- move t.pf_class Irq_record.Delayed;
+  t.pf_irq <- move ids (-1)
+
+(* Open the row of a newly delivered IRQ. *)
+let rec pending_add t irq ~source ~arrival =
   let i = pending_slot t irq in
-  if t.pending_by_irq.(i).p_irq < 0 then t.pending_by_irq.(i) <- p
-  else begin
-    let cap' = 2 * Array.length t.pending_by_irq in
-    let grown = Array.make cap' dummy_pending in
-    Array.iter
-      (fun q -> if q.p_irq >= 0 then grown.(q.p_irq land (cap' - 1)) <- q)
-      t.pending_by_irq;
-    t.pending_by_irq <- grown;
-    pending_add t irq p
+  if t.pf_irq.(i) >= 0 then begin
+    pending_grow t;
+    pending_add t irq ~source ~arrival
   end
-
-(* The in-flight record of [irq], or [dummy_pending] (p_irq = -1) if the
-   IRQ already completed. *)
-let pending_get t irq =
-  let p = t.pending_by_irq.(pending_slot t irq) in
-  if p.p_irq = irq then p else dummy_pending
+  else begin
+    t.pf_irq.(i) <- irq;
+    t.pf_source.(i) <- source;
+    t.pf_arrival.(i) <- arrival;
+    t.pf_top_start.(i) <- arrival;
+    t.pf_top_end.(i) <- arrival;
+    t.pf_decision.(i) <- -1;
+    t.pf_bh_start.(i) <- -1;
+    t.pf_class.(i) <- Irq_record.Delayed
+  end
 
 let trace_event_at t time event =
   match t.trace with
@@ -265,38 +268,40 @@ let ph_sink_emit = Prof.phase "sink_emit"
 
 let obs_count name = Sink.incr name Labels.empty 1
 
-let obs_irq_completed t p =
-  let source = p.p_source.cfg.Config.name in
-  let cls = Irq_record.classification_name p.p_class in
+let obs_irq_completed t src i =
+  let source = src.cfg.Config.name in
+  let cls = Irq_record.classification_name t.pf_class.(i) in
   Sink.incr "rthv_irq_completed_total"
     (Labels.v
        [
          ("source", source);
          ("class", cls);
-         ("partition", string_of_int p.p_source.cfg.Config.subscriber);
+         ("partition", string_of_int src.cfg.Config.subscriber);
        ])
     1;
   Sink.observe "rthv_irq_latency_us"
     (Labels.v [ ("source", source); ("class", cls) ])
-    (Cycles.to_us (Cycles.( - ) t.now p.p_arrival))
+    (Cycles.to_us (Cycles.( - ) t.now t.pf_arrival.(i)))
 
-(* One causal span per completed IRQ instance, timestamps in us.  The
-   decision point and bottom-half start are clamped for robustness, but
-   with the capture sites in [Hyp_sim] both are always set before
-   completion. *)
-let obs_span t p =
+(* One causal span per completed IRQ instance (row [i] of the in-flight
+   table), timestamps in us.  The decision point and bottom-half start are
+   clamped for robustness, but with the capture sites in [Hyp_sim] both are
+   always set before completion. *)
+let obs_span t src i =
   let us = Cycles.to_us in
-  let decision = if p.p_decision < 0 then p.p_top_end else p.p_decision in
-  let bh_start = if p.p_bh_start < 0 then t.now else p.p_bh_start in
+  let decision =
+    if t.pf_decision.(i) < 0 then t.pf_top_end.(i) else t.pf_decision.(i)
+  in
+  let bh_start = if t.pf_bh_start.(i) < 0 then t.now else t.pf_bh_start.(i) in
   Sink.span
     {
-      Span.sp_irq = p.p_irq;
-      sp_line = p.p_source.cfg.Config.line;
-      sp_source = p.p_source.cfg.Config.name;
-      sp_class = Irq_record.classification_name p.p_class;
-      sp_arrival = us p.p_arrival;
-      sp_top_start = us p.p_top_start;
-      sp_top_end = us p.p_top_end;
+      Span.sp_irq = t.pf_irq.(i);
+      sp_line = src.cfg.Config.line;
+      sp_source = src.cfg.Config.name;
+      sp_class = Irq_record.classification_name t.pf_class.(i);
+      sp_arrival = us t.pf_arrival.(i);
+      sp_top_start = us t.pf_top_start.(i);
+      sp_top_end = us t.pf_top_end.(i);
       sp_decision = us decision;
       sp_bh_start = us bh_start;
       sp_completion = us t.now;
@@ -319,7 +324,7 @@ let steal t elapsed =
   t.stolen_in_slot <- Cycles.( + ) t.stolen_in_slot elapsed
 
 let close_slot_accounting t =
-  let owner = t.slot_owner in
+  let owner = t.slot.Tdma.owner in
   t.stolen_total.(owner) <- Cycles.( + ) t.stolen_total.(owner) t.stolen_in_slot;
   if t.stolen_in_slot > t.stolen_slot_max.(owner) then
     t.stolen_slot_max.(owner) <- t.stolen_in_slot;
@@ -329,46 +334,81 @@ let close_slot_accounting t =
       (Cycles.to_us t.stolen_in_slot);
   t.stolen_in_slot <- 0
 
+(* Room for the record of [irq]: double until its id fits. *)
+let grow_records t irq =
+  let cap = ref (Stdlib.max 64 (2 * Array.length t.records)) in
+  while !cap <= irq do
+    cap := 2 * !cap
+  done;
+  let grown = Array.make !cap no_record in
+  Array.blit t.records 0 grown 0 (Array.length t.records);
+  t.records <- grown
+
+(* A queue item for the next top handler: a recycled one when available. *)
+let take_item t ~irq ~line ~arrival ~work =
+  if t.item_pool_len = 0 then Irq_queue.make_item ~irq ~line ~arrival ~work
+  else begin
+    t.item_pool_len <- t.item_pool_len - 1;
+    let item = t.item_pool.(t.item_pool_len) in
+    Irq_queue.reset_item item ~irq ~line ~arrival ~work;
+    item
+  end
+
+let recycle_item t item =
+  if t.item_pool_len = Array.length t.item_pool then begin
+    (* Any item fills the new rows: rows past [item_pool_len] are never
+       read. *)
+    let grown = Array.make (Stdlib.max 16 (2 * t.item_pool_len)) item in
+    Array.blit t.item_pool 0 grown 0 t.item_pool_len;
+    t.item_pool <- grown
+  end;
+  t.item_pool.(t.item_pool_len) <- item;
+  t.item_pool_len <- t.item_pool_len + 1
+
 let finalize_completion t (item : Irq_queue.item) =
-  let p = pending_get t item.Irq_queue.irq in
+  let irq = item.Irq_queue.irq in
+  let i = pending_slot t irq in
   (* Completion must be unique: items are dropped from the queue the
      moment their work reaches zero. *)
-  assert (p.p_irq = item.Irq_queue.irq);
+  assert (t.pf_irq.(i) = irq);
+  let src = t.sources.(t.pf_source.(i)) in
   if t.retain_records then begin
-    let record =
+    if irq >= Array.length t.records then grow_records t irq;
+    t.records.(irq) <-
       {
-        Irq_record.irq = p.p_irq;
-        source = p.p_source.cfg.Config.name;
-        line = p.p_source.cfg.Config.line;
-        arrival = p.p_arrival;
-        top_start = p.p_top_start;
-        top_end = p.p_top_end;
-        classification = p.p_class;
+        Irq_record.irq;
+        source = src.cfg.Config.name;
+        line = src.cfg.Config.line;
+        arrival = t.pf_arrival.(i);
+        top_start = t.pf_top_start.(i);
+        top_end = t.pf_top_end.(i);
+        classification = t.pf_class.(i);
         completion = t.now;
       }
-    in
-    t.records <- record :: t.records
-  end;
+  end
+  else
+    (* Nothing outlives the completion of a streaming run's item: the
+       guests retain no completed items either. *)
+    recycle_item t item;
   t.n_completed <- t.n_completed + 1;
-  t.pending_by_irq.(pending_slot t p.p_irq) <- dummy_pending;
   t.live_irqs <- t.live_irqs - 1;
   if tracing t then
     trace_event t
       (Hyp_trace.Bottom_handler_done
-         { irq = p.p_irq; partition = p.p_source.cfg.Config.subscriber });
+         { irq; partition = src.cfg.Config.subscriber });
   if obs_active () then begin
     Prof.enter t.prof ph_sink_emit;
-    obs_irq_completed t p;
-    obs_span t p;
+    obs_irq_completed t src i;
+    obs_span t src i;
     Prof.leave t.prof
   end;
+  t.pf_irq.(i) <- -1;
   (* uC/OS pattern: the bottom handler posts to an application task. *)
-  match p.p_source.cfg.Config.activates with
+  match src.cfg.Config.activates with
   | Some spec ->
       t.live_aperiodic <- t.live_aperiodic + 1;
-      Guest.release_aperiodic
-        t.guests.(p.p_source.cfg.Config.subscriber)
-        ~spec ~now:t.now
+      Guest.release_aperiodic t.guests.(src.cfg.Config.subscriber) ~spec
+        ~now:t.now
   | None -> ()
 
 let end_interposition t ~reason =
@@ -377,7 +417,7 @@ let end_interposition t ~reason =
       (Hyp_trace.Interposition_end { target = t.ip_target; reason });
   t.ip_target <- -1;
   t.ip_budget <- 0;
-  enqueue_hyp t K_ctx_back ~cost:t.c_ctx dummy_pending
+  enqueue_hyp t K_ctx_back ~cost:t.c_ctx (-1)
 
 let schedule_next_arrival t src =
   let distances = src.cfg.Config.interarrivals in

@@ -29,26 +29,41 @@ let position_in_cycle t time =
   if time < 0 then invalid_arg "Tdma: negative time";
   time mod t.cycle
 
-let owner_at t time =
+(* Index of the slot containing cycle offset [pos] (< cycle).  A top-level
+   loop rather than a local closure, so every lookup below allocates
+   nothing. *)
+let rec slot_index t pos i =
+  (* pos < cycle, so the last slot always catches. *)
+  if i = Array.length t.slots - 1 || pos < Cycles.( + ) t.starts.(i) t.slots.(i)
+  then i
+  else slot_index t pos (i + 1)
+
+let owner_at t time = slot_index t (position_in_cycle t time) 0
+
+(* End of slot [owner], which contains [time] at cycle offset [pos]. *)
+let end_of_slot t time ~pos owner =
+  Cycles.( + ) (Cycles.( - ) time pos)
+    (Cycles.( + ) t.starts.(owner) t.slots.(owner))
+
+type slot = { mutable owner : int; mutable slot_end : Cycles.t }
+
+let slot () = { owner = 0; slot_end = 0 }
+
+let locate t time s =
   let pos = position_in_cycle t time in
-  let rec find i =
-    (* pos < cycle, so the last slot always catches. *)
-    if i = Array.length t.slots - 1 then i
-    else if pos < Cycles.( + ) t.starts.(i) t.slots.(i) then i
-    else find (i + 1)
-  in
-  find 0
+  let owner = slot_index t pos 0 in
+  s.owner <- owner;
+  s.slot_end <- end_of_slot t time ~pos owner
 
 let slot_bounds_at t time =
-  let owner = owner_at t time in
-  let cycle_base = Cycles.( - ) time (position_in_cycle t time) in
-  let slot_start = Cycles.( + ) cycle_base t.starts.(owner) in
-  let slot_end = Cycles.( + ) slot_start t.slots.(owner) in
-  (owner, slot_start, slot_end)
+  let pos = position_in_cycle t time in
+  let owner = slot_index t pos 0 in
+  let slot_start = Cycles.( + ) (Cycles.( - ) time pos) t.starts.(owner) in
+  (owner, slot_start, Cycles.( + ) slot_start t.slots.(owner))
 
 let next_boundary t time =
-  let _, _, slot_end = slot_bounds_at t time in
-  slot_end
+  let pos = position_in_cycle t time in
+  end_of_slot t time ~pos (slot_index t pos 0)
 
 let next_slot_start t ~partition ~after =
   if partition < 0 || partition >= Array.length t.slots then

@@ -34,6 +34,18 @@ val slot_bounds_at : t -> Rthv_engine.Cycles.t -> int * Rthv_engine.Cycles.t * R
 val next_boundary : t -> Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
 (** First slot boundary strictly after the given instant. *)
 
+type slot = { mutable owner : int; mutable slot_end : Rthv_engine.Cycles.t }
+(** The result cell of {!locate}, owned and reused by the caller. *)
+
+val slot : unit -> slot
+(** A fresh result cell (owner 0, end 0). *)
+
+val locate : t -> Rthv_engine.Cycles.t -> slot -> unit
+(** [locate t time s] sets [s.owner] and [s.slot_end] to the owner and end
+    of the slot containing [time]: {!slot_bounds_at}'s owner and end in one
+    lookup, with no tuple and no closure, so it allocates nothing.  The end
+    equals {!next_boundary}[ t time]. *)
+
 val next_slot_start : t -> partition:int -> after:Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
 (** Earliest start of a slot of [partition] at or after [after].  If [after]
     falls inside that partition's slot, this is the {e next} slot start, not

@@ -106,39 +106,35 @@ let advance_to t time =
   if time < t.horizon then
     invalid_arg "Guest.advance_to: time must be non-decreasing";
   t.horizon <- time;
-  if Array.length t.tasks = 0 then ()
-  else
-  Array.iter
-    (fun state ->
-      let rec release () =
-        let due = release_time state state.next_index in
-        if due <= time then begin
-          let job =
-            {
-              Task.task = state.spec;
-              index = state.next_index;
-              release = due;
-              remaining = state.spec.Task.wcet;
-            }
-          in
-          t.ready <- job :: t.ready;
-          state.next_index <- state.next_index + 1;
-          release ()
-        end
+  for i = 0 to Array.length t.tasks - 1 do
+    let state = t.tasks.(i) in
+    let due = ref (release_time state state.next_index) in
+    while !due <= time do
+      let job =
+        {
+          Task.task = state.spec;
+          index = state.next_index;
+          release = !due;
+          remaining = state.spec.Task.wcet;
+        }
       in
-      release ())
-    t.tasks
+      t.ready <- job :: t.ready;
+      state.next_index <- state.next_index + 1;
+      due := release_time state state.next_index
+    done
+  done
+
+let next_release_before t limit =
+  let next = ref limit in
+  for i = 0 to Array.length t.tasks - 1 do
+    let state = t.tasks.(i) in
+    next := Cycles.min !next (release_time state state.next_index)
+  done;
+  !next
 
 let next_release t =
   if Array.length t.tasks = 0 then None
-  else
-  Array.fold_left
-    (fun acc state ->
-      let due = release_time state state.next_index in
-      match acc with
-      | None -> Some due
-      | Some best -> Some (Cycles.min best due))
-    None t.tasks
+  else Some (next_release_before t max_int)
 
 (* Fixed priority: lowest priority number wins; EDF: earliest implicit
    deadline (release + period) wins.  Ties broken by earliest release, then
@@ -157,22 +153,25 @@ let job_precedes policy (a : Task.job) (b : Task.job) =
   else if a.Task.release <> b.Task.release then a.Task.release < b.Task.release
   else a.Task.index < b.Task.index
 
+let rec best_job policy best = function
+  | [] -> best
+  | job :: rest ->
+      best_job policy (if job_precedes policy job best then job else best) rest
+
+let has_ready t = match t.ready with [] -> false | _ :: _ -> true
+
 let pick_ready t =
   match t.ready with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun best job -> if job_precedes t.policy job best then job else best)
-           first rest)
+  | [] -> raise Not_found
+  | first :: rest -> best_job t.policy first rest
 
 let demand t =
   match Irq_queue.peek t.queue with
   | Some item -> Bottom_handler item
-  | None -> (
-      match pick_ready t with
-      | Some job -> Task_job job
-      | None -> if t.busy_loop then Filler else Idle)
+  | None ->
+      if has_ready t then Task_job (pick_ready t)
+      else if t.busy_loop then Filler
+      else Idle
 
 let consume_bottom t ~elapsed item =
   if elapsed < 0 then invalid_arg "Guest.consume: negative elapsed";
@@ -185,6 +184,18 @@ let consume_bottom t ~elapsed item =
     if t.retain then t.completed_bottom <- completed :: t.completed_bottom
   end
 
+(* Index of the first periodic task whose spec is [spec], or -1 (an
+   aperiodic job's spec need not belong to a periodic task). *)
+let rec state_index t spec i =
+  if i = Array.length t.tasks then -1
+  else if t.tasks.(i).spec == spec then i
+  else state_index t spec (i + 1)
+
+(* [ready] without [job] (physical equality); shares the tail after it. *)
+let rec without job = function
+  | [] -> []
+  | j :: rest -> if j == job then rest else j :: without job rest
+
 let consume_task t ~now ~elapsed job =
   if elapsed < 0 then invalid_arg "Guest.consume: negative elapsed";
   if elapsed > job.Task.remaining then
@@ -192,7 +203,7 @@ let consume_task t ~now ~elapsed job =
   job.Task.remaining <- Cycles.( - ) job.Task.remaining elapsed;
   t.cpu_time <- Cycles.( + ) t.cpu_time elapsed;
   if job.Task.remaining = 0 then begin
-    t.ready <- List.filter (fun j -> j != job) t.ready;
+    t.ready <- without job t.ready;
     let completion =
       {
         Task.job_task = job.Task.task.Task.name;
@@ -204,20 +215,17 @@ let consume_task t ~now ~elapsed job =
     if t.retain then t.completions <- completion :: t.completions;
     (* Hypervisor-mediated IPC: a completing job first drains its input
        port, then publishes its own output. *)
-    let state =
-      Array.to_list t.tasks
-      |> List.find_opt (fun s -> s.spec == job.Task.task)
-    in
-    match state with
-    | None -> ()
-    | Some state ->
-        (match state.in_port with
-        | Some port -> ignore (Ipc.receive_all port ~now : Ipc.message list)
-        | None -> ());
-        (match state.out_port with
-        | Some port ->
-            ignore (Ipc.send port ~now ~sender:job.Task.task.Task.name : bool)
-        | None -> ())
+    let i = state_index t job.Task.task 0 in
+    if i >= 0 then begin
+      let state = t.tasks.(i) in
+      (match state.in_port with
+      | Some port -> ignore (Ipc.receive_all port ~now : Ipc.message list)
+      | None -> ());
+      match state.out_port with
+      | Some port ->
+          ignore (Ipc.send port ~now ~sender:job.Task.task.Task.name : bool)
+      | None -> ()
+    end
   end
 
 let consume_filler t ~elapsed =

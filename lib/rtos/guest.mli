@@ -71,16 +71,24 @@ val advance_to : t -> Rthv_engine.Cycles.t -> unit
     called with non-decreasing times. *)
 
 val next_release : t -> Rthv_engine.Cycles.t option
-(** Earliest future job release, used by the simulation to bound execution
-    segments.  [None] when the guest has no tasks. *)
+(** Earliest future job release.  [None] when the guest has no tasks. *)
+
+val next_release_before : t -> Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
+(** [next_release_before g limit] is the earlier of [limit] and
+    {!next_release} ([limit] when the guest has no tasks), without the
+    [option] box: the simulation bounds every execution segment with it. *)
 
 val demand : t -> demand
 (** What the guest would execute right now given its current state. *)
 
-val pick_ready : t -> Task.job option
-(** The ready job the guest's policy would run now, if any — the
-    [Task_job] component of {!demand}, exposed so the simulation's
-    compressed engine can resolve demand without boxing it. *)
+val has_ready : t -> bool
+(** Whether any released task job is unfinished. *)
+
+val pick_ready : t -> Task.job
+(** The ready job the guest's policy would run now — the [Task_job]
+    component of {!demand}, exposed so the simulation can resolve demand
+    without boxing it.  @raise Not_found when no job is ready — guard with
+    {!has_ready}. *)
 
 val consume_bottom :
   t -> elapsed:Rthv_engine.Cycles.t -> Irq_queue.item -> unit

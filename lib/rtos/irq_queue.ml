@@ -1,10 +1,10 @@
 module Cycles = Rthv_engine.Cycles
 
 type item = {
-  irq : int;
-  line : int;
-  arrival : Cycles.t;
-  total : Cycles.t;
+  mutable irq : int;
+  mutable line : int;
+  mutable arrival : Cycles.t;
+  mutable total : Cycles.t;
   mutable remaining : Cycles.t;
 }
 
@@ -26,6 +26,14 @@ let create () = { ring = Array.make 16 dummy_item; head = 0; len = 0; high_water
 let make_item ~irq ~line ~arrival ~work =
   if work <= 0 then invalid_arg "Irq_queue.make_item: work must be positive";
   { irq; line; arrival; total = work; remaining = work }
+
+let reset_item item ~irq ~line ~arrival ~work =
+  if work <= 0 then invalid_arg "Irq_queue.reset_item: work must be positive";
+  item.irq <- irq;
+  item.line <- line;
+  item.arrival <- arrival;
+  item.total <- work;
+  item.remaining <- work
 
 let grow t =
   let cap = Array.length t.ring in

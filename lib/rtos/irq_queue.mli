@@ -8,15 +8,17 @@
 
     Items carry mutable remaining work so a bottom handler cut short by a
     slot boundary or an exhausted interposition budget resumes where it
-    stopped. *)
+    stopped.  The other fields are mutable only so that {!reset_item} can
+    recycle a completed item. *)
 
 type item = {
-  irq : int;  (** Globally unique IRQ event id (monotone per system). *)
-  line : int;  (** Interrupt-controller line of the source. *)
-  arrival : Rthv_engine.Cycles.t;
+  mutable irq : int;  (** Globally unique IRQ event id (monotone per system). *)
+  mutable line : int;  (** Interrupt-controller line of the source. *)
+  mutable arrival : Rthv_engine.Cycles.t;
       (** Top-handler activation timestamp — the latency measurement start,
           as in the paper's timestamp-timer setup. *)
-  total : Rthv_engine.Cycles.t;  (** Bottom-handler work for this event. *)
+  mutable total : Rthv_engine.Cycles.t;
+      (** Bottom-handler work for this event. *)
   mutable remaining : Rthv_engine.Cycles.t;
 }
 
@@ -31,6 +33,18 @@ val make_item :
   work:Rthv_engine.Cycles.t ->
   item
 (** @raise Invalid_argument if [work <= 0]. *)
+
+val reset_item :
+  item ->
+  irq:int ->
+  line:int ->
+  arrival:Rthv_engine.Cycles.t ->
+  work:Rthv_engine.Cycles.t ->
+  unit
+(** Re-initialise a completed item in place, as {!make_item} would build
+    it, so a caller that keeps no reference to finished items can reuse
+    one per IRQ instead of allocating.  The item must not be queued.
+    @raise Invalid_argument if [work <= 0]. *)
 
 val push : t -> item -> unit
 

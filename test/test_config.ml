@@ -27,6 +27,24 @@ let test_bad_subscriber () = expect_error (make [ source ~subscriber:7 () ])
 let test_duplicate_lines () =
   expect_error (make [ source ~line:1 (); source ~line:1 () ])
 
+(* Admission policies, monitors, Headroom bounds and records are all keyed
+   by source name: two lines sharing a name would share one monitor. *)
+let test_duplicate_source_names () =
+  let named name line =
+    Config.source ~name ~line ~subscriber:0 ~c_th_us:5 ~c_bh_us:50
+      ~interarrivals:[| 100 |] ()
+  in
+  (match Config.validate (make [ named "nic" 0; named "can" 1 ]) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  match
+    Config.validate (make [ named "nic" 0; named "can" 1; named "nic" 2 ])
+  with
+  | Error msg ->
+      Alcotest.(check string) "names the duplicate"
+        "duplicate source name \"nic\"" msg
+  | Ok () -> Alcotest.fail "two sources named nic accepted"
+
 let test_line_out_of_range () = expect_error (make [ source ~line:999 () ])
 
 let test_bad_self_learning () =
@@ -201,6 +219,8 @@ let suite =
     Alcotest.test_case "no partitions rejected" `Quick test_no_partitions;
     Alcotest.test_case "bad subscriber rejected" `Quick test_bad_subscriber;
     Alcotest.test_case "duplicate lines rejected" `Quick test_duplicate_lines;
+    Alcotest.test_case "duplicate source names rejected" `Quick
+      test_duplicate_source_names;
     Alcotest.test_case "line range checked" `Quick test_line_out_of_range;
     Alcotest.test_case "self-learning params checked" `Quick
       test_bad_self_learning;

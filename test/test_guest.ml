@@ -47,7 +47,12 @@ let test_priority_order () =
   let low = Task.spec ~name:"low" ~period_us:100 ~wcet_us:10 ~priority:5 () in
   let high = Task.spec ~name:"high" ~period_us:100 ~wcet_us:10 ~priority:1 () in
   let g = Guest.create ~tasks:[ low; high ] ~name:"p" () in
+  Alcotest.(check bool) "nothing ready before the first release" false
+    (Guest.has_ready g);
   Guest.advance_to g 0;
+  Alcotest.(check bool) "released jobs are ready" true (Guest.has_ready g);
+  Alcotest.(check string) "pick_ready follows the policy" "high"
+    (Guest.pick_ready g).Task.task.Task.name;
   match Guest.demand g with
   | Guest.Task_job job ->
       Alcotest.(check string) "higher priority first" "high"
@@ -65,9 +70,15 @@ let test_next_release () =
   Alcotest.(check (option int)) "next release one period later"
     (Some (us 150)) (Guest.next_release g);
   Alcotest.(check int) "one job pending" 1 (Guest.backlog g);
+  Alcotest.(check int) "release before a later limit" (us 150)
+    (Guest.next_release_before g (us 1_000));
+  Alcotest.(check int) "an earlier limit wins" (us 120)
+    (Guest.next_release_before g (us 120));
   let no_tasks = Guest.create ~name:"q" () in
   Alcotest.(check (option int)) "no tasks, no releases" None
-    (Guest.next_release no_tasks)
+    (Guest.next_release no_tasks);
+  Alcotest.(check int) "no tasks: the limit" (us 7)
+    (Guest.next_release_before no_tasks (us 7))
 
 let test_time_accounting () =
   let g = Guest.create ~busy_loop:false ~name:"p" () in

@@ -519,23 +519,70 @@ let test_empty_interarrivals_source () =
 
 module Sim_state = Rthv_core.Sim_state
 
+(* [n] exponential arrivals (mean 1544us) at one d_min-monitored source of
+   partition 1. *)
+let streaming_config n =
+  let interarrivals = Gen.exponential ~seed:7 ~mean:(us 1544) ~count:n in
+  config ~subscriber:1
+    ~shaping:(Config.Fixed_monitor (DF.d_min (us 1544)))
+    interarrivals
+
 let test_streaming_pending_table_bounded () =
   (* A streaming run keeps per-IRQ state for the IRQs in flight only: the
      in-flight table must not grow with the IRQ count. *)
   let n = 100_000 in
-  let interarrivals = Gen.exponential ~seed:7 ~mean:(us 1544) ~count:n in
-  let sim =
-    Hyp_sim.create ~retain:false
-      (config ~subscriber:1
-         ~shaping:(Config.Fixed_monitor (DF.d_min (us 1544)))
-         interarrivals)
-  in
+  let sim = Hyp_sim.create ~retain:false (streaming_config n) in
   Hyp_sim.run sim;
   Alcotest.(check int) "all complete" n
     (Hyp_sim.stats sim).Hyp_sim.completed_irqs;
-  let slots = Array.length sim.Sim_state.pending_by_irq in
+  let slots = Array.length sim.Sim_state.pf_irq in
   if slots > 1024 then
     Alcotest.failf "in-flight table grew to %d slots over %d IRQs" slots n
+
+(* The per-IRQ path of a streaming run allocates nothing: in-flight state
+   lives in int columns, queue items are recycled and the slot lookup
+   builds no tuple.  Counted with [Gc.minor_words], which includes the
+   live minor heap; OCaml 5.1's [Gc.quick_stat] leaves it out.  The
+   suite-wide audit hook attaches a trace whose events allocate by design,
+   so it is suspended for this run. *)
+let test_streaming_run_allocation () =
+  let n = 100_000 in
+  let was_installed = Rthv_check.Audit_hook.installed () in
+  Rthv_check.Audit_hook.uninstall ();
+  let sim, words =
+    Fun.protect
+      ~finally:(fun () ->
+        if was_installed then Rthv_check.Audit_hook.install ())
+      (fun () ->
+        let sim = Hyp_sim.create ~retain:false (streaming_config n) in
+        let before = Gc.minor_words () in
+        Hyp_sim.run sim;
+        let after = Gc.minor_words () in
+        (sim, after -. before))
+  in
+  Alcotest.(check int) "all complete" n
+    (Hyp_sim.stats sim).Hyp_sim.completed_irqs;
+  let per_irq = words /. float_of_int n in
+  if per_irq > 2.0 then
+    Alcotest.failf "streaming run allocated %.0f minor words (%.2f per IRQ)"
+      words per_irq
+
+(* The record store holds [n] completed IRQs: 64 fill its initial rows and
+   the 65th doubles them.  Returns the store's row count. *)
+let record_store_case n =
+  let sim = run (config ~subscriber:0 (Array.make n (us 1000))) in
+  Alcotest.(check (list int)) "every record once, in IRQ-id order"
+    (List.init n Fun.id)
+    (List.map (fun r -> r.Irq_record.irq) (Hyp_sim.records sim));
+  Array.length sim.Sim_state.records
+
+let test_record_store_at_capacity () =
+  Alcotest.(check int) "64 records fill the initial store" 64
+    (record_store_case 64)
+
+let test_record_store_past_capacity () =
+  Alcotest.(check int) "the 65th record doubles the store" 128
+    (record_store_case 65)
 
 (* [n] sources on distinct lines all raise at 7000us.  The slot switch at
    6000us has already passed through the hypervisor ring, so its head is
@@ -583,7 +630,7 @@ let test_hyp_ring_past_capacity () =
    id [70 + n].  For [n] = 64 that id collides with IRQ 70 modulo 64; for
    [n] = 65 the burst's own IRQ 134 collides first.  Either way the table
    grows while IRQ 70 sits at a slot it must leave. *)
-let pending_table_case n =
+let pending_table_config n =
   let warm_arrivals = List.init 70 (fun k -> us (100 + (50 * k))) in
   let burst_arrivals =
     List.init (n - 1) (fun k -> us (3_700 + (20 * k))) @ [ us 10_000 ]
@@ -596,20 +643,23 @@ let pending_table_case n =
       ~interarrivals:(Array.of_list distances) ~arrival_mode:Config.Absolute
       ()
   in
-  let cfg =
-    Config.make ~partitions
+  ( Config.make ~partitions
       ~sources:
         [
           absolute "warm" ~line:0 ~subscriber:0 ~c_bh_us:10 warm_arrivals;
           absolute "long" ~line:1 ~subscriber:2 ~c_bh_us:50 [ us 3_600 ];
           absolute "burst" ~line:2 ~subscriber:1 ~c_bh_us:50 burst_arrivals;
         ]
-      ()
-  in
+      (),
+    warm_arrivals,
+    burst_arrivals )
+
+let pending_table_case n =
+  let cfg, warm_arrivals, burst_arrivals = pending_table_config n in
   let partial = Hyp_sim.create cfg in
   Hyp_sim.run ~horizon:(us 5_000) partial;
   Alcotest.(check int) "IRQs in flight at 5000us" n partial.Sim_state.live_irqs;
-  let slots_in_flight = Array.length partial.Sim_state.pending_by_irq in
+  let slots_in_flight = Array.length partial.Sim_state.pf_irq in
   let sim = run cfg in
   let records = Hyp_sim.records sim in
   Alcotest.(check (list int)) "each IRQ completes once"
@@ -622,9 +672,7 @@ let pending_table_case n =
     @ List.map (fun t -> ("burst", t)) burst_arrivals)
     (List.map (fun r -> (r.Irq_record.source, r.Irq_record.arrival)) records);
   Alcotest.(check bool) "completion frees every slot" true
-    (Array.for_all
-       (fun p -> p.Sim_state.p_irq < 0)
-       sim.Sim_state.pending_by_irq);
+    (Array.for_all (fun irq -> irq < 0) sim.Sim_state.pf_irq);
   slots_in_flight
 
 let test_pending_table_at_capacity () =
@@ -634,6 +682,21 @@ let test_pending_table_at_capacity () =
 let test_pending_table_past_capacity () =
   Alcotest.(check int) "the 65th in-flight IRQ doubles the table" 128
     (pending_table_case 65)
+
+(* Cut at 5000us, the 70 "warm" IRQs have completed and IRQs 70-133 are
+   in flight: only the completed ones are records, and reading them back
+   does not consume them. *)
+let test_records_after_horizon_cut () =
+  let cfg, _, _ = pending_table_config 64 in
+  let sim = Hyp_sim.create cfg in
+  Hyp_sim.run ~horizon:(us 5_000) sim;
+  Alcotest.(check int) "IRQs in flight at the cut" 64
+    sim.Sim_state.live_irqs;
+  let records = Hyp_sim.records sim in
+  Alcotest.(check (list int)) "completed IRQs only" (List.init 70 Fun.id)
+    (List.map (fun r -> r.Irq_record.irq) records);
+  Alcotest.(check bool) "a second read returns an equal list" true
+    (records = Hyp_sim.records sim)
 
 let suite =
   suite
@@ -652,4 +715,12 @@ let suite =
         test_pending_table_at_capacity;
       Alcotest.test_case "in-flight table past capacity (65)" `Quick
         test_pending_table_past_capacity;
+      Alcotest.test_case "streaming run allocates <= 2 words/IRQ" `Quick
+        test_streaming_run_allocation;
+      Alcotest.test_case "record store at capacity (64)" `Quick
+        test_record_store_at_capacity;
+      Alcotest.test_case "record store past capacity (65)" `Quick
+        test_record_store_past_capacity;
+      Alcotest.test_case "records after a horizon cut" `Quick
+        test_records_after_horizon_cut;
     ]

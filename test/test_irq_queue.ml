@@ -56,6 +56,19 @@ let test_item_validation () =
     (Invalid_argument "Irq_queue.make_item: work must be positive") (fun () ->
       ignore (item ~irq:1 ~work:0 : Irq_queue.item))
 
+let test_reset_item () =
+  let q = Irq_queue.create () in
+  let i = item ~irq:1 ~work:10 in
+  Irq_queue.push q i;
+  i.Irq_queue.remaining <- 0;
+  ignore (Irq_queue.drop_head q : Irq_queue.item);
+  Irq_queue.reset_item i ~irq:9 ~line:3 ~arrival:500 ~work:20;
+  let fresh = Irq_queue.make_item ~irq:9 ~line:3 ~arrival:500 ~work:20 in
+  Alcotest.(check bool) "same fields as a fresh item" true (i = fresh);
+  Alcotest.check_raises "work must be positive"
+    (Invalid_argument "Irq_queue.reset_item: work must be positive")
+    (fun () -> Irq_queue.reset_item i ~irq:1 ~line:0 ~arrival:0 ~work:0)
+
 let suite =
   [
     Alcotest.test_case "FIFO order" `Quick test_fifo_order;
@@ -65,4 +78,5 @@ let suite =
     Alcotest.test_case "pending work" `Quick test_pending_work;
     Alcotest.test_case "high-water mark" `Quick test_high_water;
     Alcotest.test_case "item validation" `Quick test_item_validation;
+    Alcotest.test_case "reset item" `Quick test_reset_item;
   ]

@@ -73,6 +73,27 @@ let prop_owner_consistent_with_bounds (tdma, time) =
   && start <= time && time < stop
   && stop - start = Tdma.slot_length tdma owner
 
+let prop_locate_matches_bounds (tdma, time) =
+  let s = Tdma.slot () in
+  Tdma.locate tdma time s;
+  let owner, _start, stop = Tdma.slot_bounds_at tdma time in
+  s.Tdma.owner = owner && s.Tdma.slot_end = stop
+  && s.Tdma.slot_end = Tdma.next_boundary tdma time
+
+let test_locate_allocation_free () =
+  let s = Tdma.slot () in
+  Tdma.locate paper 0 s;
+  let before = Gc.minor_words () in
+  for k = 0 to 9_999 do
+    Tdma.locate paper (k * us 997) s
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "10k lookups allocate nothing (%.0f words)"
+       (after -. before))
+    true
+    (after -. before = 0.0)
+
 let prop_slots_partition_cycle tdma =
   (* Walking boundaries from 0 visits every partition once per cycle and
      advances exactly one cycle. *)
@@ -105,9 +126,14 @@ let suite =
     Alcotest.test_case "next slot start" `Quick test_next_slot_start;
     Alcotest.test_case "analysis bridge" `Quick test_interference_bridge;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "locate allocates nothing" `Quick
+      test_locate_allocation_free;
     Testutil.qtest "owner consistent with bounds"
       QCheck2.Gen.(pair schedule_gen (0 -- 10_000_000))
       prop_owner_consistent_with_bounds;
+    Testutil.qtest "locate matches bounds and next_boundary"
+      QCheck2.Gen.(pair schedule_gen (0 -- 10_000_000))
+      prop_locate_matches_bounds;
     Testutil.qtest "slots partition the cycle" schedule_gen
       prop_slots_partition_cycle;
     Testutil.qtest "next_slot_start lands on an owned boundary"
