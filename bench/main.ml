@@ -266,15 +266,13 @@ let micro_bodies () : (string * (unit -> unit)) list =
            in
            Hyp_sim.run sim)
   in
-  (* The zero-cost-when-disabled claim for the lib/obs sink: the guarded
-     call sites reduce to one flag read per event when no sink is
-     installed, and the same simulation under a recorder sink shows the
-     full price of live metrics. *)
-  let sim_observed =
-    ( "hypervisor sim, 200 IRQs (recorder sink)",
+  (* The price of live metrics: the same simulation created under an
+     installed registry, so its trace is folded into the registry's
+     counters and latency summaries. *)
+  let sim_metrics =
+    ( "hypervisor sim, 200 IRQs (metrics)",
       fun () ->
-           let recorder = Rthv_obs.Recorder.create () in
-           Rthv_obs.Sink.with_sink (Rthv_obs.Recorder.sink recorder)
+           Rthv_obs.Registry.with_installed (Rthv_obs.Registry.create ())
              (fun () ->
                let sim =
                  Hyp_sim.create (Params.config ~interarrivals ~shaping)
@@ -284,7 +282,7 @@ let micro_bodies () : (string * (unit -> unit)) list =
   (* Batched trace capture: the same simulation with a bounded ring whose
      spill hook streams every event into the columnar store writer
      (Trace_store), pricing the array-store + amortized-block-encode path
-     against the recorder sink's per-event label/hashtable work.  Ring,
+     against the metrics fold.  Ring,
      writer and (unlinked) temp file are hoisted so the row measures the
      steady state, not construction. *)
   let sim_tracestore =
@@ -301,26 +299,6 @@ let micro_bodies () : (string * (unit -> unit)) list =
            in
            Hyp_sim.run sim)
   in
-  let sink_disabled =
-    ( "obs guarded incr x1000 (no sink)",
-      fun () ->
-           for _ = 1 to 1000 do
-             if Rthv_obs.Sink.active () then
-               Rthv_obs.Sink.incr "bench_ops_total" Rthv_obs.Labels.empty 1
-           done)
-  in
-  let sink_recorder =
-    let recorder = Rthv_obs.Recorder.create () in
-    ( "obs guarded incr x1000 (recorder)",
-      fun () ->
-           Rthv_obs.Sink.with_sink (Rthv_obs.Recorder.sink recorder)
-             (fun () ->
-               for _ = 1 to 1000 do
-                 if Rthv_obs.Sink.active () then
-                   Rthv_obs.Sink.incr "bench_ops_total"
-                     Rthv_obs.Labels.empty 1
-               done))
-  in
   [
     monitor_check;
     monitor_admit_steady;
@@ -329,10 +307,8 @@ let micro_bodies () : (string * (unit -> unit)) list =
     learner;
     sim_throughput;
     sim_15k;
-    sim_observed;
+    sim_metrics;
     sim_tracestore;
-    sink_disabled;
-    sink_recorder;
   ]
 
 let micro_tests () =
@@ -424,8 +400,8 @@ let micro () =
     | _ -> Format.fprintf ppf "  %-48s (no estimate)@." label
   in
   let monitored = "rthv hypervisor sim, 200 IRQs (monitored)" in
-  ratio_row "rthv sink_overhead_ratio (recorder/monitored)"
-    "rthv hypervisor sim, 200 IRQs (recorder sink)" monitored;
+  ratio_row "rthv sink_overhead_ratio (metrics/monitored)"
+    "rthv hypervisor sim, 200 IRQs (metrics)" monitored;
   ratio_row "rthv sink_overhead_ratio (tracestore/monitored)"
     "rthv hypervisor sim, 200 IRQs (tracestore sink)" monitored
 

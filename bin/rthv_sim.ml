@@ -182,10 +182,13 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> failwith msg);
-  (* Attach a trace whenever any timeline export was requested. *)
+  (* Attach a trace whenever any timeline export was requested; --slo
+     alone needs only a ring whose spill hook feeds the SLO fold. *)
   let trace =
     match (vcd_out, trace_out) with
-    | None, None -> None
+    | None, None ->
+        if slo then Some (Rthv_core.Hyp_trace.create ~capacity:256 ())
+        else None
     | _ -> Some (Rthv_core.Hyp_trace.create ())
   in
   (* A .rts trace-out streams through the ring's spill hook into the
@@ -200,26 +203,25 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
         Some w
     | _ -> None
   in
-  let sim = Hyp_sim.create ?trace config in
   let registry = Rthv_obs.Registry.create () in
   let profiler = Option.map (fun _ -> Rthv_obs.Prof.create ()) profile_out in
   let slo_t =
     if slo then Some (Rthv_check.Slo.create ~registry config) else None
   in
-  let run_sim () =
-    let sinks =
-      (if metrics_out <> None then
-         [ Rthv_obs.Recorder.sink (Rthv_obs.Recorder.create ~registry ()) ]
-       else [])
-      @ match slo_t with Some t -> [ Rthv_check.Slo.sink t ] | None -> []
-    in
-    match sinks with
-    | [] -> Hyp_sim.run sim
-    | s :: rest ->
-        Rthv_obs.Sink.with_sink
-          (List.fold_left Rthv_obs.Sink.tee s rest)
-          (fun () -> Hyp_sim.run sim)
+  (match (slo_t, trace) with
+  | Some t, Some tr ->
+      Rthv_core.Irq_fold.attach ~config tr (Rthv_check.Slo.span t)
+  | _ -> ());
+  (* A simulation created under an installed registry folds its trace into
+     the registry's metrics. *)
+  let sim =
+    match metrics_out with
+    | Some _ ->
+        Rthv_obs.Registry.with_installed registry (fun () ->
+            Hyp_sim.create ?trace config)
+    | None -> Hyp_sim.create ?trace config
   in
+  let run_sim () = Hyp_sim.run sim in
   (match profiler with
   | Some p -> Rthv_obs.Prof.with_profiler p run_sim
   | None -> run_sim ());

@@ -25,6 +25,8 @@ module Trace_export = Rthv_core.Trace_export
 module Trace_store = Rthv_core.Trace_store
 module Trace_query = Rthv_core.Trace_query
 module Vcd_export = Rthv_core.Vcd_export
+module Irq_fold = Rthv_core.Irq_fold
+module Attribution = Rthv_core.Attribution
 module Obs = Rthv_obs
 module Scenarios = Rthv_check.Scenarios
 module Slo = Rthv_check.Slo
@@ -35,13 +37,11 @@ type metrics = M_text | M_json | M_prometheus | M_none
 
 (* --- recording ---------------------------------------------------------- *)
 
-let line_subscribers config =
-  let table = Hashtbl.create 8 in
-  List.iter
+let line_partition (config : Config.t) line =
+  List.find_map
     (fun (s : Config.source) ->
-      Hashtbl.replace table s.Config.line s.Config.subscriber)
-    config.Config.sources;
-  Some table
+      if s.Config.line = line then Some s.Config.subscriber else None)
+    config.Config.sources
 
 let record_scenario ~capacity ~registry name =
   match Scenarios.find name with
@@ -52,47 +52,22 @@ let record_scenario ~capacity ~registry name =
   | Some build ->
       let config = build () in
       let trace = Hyp_trace.create ~capacity () in
-      let recorder = Obs.Recorder.create ~registry () in
-      let sim = Hyp_sim.create ~trace config in
-      Obs.Sink.with_sink (Obs.Recorder.sink recorder) (fun () ->
-          Hyp_sim.run sim);
+      let sim =
+        Obs.Registry.with_installed registry (fun () ->
+            Hyp_sim.create ~trace config)
+      in
+      Hyp_sim.run sim;
       let names =
         Array.of_list
           (List.map
              (fun (p : Config.partition) -> p.Config.pname)
              config.Config.partitions)
       in
-      Ok (Hyp_trace.to_list trace, Some names, line_subscribers config)
+      Ok (Hyp_trace.to_list trace, Some names, Some (line_partition config))
 
 (* --- filtering ---------------------------------------------------------- *)
 
-let event_partitions ~lines event =
-  let of_line line =
-    match lines with
-    | Some table -> (
-        match Hashtbl.find_opt table line with
-        | Some p -> [ p ]
-        | None -> [])
-    | None -> []
-  in
-  match event with
-  | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-      [ from_partition; to_partition ]
-  | Hyp_trace.Boundary_deferred { owner; _ } -> [ owner ]
-  | Hyp_trace.Interposition_start { target; _ }
-  | Hyp_trace.Interposition_end { target; _ }
-  | Hyp_trace.Interposition_crossed_boundary { target } ->
-      [ target ]
-  | Hyp_trace.Bottom_handler_start { partition; _ }
-  | Hyp_trace.Bottom_handler_done { partition; _ } ->
-      [ partition ]
-  | Hyp_trace.Top_handler_run { line; _ }
-  | Hyp_trace.Monitor_decision { line; _ }
-  | Hyp_trace.Irq_raised { line; _ }
-  | Hyp_trace.Irq_coalesced { line } ->
-      of_line line
-
-let apply_filters ~partition ~from_us ~to_us ~lines entries =
+let apply_filters ~partition ~from_us ~to_us ~line_partition entries =
   let from_c = Option.map Cycles.of_us from_us in
   let to_c = Option.map Cycles.of_us to_us in
   List.filter
@@ -101,16 +76,17 @@ let apply_filters ~partition ~from_us ~to_us ~lines entries =
         (match from_c with Some f -> e.Hyp_trace.time >= f | None -> true)
         && match to_c with Some u -> e.Hyp_trace.time <= u | None -> true
       in
+      (* The store's partition rule: unattributable events (no line map,
+         e.g. re-exported JSONL) are kept rather than silently hiding
+         hypervisor activity. *)
       let partition_ok =
         match partition with
         | None -> true
-        | Some p -> (
-            match event_partitions ~lines e.Hyp_trace.event with
-            | [] ->
-                (* Unattributable (no line map, e.g. re-exported JSONL):
-                   keep rather than silently hide hypervisor activity. *)
-                true
-            | ps -> List.mem p ps)
+        | Some p ->
+            let event = e.Hyp_trace.event in
+            let a, b, _, _ = Trace_store.encode_event event in
+            Trace_store.row_partition_matches ~line_partition ~p
+              ~kind:(Trace_store.kind_of_event event) ~a ~b
       in
       time_ok && partition_ok)
     entries
@@ -121,19 +97,7 @@ let count_trace_events registry entries =
   List.iter
     (fun e ->
       let kind =
-        match e.Hyp_trace.event with
-        | Hyp_trace.Slot_switch _ -> "slot_switch"
-        | Hyp_trace.Boundary_deferred _ -> "boundary_deferred"
-        | Hyp_trace.Irq_raised _ -> "irq_raised"
-        | Hyp_trace.Bottom_handler_start _ -> "bottom_handler_start"
-        | Hyp_trace.Top_handler_run _ -> "top_handler"
-        | Hyp_trace.Monitor_decision _ -> "monitor_decision"
-        | Hyp_trace.Interposition_start _ -> "interposition_start"
-        | Hyp_trace.Interposition_end _ -> "interposition_end"
-        | Hyp_trace.Interposition_crossed_boundary _ ->
-            "interposition_crossed_boundary"
-        | Hyp_trace.Bottom_handler_done _ -> "bottom_handler_done"
-        | Hyp_trace.Irq_coalesced _ -> "irq_coalesced"
+        Trace_store.kind_name (Trace_store.kind_of_event e.Hyp_trace.event)
       in
       Obs.Registry.incr registry ~labels:(Obs.Labels.v [ ("ev", kind) ])
         "rthv_trace_events_total" 1)
@@ -188,9 +152,11 @@ let main jobs flight_dir source format out to_store partition from_us
   | Error msg ->
       Format.eprintf "rthv_trace: %s@." msg;
       1
-  | Ok (entries, partition_names, lines) -> (
+  | Ok (entries, partition_names, line_partition) -> (
       let total = List.length entries in
-      let entries = apply_filters ~partition ~from_us ~to_us ~lines entries in
+      let entries =
+        apply_filters ~partition ~from_us ~to_us ~line_partition entries
+      in
       count_trace_events registry entries;
       let trace = Trace_export.trace_of_entries entries in
       let fail = ref None in
@@ -394,6 +360,9 @@ let flight_dir =
 
 (* --- report: latency attribution against the analytic bounds ------------ *)
 
+(* Bound minus measured worst case, per (source, class) series. *)
+let headroom v = Option.map (fun b -> b -. v.Slo.sv_worst_us) v.Slo.sv_bound_us
+
 let opt_us = function
   | Some v -> Printf.sprintf "%10.1f" v
   | None -> "         -"
@@ -403,34 +372,32 @@ let print_report_text scenario rows verdict_for =
   Format.printf "%-16s %-12s %7s %10s %10s %10s %10s %10s@." "source" "class"
     "count" "p50us" "p99us" "maxus" "boundus" "headroom";
   List.iter
-    (fun (r : Obs.Attribution.row) ->
-      let v = verdict_for r.Obs.Attribution.r_source r.Obs.Attribution.r_class in
-      let bound = Option.bind v (fun v -> v.Rthv_check.Headroom.hv_bound_us) in
-      let headroom =
-        Option.bind v (fun v -> v.Rthv_check.Headroom.hv_headroom_us)
-      in
-      let s = r.Obs.Attribution.r_latency in
+    (fun (r : Attribution.row) ->
+      let v = verdict_for r.Attribution.r_source r.Attribution.r_class in
+      let bound = Option.bind v (fun v -> v.Slo.sv_bound_us) in
+      let s = r.Attribution.r_latency in
       Format.printf "%-16s %-12s %7d %10.1f %10.1f %10.1f %s %s@."
-        r.Obs.Attribution.r_source r.Obs.Attribution.r_class
-        r.Obs.Attribution.r_count s.Obs.Attribution.st_p50
-        s.Obs.Attribution.st_p99 s.Obs.Attribution.st_max (opt_us bound)
-        (opt_us headroom))
+        r.Attribution.r_source
+        (Irq_fold.class_name r.Attribution.r_class)
+        r.Attribution.r_count s.Attribution.st_p50
+        s.Attribution.st_p99 s.Attribution.st_max (opt_us bound)
+        (opt_us (Option.bind v headroom)))
     rows;
   Format.printf "@.per-component waterfall (mean us per IRQ):@.";
   List.iter
-    (fun (r : Obs.Attribution.row) ->
-      Format.printf "%s/%s:@." r.Obs.Attribution.r_source
-        r.Obs.Attribution.r_class;
-      let components = r.Obs.Attribution.r_components in
+    (fun (r : Attribution.row) ->
+      Format.printf "%s/%s:@." r.Attribution.r_source
+        (Irq_fold.class_name r.Attribution.r_class);
+      let components = r.Attribution.r_components in
       let peak =
         List.fold_left
-          (fun acc (_, (s : Obs.Attribution.stats)) ->
-            Float.max acc s.Obs.Attribution.st_mean)
+          (fun acc (_, (s : Attribution.stats)) ->
+            Float.max acc s.Attribution.st_mean)
           0. components
       in
       List.iter
-        (fun (name, (s : Obs.Attribution.stats)) ->
-          let mean = s.Obs.Attribution.st_mean in
+        (fun (name, (s : Attribution.stats)) ->
+          let mean = s.Attribution.st_mean in
           let width =
             if peak <= 0. then 0
             else int_of_float (Float.round (40. *. mean /. peak))
@@ -439,34 +406,32 @@ let print_report_text scenario rows verdict_for =
         components)
     rows
 
-let stats_json (s : Obs.Attribution.stats) =
+let stats_json (s : Attribution.stats) =
   Obs.Json.Obj
     [
-      ("p50_us", Obs.Json.Float s.Obs.Attribution.st_p50);
-      ("p99_us", Obs.Json.Float s.Obs.Attribution.st_p99);
-      ("max_us", Obs.Json.Float s.Obs.Attribution.st_max);
-      ("mean_us", Obs.Json.Float s.Obs.Attribution.st_mean);
+      ("p50_us", Obs.Json.Float s.Attribution.st_p50);
+      ("p99_us", Obs.Json.Float s.Attribution.st_p99);
+      ("max_us", Obs.Json.Float s.Attribution.st_max);
+      ("mean_us", Obs.Json.Float s.Attribution.st_mean);
     ]
 
 let print_report_json scenario rows verdict_for =
   let opt = function Some v -> Obs.Json.Float v | None -> Obs.Json.Null in
-  let row_json (r : Obs.Attribution.row) =
-    let v = verdict_for r.Obs.Attribution.r_source r.Obs.Attribution.r_class in
+  let row_json (r : Attribution.row) =
+    let v = verdict_for r.Attribution.r_source r.Attribution.r_class in
     Obs.Json.Obj
       [
-        ("source", Obs.Json.String r.Obs.Attribution.r_source);
-        ("class", Obs.Json.String r.Obs.Attribution.r_class);
-        ("count", Obs.Json.Int r.Obs.Attribution.r_count);
-        ("latency", stats_json r.Obs.Attribution.r_latency);
+        ("source", Obs.Json.String r.Attribution.r_source);
+        ("class", Obs.Json.String (Irq_fold.class_name r.Attribution.r_class));
+        ("count", Obs.Json.Int r.Attribution.r_count);
+        ("latency", stats_json r.Attribution.r_latency);
         ( "components",
           Obs.Json.Obj
             (List.map
                (fun (name, s) -> (name, stats_json s))
-               r.Obs.Attribution.r_components) );
-        ( "bound_us",
-          opt (Option.bind v (fun v -> v.Rthv_check.Headroom.hv_bound_us)) );
-        ( "headroom_us",
-          opt (Option.bind v (fun v -> v.Rthv_check.Headroom.hv_headroom_us)) );
+               r.Attribution.r_components) );
+        ("bound_us", opt (Option.bind v (fun v -> v.Slo.sv_bound_us)));
+        ("headroom_us", opt (Option.bind v headroom));
       ]
   in
   print_endline
@@ -489,24 +454,20 @@ let report_main flight_dir scenario capacity json =
       1
   | Some build ->
       let config = build () in
-      let registry = Obs.Registry.create () in
-      let recorder = Obs.Recorder.create ~registry () in
-      let attr = Obs.Attribution.create () in
+      let attr = Attribution.create () in
+      let slo = Slo.create config in
       let trace = Hyp_trace.create ~capacity () in
-      let sim = Hyp_sim.create ~trace config in
-      Obs.Sink.with_sink
-        (Obs.Sink.tee (Obs.Recorder.sink recorder) (Obs.Attribution.sink attr))
-        (fun () -> Hyp_sim.run sim);
-      Rthv_check.Headroom.gauges config registry;
-      let verdicts = Rthv_check.Headroom.verdicts config registry in
+      Irq_fold.attach ~config trace (fun sp ->
+          Attribution.record attr sp;
+          Slo.span slo sp);
+      Hyp_sim.run (Hyp_sim.create ~trace config);
+      let verdicts = Slo.verdicts slo in
       let verdict_for source cls =
         List.find_opt
-          (fun v ->
-            v.Rthv_check.Headroom.hv_source = source
-            && v.Rthv_check.Headroom.hv_class = cls)
+          (fun v -> v.Slo.sv_source = source && v.Slo.sv_class = cls)
           verdicts
       in
-      let rows = Obs.Attribution.rows attr in
+      let rows = Attribution.rows attr in
       if json then print_report_json scenario rows verdict_for
       else print_report_text scenario rows verdict_for;
       (* Non-negative headroom is the acceptance criterion: a measured
@@ -515,9 +476,7 @@ let report_main flight_dir scenario capacity json =
       let negative =
         List.filter
           (fun v ->
-            match v.Rthv_check.Headroom.hv_headroom_us with
-            | Some h -> h < 0.
-            | None -> false)
+            match headroom v with Some h -> h < 0. | None -> false)
           verdicts
       in
       if negative <> [] then begin
@@ -531,8 +490,8 @@ let report_main flight_dir scenario capacity json =
           String.concat ","
             (List.map
                (fun v ->
-                 Printf.sprintf "%s/%s" v.Rthv_check.Headroom.hv_source
-                   v.Rthv_check.Headroom.hv_class)
+                 Printf.sprintf "%s/%s" v.Slo.sv_source
+                   (Irq_fold.class_name v.Slo.sv_class))
                negative)
         in
         (match
@@ -678,10 +637,6 @@ let scenario_config = function
             (Printf.sprintf "unknown scenario %S (available: %s)" name
                (String.concat ", " (List.map fst Scenarios.all))))
 
-let source_of_line config line =
-  List.find_opt (fun (s : Config.source) -> s.Config.line = line)
-    config.Config.sources
-
 let query_main store agg group_by from_us to_us partition kinds scenario slo
     json =
   let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
@@ -703,36 +658,14 @@ let query_main store agg group_by from_us to_us partition kinds scenario slo
         partition;
       }
     in
-    let line_partition =
-      Option.map
-        (fun config line ->
-          Option.map
-            (fun (s : Config.source) -> s.Config.subscriber)
-            (source_of_line config line))
-        config
-    in
-    let line_source =
-      Option.map
-        (fun config line ->
-          Option.map
-            (fun (s : Config.source) -> s.Config.name)
-            (source_of_line config line))
-        config
-    in
     let slo_t =
       if slo then Option.map (fun config -> Slo.create config) config
       else None
     in
-    let on_sample =
-      Option.map
-        (fun t ~source ~cls ~partition:_ ~latency_us ->
-          Slo.observe t ~source ~cls ~latency_us)
-        slo_t
-    in
+    let on_sample = Option.map Slo.span slo_t in
     let* q =
       match
-        Trace_query.run ?filter:(Some filter) ?line_partition ?line_source
-          ?on_sample ~agg ~group_by store
+        Trace_query.run ~filter ?config ?on_sample ~agg ~group_by store
       with
       | q -> Ok q
       | exception Invalid_argument msg -> Error msg

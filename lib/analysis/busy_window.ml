@@ -1,6 +1,5 @@
 module Cycles = Rthv_engine.Cycles
-module Sink = Rthv_obs.Sink
-module Labels = Rthv_obs.Labels
+module Registry = Rthv_obs.Registry
 module Prof = Rthv_obs.Prof
 
 (* Fixed-point phase for the profiler; convergence telemetry goes through
@@ -103,16 +102,24 @@ let response_time ~wcet ~delta ~interference ?(max_q = 4096) () =
         let q_max = List.length busy_windows in
         Ok { response_time; q_max; busy_windows; critical_q }
   in
-  if Sink.active () then begin
-    Sink.gauge "rthv_busy_window_iterations" Labels.empty
-      (float_of_int !total_steps);
-    Sink.gauge "rthv_busy_window_residual_cycles" Labels.empty
-      (float_of_int stats.fs_residual);
-    match result with
-    | Ok r ->
-        Sink.gauge "rthv_busy_window_q_max" Labels.empty (float_of_int r.q_max)
-    | Error _ -> ()
-  end;
+  (match Registry.installed () with
+  | Some reg ->
+      let gauge name doc v =
+        Registry.set_help reg name doc;
+        Registry.set_gauge reg name (float_of_int v)
+      in
+      gauge "rthv_busy_window_iterations"
+        "Fixed-point iterations of the last busy-window analysis."
+        !total_steps;
+      gauge "rthv_busy_window_residual_cycles"
+        "Final residual of the last busy-window fixed point, in cycles."
+        stats.fs_residual;
+      Result.iter
+        (fun r ->
+          gauge "rthv_busy_window_q_max"
+            "Activations in the last closed busy period." r.q_max)
+        result
+  | None -> ());
   Prof.leave prof;
   result
 

@@ -153,12 +153,18 @@ module Fix = struct
       end
     done;
     (* Convergence telemetry, mirroring the rthv_busy_window_* gauges. *)
-    if Rthv_obs.Sink.active () then begin
-      Rthv_obs.Sink.gauge "rthv_absint_steps" Rthv_obs.Labels.empty
-        (float_of_int !steps);
-      Rthv_obs.Sink.gauge "rthv_absint_nodes" Rthv_obs.Labels.empty
-        (float_of_int (List.length sys.nodes))
-    end;
+    (match Rthv_obs.Registry.installed () with
+    | Some reg ->
+        let gauge name doc v =
+          Rthv_obs.Registry.set_help reg name doc;
+          Rthv_obs.Registry.set_gauge reg name (float_of_int v)
+        in
+        gauge "rthv_absint_steps"
+          "Abstract-interpretation solver steps of the last run." !steps;
+        gauge "rthv_absint_nodes"
+          "Constraint-system nodes of the last abstract-interpretation run."
+          (List.length sys.nodes)
+    | None -> ());
     (get, !steps)
 end
 

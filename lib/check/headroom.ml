@@ -6,10 +6,6 @@ module Busy_window = Rthv_analysis.Busy_window
 module Irq_latency = Rthv_analysis.Irq_latency
 module Tdma_interference = Rthv_analysis.Tdma_interference
 module Bound = Rthv_analysis.Bound
-module Registry = Rthv_obs.Registry
-module Labels = Rthv_obs.Labels
-module Metric = Rthv_obs.Metric
-module Quantile = Rthv_obs.Quantile
 
 type bound = {
   hb_source : string;
@@ -141,61 +137,3 @@ let bound_for bounds ~source ~cls =
   with
   | Some b -> b.hb_bound_us
   | None -> None
-
-type verdict = {
-  hv_source : string;
-  hv_class : string;
-  hv_count : int;
-  hv_measured_us : float;
-  hv_bound_us : float option;
-  hv_headroom_us : float option;
-}
-
-(* Measured worst cases live in the rthv_irq_latency_us summary the recorder
-   collects (one series per source x class). *)
-let measured registry =
-  List.filter_map
-    (fun (row : Registry.row) ->
-      if row.Registry.name <> "rthv_irq_latency_us" then None
-      else
-        match row.Registry.value with
-        | Metric.Summary q -> (
-            let labels = Labels.to_list row.Registry.labels in
-            match
-              (List.assoc_opt "source" labels, List.assoc_opt "class" labels)
-            with
-            | Some source, Some cls ->
-                Option.map
-                  (fun m -> (source, cls, Quantile.count q, m))
-                  (Quantile.max_value q)
-            | _ -> None)
-        | _ -> None)
-    (Registry.snapshot registry)
-
-let verdicts config registry =
-  let bounds = bounds config in
-  List.map
-    (fun (source, cls, count, worst) ->
-      let bound = bound_for bounds ~source ~cls in
-      {
-        hv_source = source;
-        hv_class = cls;
-        hv_count = count;
-        hv_measured_us = worst;
-        hv_bound_us = bound;
-        hv_headroom_us = Option.map (fun b -> b -. worst) bound;
-      })
-    (measured registry)
-
-let gauges config registry =
-  List.iter
-    (fun v ->
-      let labels =
-        Labels.v [ ("source", v.hv_source); ("class", v.hv_class) ]
-      in
-      match (v.hv_bound_us, v.hv_headroom_us) with
-      | Some bound, Some headroom ->
-          Registry.set_gauge registry ~labels "rthv_latency_bound_us" bound;
-          Registry.set_gauge registry ~labels "rthv_bound_headroom_us" headroom
-      | _ -> ())
-    (verdicts config registry)

@@ -1,13 +1,13 @@
-(** Bound headroom: measured worst-case latencies vs the analytic bounds.
+(** Bound headroom: the analytic latency bounds measured runs are judged
+    against.
 
     For every configured source and handling class this module computes the
     paper's latency bound — equations (11)/(12) for delayed (and, a
-    fortiori, direct) handling, equation (16) for interposed handling — and
-    compares it against the measured worst case collected by the
-    observability layer ([rthv_irq_latency_us] summaries, or
-    {!Rthv_obs.Attribution} rows).  Headroom = bound - measured; a negative
-    headroom on a conformant scenario means either the analysis or the
-    simulator is wrong, which is exactly what the check is for. *)
+    fortiori, direct) handling, equation (16) for interposed handling.
+    {!Slo} compares each observed latency with it as the run goes by:
+    headroom = bound - worst observed; a negative headroom on a conformant
+    scenario means either the analysis or the simulator is wrong, which is
+    exactly what the check is for. *)
 
 type bound = {
   hb_source : string;
@@ -26,20 +26,3 @@ val bounds : Rthv_core.Config.t -> bound list
 
 val bound_for :
   bound list -> source:string -> cls:string -> float option
-
-type verdict = {
-  hv_source : string;
-  hv_class : string;
-  hv_count : int;  (** Completions observed for this series. *)
-  hv_measured_us : float;  (** Measured worst-case latency. *)
-  hv_bound_us : float option;
-  hv_headroom_us : float option;  (** [bound - measured] when bounded. *)
-}
-
-val verdicts : Rthv_core.Config.t -> Rthv_obs.Registry.t -> verdict list
-(** Reads the [rthv_irq_latency_us] summaries out of the registry and pairs
-    each (source, class) series with its analytic bound. *)
-
-val gauges : Rthv_core.Config.t -> Rthv_obs.Registry.t -> unit
-(** Surfaces [rthv_latency_bound_us] and [rthv_bound_headroom_us] gauges in
-    the registry for every bounded series. *)

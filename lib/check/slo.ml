@@ -3,16 +3,18 @@
    One mutable record per (source, class) series, created lazily on the
    first sample and cached in a hashtable, so the steady-state cost of a
    sample is a hash lookup plus a few float compares and ref updates —
-   cheap enough to sit inside a live simulation's sink or a million-event
+   cheap enough to sit on a live simulation's trace or a million-event
    store scan. *)
 
+module Irq_fold = Rthv_core.Irq_fold
+module Irq_record = Rthv_core.Irq_record
 module Registry = Rthv_obs.Registry
 module Labels = Rthv_obs.Labels
 module Json = Rthv_obs.Json
 
 type verdict = {
   sv_source : string;
-  sv_class : string;
+  sv_class : Irq_record.classification option;
   sv_count : int;
   sv_worst_us : float;
   sv_bound_us : float option;
@@ -22,7 +24,7 @@ type verdict = {
 
 type series = {
   se_source : string;
-  se_class : string;
+  se_class : Irq_record.classification option;
   se_bound_us : float option;
   mutable se_count : int;
   mutable se_worst_us : float;
@@ -38,7 +40,7 @@ type series = {
 type t = {
   bounds : Headroom.bound list;
   registry : Registry.t option;
-  table : (string * string, series) Hashtbl.t;
+  table : (string * Irq_record.classification option, series) Hashtbl.t;
 }
 
 let help =
@@ -58,8 +60,9 @@ let series t ~source ~cls =
   match Hashtbl.find_opt t.table (source, cls) with
   | Some s -> s
   | None ->
-      let bound = Headroom.bound_for t.bounds ~source ~cls in
-      let labels = Labels.v [ ("source", source); ("class", cls) ] in
+      let cls_name = Irq_fold.class_name cls in
+      let bound = Headroom.bound_for t.bounds ~source ~cls:cls_name in
+      let labels = Labels.v [ ("source", source); ("class", cls_name) ] in
       let gauge name = Option.map (fun r -> Registry.gauge r ~labels name) t.registry in
       let counter name = Option.map (fun r -> Registry.counter r ~labels name) t.registry in
       (match (t.registry, bound) with
@@ -99,17 +102,9 @@ let observe t ~source ~cls ~latency_us =
       Option.iter (fun r -> incr r) s.se_violations_counter
   | _ -> ()
 
-let sink t =
-  {
-    Rthv_obs.Sink.noop with
-    observe =
-      (fun name labels v ->
-        if String.equal name "rthv_irq_latency_us" then
-          let l = Labels.to_list labels in
-          match (List.assoc_opt "source" l, List.assoc_opt "class" l) with
-          | Some source, Some cls -> observe t ~source ~cls ~latency_us:v
-          | _ -> ());
-  }
+let span t (sp : Irq_fold.span) =
+  observe t ~source:sp.Irq_fold.source ~cls:sp.Irq_fold.cls
+    ~latency_us:(Irq_fold.latency_us sp)
 
 let burn s =
   match s.se_bound_us with
@@ -132,7 +127,10 @@ let verdicts t =
     t.table []
   |> List.sort (fun a b ->
          match compare a.sv_source b.sv_source with
-         | 0 -> compare a.sv_class b.sv_class
+         | 0 ->
+             compare
+               (Irq_fold.class_name a.sv_class)
+               (Irq_fold.class_name b.sv_class)
          | c -> c)
 
 let ok t = Hashtbl.fold (fun _ s acc -> acc && s.se_violations = 0) t.table true
@@ -146,7 +144,8 @@ let pp ppf t =
       let bound = match v.sv_bound_us with Some b -> Printf.sprintf "%.2f" b | None -> "-" in
       let burn = match v.sv_burn with Some b -> Printf.sprintf "%.3f" b | None -> "-" in
       Format.fprintf ppf "%-14s %-11s %8d %12.2f %12s %8s %6d@," v.sv_source
-        v.sv_class v.sv_count v.sv_worst_us bound burn v.sv_violations)
+        (Irq_fold.class_name v.sv_class)
+        v.sv_count v.sv_worst_us bound burn v.sv_violations)
     vs;
   Format.fprintf ppf "slo: %s (%d series)@]"
     (if ok t then "ok" else "VIOLATED")
@@ -159,7 +158,7 @@ let to_json t =
         Json.Obj
           ([
              ("source", Json.String v.sv_source);
-             ("class", Json.String v.sv_class);
+             ("class", Json.String (Irq_fold.class_name v.sv_class));
              ("samples", Json.Int v.sv_count);
              ("worst_us", Json.Float v.sv_worst_us);
            ]

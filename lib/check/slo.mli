@@ -1,10 +1,9 @@
 (** Streaming SLO gauges: observed latency vs the analytic bounds.
 
-    {!Headroom} judges a finished run by reading the registry's summaries.
-    This module is the streaming counterpart: it precomputes the
+    This module judges a run against the analysis: it precomputes the
     equations-(11)/(12)/(16) bounds once ({!Headroom.bounds}) and then
-    folds latency samples in one at a time — from a live simulation (via
-    {!sink}) or from a trace-store scan (via {!observe}, the
+    folds the {!Rthv_core.Irq_fold} spans in one at a time ({!span}) — from
+    a live simulation's trace or from a trace-store scan (the
     [Trace_query.run ~on_sample] hook) — keeping per-(source, class) burn
     gauges current as the stream goes by:
 
@@ -21,7 +20,8 @@
 
 type verdict = {
   sv_source : string;
-  sv_class : string;  (** ["direct" | "interposed" | "delayed" | ...]. *)
+  sv_class : Rthv_core.Irq_record.classification option;
+      (** [None]: the query engine's ["unknown"] class. *)
   sv_count : int;  (** Latency samples folded into this series. *)
   sv_worst_us : float;
   sv_bound_us : float option;  (** [None]: no finite analytic bound. *)
@@ -35,16 +35,20 @@ val create : ?registry:Rthv_obs.Registry.t -> Rthv_core.Config.t -> t
 (** Precompute the bounds for [config]'s sources.  With [registry] the
     gauges and counters above are kept current on every {!observe}. *)
 
-val observe : t -> source:string -> cls:string -> latency_us:float -> unit
+val observe :
+  t ->
+  source:string ->
+  cls:Rthv_core.Irq_record.classification option ->
+  latency_us:float ->
+  unit
 (** Fold one latency sample.  Series appear lazily, so samples for a
     (source, class) pair the analysis did not anticipate — including the
-    query engine's ["unknown"] class — are still counted (unbounded). *)
+    query engine's unknown class — are still counted (unbounded). *)
 
-val sink : t -> Rthv_obs.Sink.t
-(** A sink feeding every [rthv_irq_latency_us] observation carrying
-    [source] and [class] labels into {!observe} and ignoring everything
-    else; {!Rthv_obs.Sink.tee} it with a recorder's sink to watch a live
-    run without giving up metrics capture. *)
+val span : t -> Rthv_core.Irq_fold.span -> unit
+(** {!observe} the span's source, class and {!Rthv_core.Irq_fold.latency_us}:
+    the consumer to hand {!Rthv_core.Irq_fold.attach} or
+    [Trace_query.run ~on_sample]. *)
 
 val verdicts : t -> verdict list
 (** One per series seen so far, sorted by source then class. *)

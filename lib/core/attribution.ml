@@ -4,28 +4,38 @@
    IRQs; the worst span (maximum end-to-end latency) is kept whole for the
    report's drill-down. *)
 
+module Cycles = Rthv_engine.Cycles
+module Quantile = Rthv_obs.Quantile
+
 type group = {
   g_source : string;
-  g_class : string;
+  g_class : Irq_record.classification option;
   mutable g_count : int;
   g_latency : Quantile.t;
   g_components : (string, Quantile.t) Hashtbl.t;
-  mutable g_worst : Span.t option;
+  mutable g_worst : Irq_fold.span option;
 }
 
-type t = { groups : ((string * string), group) Hashtbl.t }
+type t = {
+  groups : (string * Irq_record.classification option, group) Hashtbl.t;
+}
 
 let create () = { groups = Hashtbl.create 8 }
 
-let group t sp =
-  let key = (sp.Span.sp_source, sp.Span.sp_class) in
+(* The sum of the components, which are differences of per-timestamp
+   microsecond values. *)
+let latency (sp : Irq_fold.span) =
+  Cycles.to_us sp.Irq_fold.completion -. Cycles.to_us sp.Irq_fold.arrival
+
+let group t (sp : Irq_fold.span) =
+  let key = (sp.Irq_fold.source, sp.Irq_fold.cls) in
   match Hashtbl.find_opt t.groups key with
   | Some g -> g
   | None ->
       let g =
         {
-          g_source = sp.Span.sp_source;
-          g_class = sp.Span.sp_class;
+          g_source = sp.Irq_fold.source;
+          g_class = sp.Irq_fold.cls;
           g_count = 0;
           g_latency = Quantile.create ();
           g_components = Hashtbl.create 8;
@@ -38,7 +48,7 @@ let group t sp =
 let record t sp =
   let g = group t sp in
   g.g_count <- g.g_count + 1;
-  Quantile.observe g.g_latency (Span.latency sp);
+  Quantile.observe g.g_latency (latency sp);
   List.iter
     (fun (name, v) ->
       let q =
@@ -50,13 +60,10 @@ let record t sp =
             q
       in
       Quantile.observe q v)
-    (Span.components sp);
+    (Irq_fold.components sp);
   match g.g_worst with
-  | Some w when Span.latency w >= Span.latency sp -> ()
+  | Some w when latency w >= latency sp -> ()
   | _ -> g.g_worst <- Some sp
-
-let sink t =
-  { Sink.noop with Sink.span = (fun sp -> record t sp) }
 
 (* --- read-out ----------------------------------------------------------- *)
 
@@ -73,11 +80,11 @@ let stats_of q =
 
 type row = {
   r_source : string;
-  r_class : string;
+  r_class : Irq_record.classification option;
   r_count : int;
   r_latency : stats;
   r_components : (string * stats) list;  (* causal order *)
-  r_worst : Span.t option;
+  r_worst : Irq_fold.span option;
 }
 
 let row_of_group g =
@@ -87,7 +94,7 @@ let row_of_group g =
         match Hashtbl.find_opt g.g_components name with
         | Some q -> Some (name, stats_of q)
         | None -> None)
-      Span.all_component_names
+      Irq_fold.all_component_names
   in
   {
     r_source = g.g_source;
@@ -102,7 +109,10 @@ let rows t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.groups []
   |> List.sort (fun a b ->
          match String.compare a.g_source b.g_source with
-         | 0 -> String.compare a.g_class b.g_class
+         | 0 ->
+             String.compare
+               (Irq_fold.class_name a.g_class)
+               (Irq_fold.class_name b.g_class)
          | c -> c)
   |> List.map row_of_group
 

@@ -8,11 +8,15 @@
    {!Rthv_engine.Event_arena}: each segment runs the current context
    (hypervisor ring, then a live interposition, then the slot owner) up to
    its work's completion or the next external event, whichever comes
-   first.  Hypervisor bursts drain inline.  Without a trace, a sink or
-   task activation, the per-IRQ path of a streaming ([retain=false]) run
-   allocates nothing; [test_streaming_run_allocation] in
-   test/test_hyp_sim.ml pins it at <= 2 minor words per IRQ.  A retained
-   run allocates what it keeps: each IRQ's record and queue item. *)
+   first.  Hypervisor bursts drain inline.  Without a trace (which an
+   installed registry implies) or task activation, the per-IRQ path of a
+   streaming ([retain=false]) run allocates nothing;
+   [test_streaming_run_allocation] in test/test_hyp_sim.ml pins it at <= 2
+   minor words per IRQ.  A retained run allocates what it keeps: each
+   IRQ's record.
+
+   Telemetry is a fold over the trace: when a registry is installed,
+   [create] attaches {!Sim_metrics} to the trace's spill hooks. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
@@ -113,16 +117,26 @@ let create ?trace ?(policies = []) ?(retain = true) config =
   let n = Array.length guests in
   let slot = Tdma.slot () in
   Tdma.locate tdma 0 slot;
+  let registry = Rthv_obs.Registry.installed () in
   let trace =
     match (trace, !audit_hook) with
     | (Some _ as some), _ -> some
     | None, Some _ -> Some (Hyp_trace.create ~capacity:audit_trace_capacity ())
     | None, None ->
         (* No audit, but the flight recorder wants the last N events of
-           every run available for a post-mortem dump. *)
+           every run available for a post-mortem dump, and the metrics
+           fold reads the events through the ring's spill hook. *)
         if Flight_recorder.enabled () then
           Some (Hyp_trace.create ~capacity:(Flight_recorder.capacity ()) ())
+        else if Option.is_some registry then
+          (* One minor-heap block: the fold, not the ring, keeps the run. *)
+          Some (Hyp_trace.create ~capacity:256 ())
         else None
+  in
+  let metrics =
+    match (registry, trace) with
+    | Some reg, Some trace -> Some (Sim_metrics.attach reg config trace)
+    | _ -> None
   in
   let hq_cap = 16 and pf_cap = 64 in
   let t =
@@ -131,6 +145,7 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       config;
       boundary = config.Config.boundary;
       trace;
+      metrics;
       prof = Rthv_obs.Prof.disabled;
       tdma;
       ipc;
@@ -150,7 +165,6 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       pf_arrival = Array.make pf_cap 0;
       pf_top_start = Array.make pf_cap 0;
       pf_top_end = Array.make pf_cap 0;
-      pf_decision = Array.make pf_cap 0;
       pf_bh_start = Array.make pf_cap 0;
       pf_class = Array.make pf_cap Irq_record.Delayed;
       c_mon = Platform.monitor_cost platform;
@@ -400,8 +414,7 @@ let run ?(horizon = default_horizon) t =
            : string option);
        Printexc.raise_with_backtrace e bt);
     close_slot_accounting t;
-    if obs_active () then
-      Sink.gauge "rthv_sim_time_us" Labels.empty (Cycles.to_us t.now);
+    Option.iter (fun m -> Sim_metrics.finished m t.now) t.metrics;
     t.finished <- true;
     match (!audit_hook, t.trace) with
     | Some hook, Some trace -> hook t.config trace

@@ -93,12 +93,17 @@ val create :
     least as strict as the declared shaping.
 
     [?retain] (default [true]): when [false], per-IRQ completion records
-    (and the guests' completion lists) are not accumulated — streaming runs
-    over millions of IRQs keep O(1) memory: the remaining per-IRQ state is
-    sized by the IRQs in flight at once, not by the run length, and a
-    completed bottom-half queue item is reused for a later IRQ.  {!records}
-    then returns [[]]; {!stats} is unaffected (completion counts are
-    maintained separately).
+    (and the guests' task-completion lists) are not accumulated — streaming
+    runs over millions of IRQs keep O(1) memory: the remaining per-IRQ
+    state is sized by the IRQs in flight at once, not by the run length.
+    {!records} then returns [[]]; {!stats} is unaffected (completion counts
+    are maintained separately).  Either way a completed bottom-half queue
+    item is reused for a later IRQ.
+
+    While a registry is installed ({!Rthv_obs.Registry.with_installed}),
+    the simulation adds a {!Sim_metrics} fold to its trace's spill hooks
+    (attaching a small ring when there is no trace), so a trace reused
+    across such simulations feeds every one of their folds.
     @raise Invalid_argument if [Config.validate] fails or a policy names an
     unknown source. *)
 

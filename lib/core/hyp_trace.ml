@@ -60,8 +60,17 @@ let create ?(capacity = 65_536) () =
   }
 
 let capacity t = t.capacity
-let set_spill t f = t.spill <- Some f
-let clear_spill t = t.spill <- None
+(* Hooks compose into one closure, so a record pays one call whatever the
+   number of hooks and allocates nothing. *)
+let set_spill t f =
+  t.spill <-
+    Some
+      (match t.spill with
+      | None -> f
+      | Some g ->
+          fun ~time event ->
+            g ~time event;
+            f ~time event)
 
 (* The write index reached the end of the arrays.  Below [capacity] the
    ring has never wrapped, so its entries fill the arrays in order: double

@@ -70,13 +70,13 @@ val record : t -> time:Rthv_engine.Cycles.t -> event -> unit
     unhooked path. *)
 
 val set_spill : t -> (time:Rthv_engine.Cycles.t -> event -> unit) -> unit
-(** Install a per-record spill hook: every {!record} also hands the entry
-    to [f] before the ring can overwrite it.  This is how a bounded ring
+(** Add a per-record spill hook: every {!record} also hands the entry to
+    [f] before the ring can overwrite it.  This is how a bounded ring
     streams an unbounded run into {!Trace_store.Writer} — the ring keeps
-    its flight-recorder tail, the hook keeps the full history.  The hook
-    must not record into the same trace. *)
-
-val clear_spill : t -> unit
+    its flight-recorder tail, the hook keeps the full history — and how
+    the {!Irq_fold} consumers read a live run.  Hooks accumulate and run
+    in the order they were added.  A hook must not record into the same
+    trace. *)
 
 val length : t -> int
 (** Entries currently retained. *)

@@ -34,7 +34,6 @@ let handle_boundary t =
       trace_event t
         (Hyp_trace.Boundary_deferred
            { owner = t.slot.Tdma.owner; until = deferred });
-    if obs_active () then obs_count "rthv_bh_boundary_deferrals_total";
     (* Keep the old owner in place; extend its slot to the deferred check
        so execution can proceed, and re-examine then. *)
     t.slot.Tdma.slot_end <- deferred;
@@ -50,8 +49,7 @@ let handle_boundary t =
       t.boundary_crossings <- t.boundary_crossings + 1;
       if tracing t then
         trace_event t
-          (Hyp_trace.Interposition_crossed_boundary { target = t.ip_target });
-      if obs_active () then obs_count "rthv_boundary_crossings_total"
+          (Hyp_trace.Interposition_crossed_boundary { target = t.ip_target })
     end;
     close_slot_accounting t;
     let previous_owner = t.slot.Tdma.owner in
@@ -65,7 +63,6 @@ let handle_boundary t =
              from_partition = previous_owner;
              to_partition = t.slot.Tdma.owner;
            });
-    if obs_active () then obs_count "rthv_slot_switches_total";
     enqueue_hyp t K_slot_switch ~cost:t.c_ctx (-1);
     Event_arena.push t.events ~time:t.slot.Tdma.slot_end ev_boundary
   end;

@@ -15,15 +15,13 @@ module Guest = Rthv_rtos.Guest
 module Intc = Rthv_hw.Intc
 open Sim_state
 
-(* Record one monitor verdict (trace + telemetry); top-level so the hot
-   path allocates no closure, and guarded so untraced runs do not build the
-   event value. *)
+(* Trace one monitor verdict; top-level so the hot path allocates no
+   closure, and guarded so untraced runs do not build the event value. *)
 let record_decision t src irq ~arrival verdict =
   if tracing t then
     trace_event t
       (Hyp_trace.Monitor_decision
-         { irq; line = src.cfg.Config.line; arrival; verdict });
-  if obs_active () then obs_monitor_decision src verdict
+         { irq; line = src.cfg.Config.line; arrival; verdict })
 
 (* Decision point of the modified top handler (Figure 4b), reached after the
    admission predicate ran: admit the interposition or fall back to delayed
@@ -33,7 +31,6 @@ let monitor_done t irq =
   let i = pending_slot t irq in
   let src = t.sources.(t.pf_source.(i)) in
   let arrival = t.pf_arrival.(i) in
-  t.pf_decision.(i) <- t.now;
   let conforms = Admission.decide src.admission arrival in
   let subscriber = src.cfg.Config.subscriber in
   if t.slot.Tdma.owner = subscriber then begin
@@ -81,14 +78,12 @@ let top_handler_done t irq =
   in
   Irq_queue.push (Guest.queue t.guests.(subscriber)) item;
   if t.slot.Tdma.owner = subscriber then begin
-    t.pf_decision.(i) <- t.now;
     t.pf_class.(i) <- Irq_record.Direct;
     t.n_direct <- t.n_direct + 1
   end
   else if not (Admission.active src.admission) then begin
     (* Original Figure-4a top handler: no admission machinery, every
        foreign-slot IRQ is delayed to the subscriber's slot. *)
-    t.pf_decision.(i) <- t.now;
     t.pf_class.(i) <- Irq_record.Delayed;
     t.n_delayed <- t.n_delayed + 1
   end
@@ -110,10 +105,6 @@ let hyp_done t kind irq =
       if tracing t then
         trace_event t
           (Hyp_trace.Interposition_start { irq; target = subscriber });
-      if obs_active () then
-        Sink.incr "rthv_interpositions_total"
-          (Labels.of_int "partition" subscriber)
-          1;
       t.ip_target <- subscriber;
       t.ip_budget <- src.cfg.Config.c_bh
   | K_ctx_back ->
@@ -151,8 +142,6 @@ let handle_arrival t s_idx =
     (* The non-counting pending flag is already set: this raise coalesces
        into the earlier one and is lost.  Intc counts it; the trace makes
        it visible on the timeline. *)
-    if tracing t then trace_event t (Hyp_trace.Irq_coalesced { line });
-    if obs_active () then
-      Sink.incr "rthv_irq_coalesced_total" (Labels.of_int "line" line) 1
+    if tracing t then trace_event t (Hyp_trace.Irq_coalesced { line })
   end;
   Intc.raise_line t.intc line

@@ -8,8 +8,8 @@
    boxed entries), hypervisor work items live in a pooled ring of parallel
    arrays tagged by {!hyp_kind} (no records, no closures), in-flight IRQ
    state lives in parallel int columns found by masking the IRQ id (no
-   hashing, no per-IRQ record), and streaming runs recycle completed
-   bottom-half queue items. *)
+   hashing, no per-IRQ record), and completed bottom-half queue items are
+   recycled. *)
 
 module Cycles = Rthv_engine.Cycles
 module Event_arena = Rthv_engine.Event_arena
@@ -66,6 +66,9 @@ type t = {
   config : Config.t;
   boundary : Boundary_policy.t;
   trace : Hyp_trace.t option;
+  metrics : Sim_metrics.t option;
+      (* Set when a registry was installed at creation; its fold reads
+         [trace]. *)
   mutable prof : Rthv_obs.Prof.t;
       (* The phase profiler for the current run, hoisted out of the step
          loop: [Hyp_sim.run] refreshes it from [Prof.installed] once per
@@ -100,7 +103,6 @@ type t = {
   mutable pf_arrival : Cycles.t array;
   mutable pf_top_start : Cycles.t array;
   mutable pf_top_end : Cycles.t array;
-  mutable pf_decision : Cycles.t array;  (* class fixed; -1 until then *)
   mutable pf_bh_start : Cycles.t array;  (* first bottom-half cycle, or -1 *)
   mutable pf_class : Irq_record.classification array;
   c_mon : Cycles.t;
@@ -119,8 +121,8 @@ type t = {
      completed): ids are dense from 0, so reading them back in arrival
      order is one pass, no sort.  Grows by doubling from 64 rows. *)
   mutable records : Irq_record.t array;
-  (* Streaming runs only: completed queue items, reused by the next top
-     handlers ([item_pool_len] of them at the front). *)
+  (* Completed queue items, reused by the next top handlers
+     ([item_pool_len] of them at the front). *)
   mutable item_pool : Irq_queue.item array;
   mutable item_pool_len : int;
   mutable n_completed : int;
@@ -210,7 +212,6 @@ let pending_grow t =
   t.pf_arrival <- move t.pf_arrival 0;
   t.pf_top_start <- move t.pf_top_start 0;
   t.pf_top_end <- move t.pf_top_end 0;
-  t.pf_decision <- move t.pf_decision 0;
   t.pf_bh_start <- move t.pf_bh_start 0;
   t.pf_class <- move t.pf_class Irq_record.Delayed;
   t.pf_irq <- move ids (-1)
@@ -228,7 +229,6 @@ let rec pending_add t irq ~source ~arrival =
     t.pf_arrival.(i) <- arrival;
     t.pf_top_start.(i) <- arrival;
     t.pf_top_end.(i) <- arrival;
-    t.pf_decision.(i) <- -1;
     t.pf_bh_start.(i) <- -1;
     t.pf_class.(i) <- Irq_record.Delayed
   end
@@ -244,81 +244,14 @@ let trace_event t event = trace_event_at t t.now event
    so untraced runs skip even that. *)
 let tracing t = match t.trace with Some _ -> true | None -> false
 
-(* --- telemetry ----------------------------------------------------------
-   Every site is guarded by [Sink.active] so the default no-op sink costs a
-   single flag read — no labels are built, no calls dispatched.  Metric
-   names map onto the paper's quantities: [rthv_irq_latency_us] is the
-   simulated counterpart of the eq. (11)/(16) latency bounds,
-   [rthv_stolen_slot_us] the per-slot interference eq. (14) budgets. *)
-module Sink = Rthv_obs.Sink
-module Labels = Rthv_obs.Labels
-module Span = Rthv_obs.Span
+(* Profiled phases of the stepping loop (see DESIGN "Profiling"): the drain
+   loop's event dispatch, the admission decision and boundary handling. *)
 module Prof = Rthv_obs.Prof
 
-let obs_active = Sink.active
-
-(* Profiled phases of the stepping loop (see DESIGN "Profiling"): the drain
-   loop's event dispatch, the admission decision, boundary handling, and
-   the sink-emission work on IRQ completion. *)
 let ph_run = Prof.phase "run"
 let ph_dispatch = Prof.phase "dispatch"
 let ph_admission = Prof.phase "admission"
 let ph_boundary = Prof.phase "boundary"
-let ph_sink_emit = Prof.phase "sink_emit"
-
-let obs_count name = Sink.incr name Labels.empty 1
-
-let obs_irq_completed t src i =
-  let source = src.cfg.Config.name in
-  let cls = Irq_record.classification_name t.pf_class.(i) in
-  Sink.incr "rthv_irq_completed_total"
-    (Labels.v
-       [
-         ("source", source);
-         ("class", cls);
-         ("partition", string_of_int src.cfg.Config.subscriber);
-       ])
-    1;
-  Sink.observe "rthv_irq_latency_us"
-    (Labels.v [ ("source", source); ("class", cls) ])
-    (Cycles.to_us (Cycles.( - ) t.now t.pf_arrival.(i)))
-
-(* One causal span per completed IRQ instance (row [i] of the in-flight
-   table), timestamps in us.  The decision point and bottom-half start are
-   clamped for robustness, but with the capture sites in [Hyp_sim] both are
-   always set before completion. *)
-let obs_span t src i =
-  let us = Cycles.to_us in
-  let decision =
-    if t.pf_decision.(i) < 0 then t.pf_top_end.(i) else t.pf_decision.(i)
-  in
-  let bh_start = if t.pf_bh_start.(i) < 0 then t.now else t.pf_bh_start.(i) in
-  Sink.span
-    {
-      Span.sp_irq = t.pf_irq.(i);
-      sp_line = src.cfg.Config.line;
-      sp_source = src.cfg.Config.name;
-      sp_class = Irq_record.classification_name t.pf_class.(i);
-      sp_arrival = us t.pf_arrival.(i);
-      sp_top_start = us t.pf_top_start.(i);
-      sp_top_end = us t.pf_top_end.(i);
-      sp_decision = us decision;
-      sp_bh_start = us bh_start;
-      sp_completion = us t.now;
-    }
-
-let obs_monitor_decision src verdict =
-  Sink.incr "rthv_monitor_decisions_total"
-    (Labels.v
-       [
-         ("source", src.cfg.Config.name);
-         ( "verdict",
-           match verdict with
-           | `Admitted -> "admitted"
-           | `Denied -> "denied"
-           | `Fallback_direct -> "fallback_direct" );
-       ])
-    1
 
 let steal t elapsed =
   t.stolen_in_slot <- Cycles.( + ) t.stolen_in_slot elapsed
@@ -328,10 +261,9 @@ let close_slot_accounting t =
   t.stolen_total.(owner) <- Cycles.( + ) t.stolen_total.(owner) t.stolen_in_slot;
   if t.stolen_in_slot > t.stolen_slot_max.(owner) then
     t.stolen_slot_max.(owner) <- t.stolen_in_slot;
-  if obs_active () then
-    Sink.observe "rthv_stolen_slot_us"
-      (Labels.of_int "partition" owner)
-      (Cycles.to_us t.stolen_in_slot);
+  (match t.metrics with
+  | Some m -> Sim_metrics.slot_closed m ~owner t.stolen_in_slot
+  | None -> ());
   t.stolen_in_slot <- 0
 
 (* Room for the record of [irq]: double until its id fits. *)
@@ -385,23 +317,16 @@ let finalize_completion t (item : Irq_queue.item) =
         classification = t.pf_class.(i);
         completion = t.now;
       }
-  end
-  else
-    (* Nothing outlives the completion of a streaming run's item: the
-       guests retain no completed items either. *)
-    recycle_item t item;
+  end;
+  (* Nothing outlives the item's completion: the record copies its
+     columns, and the guests keep no completed items. *)
+  recycle_item t item;
   t.n_completed <- t.n_completed + 1;
   t.live_irqs <- t.live_irqs - 1;
   if tracing t then
     trace_event t
       (Hyp_trace.Bottom_handler_done
          { irq; partition = src.cfg.Config.subscriber });
-  if obs_active () then begin
-    Prof.enter t.prof ph_sink_emit;
-    obs_irq_completed t src i;
-    obs_span t src i;
-    Prof.leave t.prof
-  end;
   t.pf_irq.(i) <- -1;
   (* uC/OS pattern: the bottom handler posts to an application task. *)
   match src.cfg.Config.activates with

@@ -419,13 +419,9 @@ let entries_of_jsonl_string contents =
   loop 1 [] lines
 
 let load_jsonl ~path =
-  let ic = open_in path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  entries_of_jsonl_string contents
+  match In_channel.with_open_bin path In_channel.input_all with
+  | contents -> entries_of_jsonl_string contents
+  | exception Sys_error msg -> Error msg
 
 let trace_of_entries entries =
   let trace =

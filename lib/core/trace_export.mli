@@ -46,6 +46,8 @@ val entries_of_jsonl_string : string -> (Hyp_trace.entry list, string) result
     number. *)
 
 val load_jsonl : path:string -> (Hyp_trace.entry list, string) result
+(** {!entries_of_jsonl_string} of the file; an unreadable file (a missing
+    one, say) is an [Error] too. *)
 
 (** {2 Rebuilding a trace} *)
 

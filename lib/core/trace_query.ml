@@ -23,34 +23,12 @@ type t = {
 
 let agg_name = function Count -> "count" | Rate -> "rate" | Latency -> "latency"
 
-let agg_of_name = function
-  | "count" -> Some Count
-  | "rate" -> Some Rate
-  | "latency" -> Some Latency
-  | _ -> None
-
 let group_by_name = function
   | By_none -> "none"
   | By_partition -> "partition"
   | By_kind -> "kind"
   | By_class -> "class"
   | By_source -> "source"
-
-let group_by_of_name = function
-  | "none" -> Some By_none
-  | "partition" -> Some By_partition
-  | "kind" -> Some By_kind
-  | "class" -> Some By_class
-  | "source" -> Some By_source
-  | _ -> None
-
-let class_names = [ "direct"; "interposed"; "delayed"; "unknown" ]
-
-let class_name = function
-  | 0 -> "direct"
-  | 1 -> "interposed"
-  | 2 -> "delayed"
-  | _ -> "unknown"
 
 (* --- group accumulation --------------------------------------------------- *)
 
@@ -84,25 +62,17 @@ let bucket table ~digests key =
 
 (* --- count / rate -------------------------------------------------------- *)
 
-(* Partitions named directly by a row; an event touching two partitions
-   counts in both groups, and line-keyed events group under their line's
-   subscriber when a map is given and under "unattributed" otherwise. *)
+(* An event touching two partitions counts in both groups; line-keyed
+   events group under their line's subscriber when a map is given and
+   under "unattributed" otherwise. *)
 let count_keys ~line_partition ~kind ~a ~b emit =
-  match kind with
-  | 0 ->
-      emit (string_of_int a);
-      if b <> a then emit (string_of_int b)
-  | 1 | 7 -> emit (string_of_int a)
-  | 5 | 8 | 9 -> emit (string_of_int b)
-  | 6 -> emit (string_of_int a)
-  | _ -> (
-      let line = if kind = 10 then a else b in
-      match line_partition with
-      | None -> emit "unattributed"
-      | Some f -> (
-          match f line with
-          | Some p -> emit (string_of_int p)
-          | None -> emit "unattributed"))
+  let first = Trace_store.row_partition ~line_partition ~kind ~a ~b 0 in
+  let second = Trace_store.row_partition ~line_partition ~kind ~a ~b 1 in
+  if first < 0 then emit "unattributed"
+  else begin
+    emit (string_of_int first);
+    if second >= 0 && second <> first then emit (string_of_int second)
+  end
 
 let run_count ?filter ?line_partition ~group_by path =
   (match group_by with
@@ -142,20 +112,9 @@ let run_count ?filter ?line_partition ~group_by path =
 
 (* --- latency ------------------------------------------------------------- *)
 
-(* Per-instance state while streaming: allocated once per live IRQ, freed
-   at completion, so memory tracks in-flight instances, not store size. *)
-type pending = {
-  raise_time : int;
-  p_line : int;
-  mutable owner_at_top : int;  (* -1 until the top handler ran *)
-  mutable cls : int;  (* -1 until classified *)
-}
-
-(* The kinds the classifier needs: slot_switch, irq_raised, top_handler,
-   monitor_decision, bottom_handler_done. *)
-let latency_kinds = [ 0; 2; 3; 4; 9 ]
-
-let run_latency ?(filter = Trace_store.no_filter) ?line_source ?on_sample
+(* One sample per span the fold completes; the fold holds the classifier
+   and the in-flight state. *)
+let run_latency ?(filter = Trace_store.no_filter) ?config ?on_sample
     ~group_by path =
   (match group_by with
   | By_none | By_partition | By_class | By_source -> ()
@@ -165,98 +124,65 @@ let run_latency ?(filter = Trace_store.no_filter) ?line_source ?on_sample
     {
       Trace_store.from_time = filter.Trace_store.from_time;
       to_time = filter.Trace_store.to_time;
-      kinds = Some latency_kinds;
+      kinds = Some Irq_fold.latency_kinds;
       (* The classifier needs the global slot_switch stream, so the
          partition filter applies to completed samples, not scanned
          events. *)
       partition = None;
     }
   in
-  let source_of_line line =
-    match line_source with
-    | Some f -> (
-        match f line with Some s -> s | None -> Printf.sprintf "line%d" line)
-    | None -> Printf.sprintf "line%d" line
-  in
-  let pending : (int, pending) Hashtbl.t = Hashtbl.create 64 in
   let table = Hashtbl.create 16 in
-  (* Partition 0 owns the first slot at t=0 (simulator invariant); a
-     truncated store starts with unknown ownership until the first
-     slot_switch, which at worst turns early direct samples into
-     "unknown"-class ones. *)
-  let owner = ref 0 in
   let samples = ref 0 in
   let t_lo = ref max_int and t_hi = ref min_int in
+  let sample (sp : Irq_fold.span) =
+    let keep =
+      match filter.Trace_store.partition with
+      | None -> true
+      | Some q -> q = sp.Irq_fold.partition
+    in
+    if keep then begin
+      incr samples;
+      if sp.Irq_fold.arrival < !t_lo then t_lo := sp.Irq_fold.arrival;
+      if sp.Irq_fold.completion > !t_hi then t_hi := sp.Irq_fold.completion;
+      Option.iter (fun f -> f sp) on_sample;
+      let key =
+        match group_by with
+        | By_none -> "all"
+        | By_partition -> string_of_int sp.Irq_fold.partition
+        | By_class -> Irq_fold.class_name sp.Irq_fold.cls
+        | By_source -> sp.Irq_fold.source
+        | By_kind -> assert false
+      in
+      let bk = bucket table ~digests:true key in
+      bk.count <- bk.count + 1;
+      match bk.digest with
+      | Some dg -> Quantile.observe dg (Irq_fold.latency_us sp)
+      | None -> ()
+    end
+  in
+  let fold = Irq_fold.create ?config sample in
   let stats =
-    Trace_store.scan ~filter:scan_filter path
-      ~f:(fun ~time ~kind ~a ~b ~c:_ ~d ->
-        match kind with
-        | 0 -> owner := b
-        | 2 ->
-            Hashtbl.replace pending a
-              { raise_time = time; p_line = b; owner_at_top = -1; cls = -1 }
-        | 3 -> (
-            match Hashtbl.find_opt pending a with
-            | Some p -> p.owner_at_top <- !owner
-            | None -> ())
-        | 4 -> (
-            match Hashtbl.find_opt pending a with
-            | Some p ->
-                p.cls <- (match d with 0 -> 1 | 1 -> 2 | _ -> 0)
-                (* Admitted -> interposed, Denied -> delayed,
-                   Fallback_direct -> direct *)
-            | None -> ())
-        | 9 -> (
-            match Hashtbl.find_opt pending a with
-            | None -> ()
-            | Some p ->
-                Hashtbl.remove pending a;
-                let cls =
-                  if p.cls >= 0 then p.cls
-                  else if p.owner_at_top < 0 then -1
-                  else if p.owner_at_top = b then 0
-                  else 2
-                in
-                let keep =
-                  match filter.Trace_store.partition with
-                  | None -> true
-                  | Some q -> q = b
-                in
-                if keep then begin
-                  incr samples;
-                  if p.raise_time < !t_lo then t_lo := p.raise_time;
-                  if time > !t_hi then t_hi := time;
-                  let latency_us = Cycles.to_us (time - p.raise_time) in
-                  let source = source_of_line p.p_line in
-                  let cls_name = class_name cls in
-                  (match on_sample with
-                  | Some f ->
-                      f ~source ~cls:cls_name ~partition:b ~latency_us
-                  | None -> ());
-                  let key =
-                    match group_by with
-                    | By_none -> "all"
-                    | By_partition -> string_of_int b
-                    | By_class -> cls_name
-                    | By_source -> source
-                    | By_kind -> assert false
-                  in
-                  let bk = bucket table ~digests:true key in
-                  bk.count <- bk.count + 1;
-                  match bk.digest with
-                  | Some dg -> Quantile.observe dg latency_us
-                  | None -> ()
-                end)
-        | _ -> ())
+    Trace_store.scan ~filter:scan_filter path ~f:(Irq_fold.row fold)
   in
   let span_us = if !samples >= 2 then Cycles.to_us (!t_hi - !t_lo) else 0. in
   (stats, !samples, span_us, groups_of_table table)
 
-let run ?filter ?line_partition ?line_source ?on_sample ~agg ~group_by path =
+let run ?filter ?config ?on_sample ~agg ~group_by path =
   let stats, matched, span_us, groups =
     match agg with
-    | Count | Rate -> run_count ?filter ?line_partition ~group_by path
-    | Latency -> run_latency ?filter ?line_source ?on_sample ~group_by path
+    | Count | Rate ->
+        let line_partition =
+          Option.map
+            (fun (config : Config.t) line ->
+              List.find_map
+                (fun (s : Config.source) ->
+                  if s.Config.line = line then Some s.Config.subscriber
+                  else None)
+                config.Config.sources)
+            config
+        in
+        run_count ?filter ?line_partition ~group_by path
+    | Latency -> run_latency ?filter ?config ?on_sample ~group_by path
   in
   {
     q_agg = agg;

@@ -2,15 +2,11 @@
 
     One pass over a {!Trace_store} file — block-index pushdown included —
     computing event counts, event rates, or end-to-end IRQ latency
-    percentiles without materializing the store.  Latency aggregation
-    reconstructs each IRQ instance's completion latency and handling class
-    (direct / interposed / delayed) from the event stream alone, using the
-    same rules the simulator applies when it classifies
-    ({!Hyp_trace.Monitor_decision} verdicts, slot ownership at top-handler
-    time otherwise), so a query over a recorded store reproduces the
-    simulator's attribution.  Percentiles come from the shared P² digests
-    ({!Rthv_obs.Quantile}), which keeps the memory footprint independent of
-    the store size. *)
+    percentiles without materializing the store.  Latency aggregation runs
+    the {!Irq_fold} over the scanned rows, so each sample carries the class
+    the simulator gave the IRQ.  Percentiles come from the shared P²
+    digests ({!Rthv_obs.Quantile}), which keeps the memory footprint
+    independent of the store size. *)
 
 type agg = Count | Rate | Latency
 
@@ -37,29 +33,25 @@ type t = {
 }
 
 val agg_name : agg -> string
-val agg_of_name : string -> agg option
 val group_by_name : group_by -> string
-val group_by_of_name : string -> group_by option
-
-val class_names : string list
-(** ["direct"; "interposed"; "delayed"] plus ["unknown"] for instances
-    whose classification events fell outside the scanned window. *)
 
 val run :
   ?filter:Trace_store.filter ->
-  ?line_partition:(int -> int option) ->
-  ?line_source:(int -> string option) ->
-  ?on_sample:
-    (source:string -> cls:string -> partition:int -> latency_us:float -> unit) ->
+  ?config:Config.t ->
+  ?on_sample:(Irq_fold.span -> unit) ->
   agg:agg ->
   group_by:group_by ->
   string ->
   t
 (** Aggregate the store at [path].  For latency aggregation the kind
-    filter is fixed to the classification event set (a [filter.kinds] is
+    filter is fixed to {!Irq_fold.latency_kinds} (a [filter.kinds] is
     ignored) and [filter.partition] selects the completing partition;
-    [on_sample] additionally streams every latency sample — the SLO hook.
-    Sources are named through [line_source], falling back to ["line<N>"].
+    [on_sample] additionally streams every kept sample's span — the SLO
+    hook.  Group keys of the class grouping are the class names plus
+    ["unknown"] for IRQs whose class events fell outside the scanned
+    window.  [config], the configuration the store was recorded from, maps
+    lines to partitions (count/rate) and names the sources (latency),
+    which are ["line<N>"] otherwise.
     @raise Invalid_argument on a group_by that does not fit the
     aggregation.
     @raise Rthv_obs.Tracestore.Corrupt on malformed input. *)

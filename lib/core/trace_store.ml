@@ -123,24 +123,28 @@ let pmask_of_event = function
   | Hyp_trace.Monitor_decision _ | Hyp_trace.Irq_coalesced _ ->
       1 lsl unattributed_bit
 
-(* The partitions an event row names directly, by kind id — the columnar
-   mirror of [rthv_trace]'s event_partitions.  Line-keyed kinds resolve
-   through the optional line->subscriber map and are otherwise
-   unattributable (empty). *)
-let row_partition_matches ~line_partition ~p ~kind ~a ~b =
+(* The [i]-th (0 or 1) partition an event row names by kind id, or -1:
+   slot switches name from and to, partition-keyed rows one, line-keyed
+   rows their line's subscriber through the optional map. *)
+let row_partition ~line_partition ~kind ~a ~b i =
   match kind with
-  | 0 -> a = p || b = p  (* slot_switch from/to *)
-  | 1 | 7 -> a = p  (* boundary_deferred owner, crossed_boundary target *)
-  | 5 | 8 | 9 -> b = p  (* interposition_start target, bh start/done *)
-  | 6 -> a = p  (* interposition_end target *)
+  | 0 -> if i = 0 then a else b  (* slot_switch from/to *)
+  | _ when i > 0 -> -1
+  | 1 | 6 | 7 -> a  (* deferral owner; interposition end and crossing target *)
+  | 5 | 8 | 9 -> b  (* interposition start target, bh start/done *)
   | 2 | 3 | 4 | 10 -> (
-      (* line-keyed: irq_raised/top_handler/monitor_decision line is column
-         b, irq_coalesced line is column a *)
-      let line = if kind = 10 then a else b in
+      (* irq_raised/top_handler/monitor_decision carry the line in column
+         b, irq_coalesced in column a *)
       match line_partition with
-      | None -> true  (* unattributable: keep *)
-      | Some f -> ( match f line with None -> true | Some q -> q = p))
-  | _ -> false
+      | None -> -1
+      | Some f -> (
+          match f (if kind = 10 then a else b) with Some q -> q | None -> -1))
+  | _ -> -1
+
+let row_partition_matches ~line_partition ~p ~kind ~a ~b =
+  let first = row_partition ~line_partition ~kind ~a ~b 0 in
+  let second = row_partition ~line_partition ~kind ~a ~b 1 in
+  first = p || second = p || (first < 0 && second < 0)
 
 (* --- writer -------------------------------------------------------------- *)
 

@@ -31,6 +31,9 @@ val kind_names : string list
 val encode_event : Hyp_trace.event -> int * int * int * int
 (** The argument columns (a, b, c, d) of an event; unused columns are 0. *)
 
+val verdict_code : [ `Admitted | `Denied | `Fallback_direct ] -> int
+(** A monitor decision's column [d]: 0, 1 and 2 in that order. *)
+
 val decode_event : kind:int -> a:int -> b:int -> c:int -> d:int -> Hyp_trace.event
 (** @raise Rthv_obs.Tracestore.Corrupt on an out-of-range kind or enum. *)
 
@@ -40,6 +43,28 @@ val partition_mask : int -> int
 (** The index-bitmap bit for one partition id. *)
 
 val pmask_of_event : Hyp_trace.event -> int
+
+val row_partition :
+  line_partition:(int -> int option) option ->
+  kind:int ->
+  a:int ->
+  b:int ->
+  int ->
+  int
+(** [row_partition ~kind ~a ~b i] is the [i]-th (0 or 1) partition a row
+    names, from its kind and first two columns, or -1: a slot switch names
+    two, a line-keyed row its line's subscriber through [line_partition]
+    (none without it, or for an unmapped line), any other row one. *)
+
+val row_partition_matches :
+  line_partition:(int -> int option) option ->
+  p:int ->
+  kind:int ->
+  a:int ->
+  b:int ->
+  bool
+(** The partition rule of [rthv_trace --partition] and of {!scan}'s
+    [filter.partition]: the row names partition [p], or names none. *)
 
 (** {2 Writing} *)
 

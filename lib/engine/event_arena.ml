@@ -1,8 +1,3 @@
-(* Telemetry: static label sets so the guarded hot-path calls allocate
-   nothing. *)
-let op_push = Rthv_obs.Labels.v [ ("op", "push") ]
-let op_pop = Rthv_obs.Labels.v [ ("op", "pop") ]
-
 type t = {
   mutable times : int array;
   mutable seqs : int array;
@@ -73,8 +68,6 @@ let grow t =
   end
 
 let push t ~time payload =
-  if Rthv_obs.Sink.active () then
-    Rthv_obs.Sink.incr "rthv_event_queue_ops_total" op_push 1;
   grow t;
   let i = t.size in
   t.times.(i) <- time;
@@ -89,8 +82,6 @@ let head_payload t = t.payloads.(0)
 
 let drop t =
   if t.size > 0 then begin
-    if Rthv_obs.Sink.active () then
-      Rthv_obs.Sink.incr "rthv_event_queue_ops_total" op_pop 1;
     t.size <- t.size - 1;
     if t.size > 0 then begin
       let n = t.size in

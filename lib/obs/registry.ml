@@ -12,6 +12,17 @@ let create () = { table = Hashtbl.create 64; help = Hashtbl.create 16 }
 let set_help t name doc = if doc <> "" then Hashtbl.replace t.help name doc
 let help t name = Hashtbl.find_opt t.help name
 
+let installed_key : t option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let installed () = !(Domain.DLS.get installed_key)
+
+let with_installed t f =
+  let slot = Domain.DLS.get installed_key in
+  let previous = !slot in
+  slot := Some t;
+  Fun.protect ~finally:(fun () -> slot := previous) f
+
 let get_or_register t ~labels name ~make ~select =
   let key = { k_name = name; k_labels = labels } in
   match Hashtbl.find_opt t.table key with

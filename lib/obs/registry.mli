@@ -42,6 +42,20 @@ val set_help : t -> string -> string -> unit
 
 val help : t -> string -> string option
 
+(** {2 The installed registry}
+
+    Simulations created while a registry is installed fold their metrics
+    into it, and the analyses write their convergence gauges into it.
+    Installation is domain-local, so {!Rthv_par.Par} gives every sweep task
+    its own registry. *)
+
+val installed : unit -> t option
+(** The registry installed on this domain, if any. *)
+
+val with_installed : t -> (unit -> 'a) -> 'a
+(** Install for the duration of the callback, restoring the previous
+    registry (even on exceptions). *)
+
 (** {2 Snapshot and export} *)
 
 type row = { name : string; labels : Labels.t; value : Metric.value }

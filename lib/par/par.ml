@@ -108,12 +108,10 @@ let parallel pool n =
   effective_jobs pool > 1 && n > 1 && not (Domain.DLS.get in_worker)
 
 module Registry = Rthv_obs.Registry
-module Recorder = Rthv_obs.Recorder
-module Sink = Rthv_obs.Sink
 module Prof = Rthv_obs.Prof
 
-(* Per-task metric isolation: task [i] records into its own registry
-   through a domain-locally installed recorder sink, and the registries are
+(* Per-task metric isolation: task [i] records into its own registry,
+   installed domain-locally for the task's duration, and the registries are
    folded into [into] in task-index order once every task has finished.
    The fold structure is identical at every job count — sequential included
    — so the merged registry's exposition output is byte-identical whatever
@@ -123,10 +121,7 @@ let with_metrics metrics n task =
   | None -> (task, ignore)
   | Some into ->
       let regs = Array.init n (fun _ -> Registry.create ()) in
-      let task' i =
-        let recorder = Recorder.create ~registry:regs.(i) () in
-        Sink.with_sink (Recorder.sink recorder) (fun () -> task i)
-      in
+      let task' i = Registry.with_installed regs.(i) (fun () -> task i) in
       let finish () = Array.iter (fun reg -> Registry.merge ~into reg) regs in
       (task', finish)
 

@@ -31,12 +31,12 @@
 
     {b Caveat}: tasks run concurrently in separate domains, so they must not
     share mutable state.  Every simulation ([Hyp_sim.create] + [run]) is
-    self-contained, and the [Rthv_obs] sink is domain-local (fresh domains
-    start with the no-op sink), so a recorder installed in the calling
+    self-contained, and the installed [Rthv_obs.Registry] is domain-local
+    (fresh domains start with none), so a registry installed in the calling
     domain simply does not see worker-domain runs.  To collect metrics
     {e across} a sweep, pass [?metrics]: each task then records into its own
-    private registry (a recorder sink installed domain-locally for the
-    task's duration), and the per-task registries are folded into the given
+    private registry (installed domain-locally for the task's duration), and
+    the per-task registries are folded into the given
     registry {e in task-index order} once all tasks have finished.  The fold
     structure is identical at every job count, so the merged registry's
     exposition output is byte-identical whatever [--jobs] says.

@@ -24,11 +24,10 @@ type t = {
   mutable aperiodic_count : int;
   mutable ready : Task.job list;
   mutable completions : Task.completion list;  (* newest first *)
-  mutable completed_bottom : Irq_queue.item list;  (* newest first *)
   mutable cpu_time : Cycles.t;
   mutable idle_time : Cycles.t;
   mutable horizon : Cycles.t;  (* last advance_to time, for monotonicity *)
-  mutable retain : bool;  (* keep completion lists (off for streaming runs) *)
+  mutable retain : bool;  (* keep task completions (off for streaming runs) *)
 }
 
 let resolve_port ipc ~guest ~task = function
@@ -74,7 +73,6 @@ let create ?(tasks = []) ?(busy_loop = true) ?ipc ?(policy = Fixed_priority)
     aperiodic_count = 0;
     ready = [];
     completions = [];
-    completed_bottom = [];
     cpu_time = 0;
     idle_time = 0;
     horizon = 0;
@@ -179,10 +177,8 @@ let consume_bottom t ~elapsed item =
     invalid_arg "Guest.consume: over-attribution to bottom handler";
   item.Irq_queue.remaining <- Cycles.( - ) item.Irq_queue.remaining elapsed;
   t.cpu_time <- Cycles.( + ) t.cpu_time elapsed;
-  if item.Irq_queue.remaining = 0 then begin
-    let completed = Irq_queue.drop_head t.queue in
-    if t.retain then t.completed_bottom <- completed :: t.completed_bottom
-  end
+  if item.Irq_queue.remaining = 0 then
+    ignore (Irq_queue.drop_head t.queue : Irq_queue.item)
 
 (* Index of the first periodic task whose spec is [spec], or -1 (an
    aperiodic job's spec need not belong to a periodic task). *)
@@ -248,7 +244,6 @@ let take_completions t =
   t.completions <- [];
   out
 
-let completed_bottom t = List.rev t.completed_bottom
 let cpu_time t = t.cpu_time
 let idle_time t = t.idle_time
 let backlog t = List.length t.ready

@@ -55,9 +55,9 @@ val has_tasks : t -> bool
     do not affect either; they surface through {!pick_ready}.) *)
 
 val set_retain : t -> bool -> unit
-(** When set to [false], {!take_completions} and {!completed_bottom}
-    stop accumulating (always empty): streaming simulations over millions
-    of events opt out of per-event retention.  Defaults to [true]. *)
+(** When set to [false], {!take_completions} stops accumulating (always
+    empty): streaming simulations over millions of events opt out of
+    per-event retention.  Defaults to [true]. *)
 
 val release_aperiodic : t -> spec:Task.spec -> now:Rthv_engine.Cycles.t -> unit
 (** Release one job of an event-triggered task (e.g. signalled by a bottom
@@ -105,16 +105,12 @@ val consume_idle : t -> elapsed:Rthv_engine.Cycles.t -> unit
 val consume : t -> now:Rthv_engine.Cycles.t -> elapsed:Rthv_engine.Cycles.t -> demand -> unit
 (** Attribute [elapsed] cycles of CPU ending at absolute time [now] to the
     given demand (which must be the one returned by {!demand} at segment
-    start).  Completing a bottom handler or a job records it; the caller
-    learns of completions via {!take_completions} / the queue head.
+    start).  A completed bottom handler leaves the queue; a completed job
+    is recorded for {!take_completions}.
     @raise Invalid_argument if more work is attributed than remained. *)
 
 val take_completions : t -> Task.completion list
 (** Task jobs completed since the last call, oldest first. *)
-
-val completed_bottom : t -> Irq_queue.item list
-(** All bottom-handler items completed so far, oldest first.  Items are
-    removed from the queue upon completion and retained here. *)
 
 val cpu_time : t -> Rthv_engine.Cycles.t
 (** Total CPU attributed to this guest (all demand kinds except [Idle]). *)

@@ -27,10 +27,9 @@ module Admission = Rthv_core.Admission
 module Monitor = Rthv_core.Monitor
 module DF = Rthv_analysis.Distance_fn
 module Scenarios = Rthv_check.Scenarios
-module Headroom = Rthv_check.Headroom
+module Slo = Rthv_check.Slo
+module Irq_fold = Rthv_core.Irq_fold
 module Registry = Rthv_obs.Registry
-module Recorder = Rthv_obs.Recorder
-module Sink = Rthv_obs.Sink
 
 type golden = {
   g_completed : int;
@@ -189,16 +188,21 @@ let diff_config (c : diff_case) =
     ~finish_bh_at_boundary:c.dc_defer
     ~partitions ~sources ()
 
-(* One run of a config, with the full observability stack attached,
-   reduced to a comparable fingerprint. *)
+(* One run of a config, with the full observability stack attached (the
+   metrics fold of an installed registry, and the SLO fold judging every
+   latency against its bound), reduced to a comparable fingerprint. *)
 let diff_run ~retain config =
   let registry = Registry.create () in
-  let recorder = Recorder.create ~registry () in
   let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
-  let sim = Hyp_sim.create ~trace ~retain config in
-  Sink.with_sink (Recorder.sink recorder) (fun () -> Hyp_sim.run sim);
+  let slo = Slo.create config in
+  Irq_fold.attach ~config trace (Slo.span slo);
+  let sim =
+    Registry.with_installed registry (fun () ->
+        Hyp_sim.create ~trace ~retain config)
+  in
+  Hyp_sim.run sim;
   let trace_digest = digest (Format.asprintf "%a" Hyp_trace.pp trace) in
-  let headroom = Headroom.verdicts config registry in
+  let headroom = Slo.verdicts slo in
   (Hyp_sim.stats sim, Hyp_sim.records sim, trace_digest, headroom)
 
 let prop_retain_agrees case =

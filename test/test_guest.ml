@@ -97,9 +97,14 @@ let test_bottom_handler_partial_then_complete () =
   Guest.consume g ~now:(us 10) ~elapsed:(us 6) (Guest.Bottom_handler item);
   Alcotest.(check int) "dequeued on completion" 0
     (Irq_queue.length (Guest.queue g));
-  match Guest.completed_bottom g with
-  | [ done_item ] -> Alcotest.(check int) "archived" 3 done_item.Irq_queue.irq
-  | _ -> Alcotest.fail "one archived completion expected"
+  Alcotest.(check bool) "queue empty" true (Irq_queue.is_empty (Guest.queue g));
+  Testutil.check_cycles "item fully consumed" 0 item.Irq_queue.remaining;
+  Testutil.check_cycles "cpu attributed" (us 10) (Guest.cpu_time g);
+  (* The next bottom handler is the queue head, not the completed one. *)
+  let next = Irq_queue.make_item ~irq:4 ~line:0 ~arrival:0 ~work:(us 1) in
+  Irq_queue.push (Guest.queue g) next;
+  Alcotest.(check int) "next item at the head" 4
+    (Irq_queue.head (Guest.queue g)).Irq_queue.irq
 
 let test_over_attribution_rejected () =
   let g = Guest.create ~name:"p" () in

@@ -36,6 +36,7 @@ let () =
       ("core.trace_export", Test_trace_export.suite);
       ("core.tracestore", Test_tracestore.suite);
       ("core.trace_query", Test_trace_query.suite);
+      ("core.irq_fold", Test_irq_fold.suite);
       ("obs", Test_obs.suite);
       ("obs.merge", Test_obs_merge.suite);
       ("obs.span", Test_span.suite);

@@ -1,12 +1,11 @@
-(* lib/obs: labels, JSON, the P² quantile estimator, the registry and the
-   sink switch. *)
+(* lib/obs: labels, JSON, the P² quantile estimator, the registry and its
+   domain-local installation. *)
 
 module Obs = Rthv_obs
 module Labels = Obs.Labels
 module Json = Obs.Json
 module Quantile = Obs.Quantile
 module Registry = Obs.Registry
-module Sink = Obs.Sink
 module Summary = Rthv_stats.Summary
 
 (* --- labels ------------------------------------------------------------- *)
@@ -169,8 +168,8 @@ let test_prometheus_exposition () =
     ]
 
 (* HELP lines: emitted once per documented family, before its TYPE line,
-   with exposition-format escaping; merge adopts missing help texts; and
-   the recorder stamps its default documentation. *)
+   with exposition-format escaping; merge adopts missing help texts; and a
+   simulation's metrics fold documents the simulator's families. *)
 let test_prometheus_help_lines () =
   let index hay needle =
     let hl = String.length hay and nl = String.length needle in
@@ -206,10 +205,13 @@ let test_prometheus_help_lines () =
     "merge carries help"
     (Registry.help r "total")
     (Registry.help into "total");
-  (* The recorder self-documents the simulator's families. *)
-  let rec_reg = Obs.Recorder.registry (Obs.Recorder.create ()) in
-  Alcotest.(check bool) "recorder stamps default help" true
-    (Registry.help rec_reg "rthv_irq_latency_us" <> None)
+  (* The metrics fold self-documents the simulator's families. *)
+  let sim_reg = Registry.create () in
+  Registry.with_installed sim_reg (fun () ->
+      Rthv_core.Hyp_sim.run
+        (Rthv_core.Hyp_sim.create (Rthv_check.Scenarios.quickstart ())));
+  Alcotest.(check bool) "simulation stamps its help" true
+    (Registry.help sim_reg "rthv_irq_latency_us" <> None)
 
 let test_registry_json_parses () =
   let r = Registry.create () in
@@ -220,37 +222,38 @@ let test_registry_json_parses () =
   | Ok _ -> Alcotest.fail "expected a JSON array"
   | Error e -> Alcotest.failf "registry JSON does not parse: %s" e
 
-(* --- sink --------------------------------------------------------------- *)
+(* --- installed registry ---------------------------------------------------- *)
 
-let test_sink_switch () =
-  Alcotest.(check bool) "inactive by default" false (Sink.active ());
-  let hits = ref 0 in
-  let sink =
-    {
-      Sink.incr = (fun _ _ n -> hits := !hits + n);
-      gauge = (fun _ _ _ -> incr hits);
-      observe = (fun _ _ _ -> incr hits);
-      span = (fun _ -> incr hits);
-    }
-  in
-  Sink.with_sink sink (fun () ->
-      Alcotest.(check bool) "active inside" true (Sink.active ());
-      Sink.incr "x" Labels.empty 2;
-      Sink.observe "y" Labels.empty 1.0);
-  Alcotest.(check int) "both dispatched" 3 !hits;
-  Alcotest.(check bool) "restored" false (Sink.active ());
-  Sink.incr "x" Labels.empty 5;
-  Alcotest.(check int) "no dispatch when inactive" 3 !hits
+let test_registry_install () =
+  let same = Alcotest.testable (fun ppf _ -> Format.fprintf ppf "<registry>") ( == ) in
+  Alcotest.(check (option same)) "none by default" None (Registry.installed ());
+  let outer = Registry.create () and inner = Registry.create () in
+  Registry.with_installed outer (fun () ->
+      Alcotest.(check (option same)) "installed inside" (Some outer)
+        (Registry.installed ());
+      (try
+         Registry.with_installed inner (fun () ->
+             Alcotest.(check (option same)) "nested" (Some inner)
+               (Registry.installed ());
+             failwith "escape")
+       with Failure _ -> ());
+      Alcotest.(check (option same)) "outer restored after an exception"
+        (Some outer) (Registry.installed ());
+      (* Domain-local: a fresh domain sees nothing installed. *)
+      Alcotest.(check bool) "other domain sees none" true
+        (Domain.join (Domain.spawn (fun () -> Registry.installed () = None))));
+  Alcotest.(check (option same)) "uninstalled after" None (Registry.installed ())
 
-let test_recorder_collects_sim_metrics () =
-  (* End to end: run a monitored simulation under a recorder sink and check
-     the instrumentation series appear with consistent counts. *)
-  let recorder = Obs.Recorder.create () in
+let test_registry_collects_sim_metrics () =
+  (* End to end: a simulation created under an installed registry folds its
+     trace into the instrumentation series, with counts that agree with
+     the simulator's statistics. *)
+  let r = Registry.create () in
   let config = Rthv_check.Scenarios.quickstart () in
-  let sim = Rthv_core.Hyp_sim.create config in
-  Sink.with_sink (Obs.Recorder.sink recorder) (fun () ->
-      Rthv_core.Hyp_sim.run sim);
-  let r = Obs.Recorder.registry recorder in
+  let sim =
+    Registry.with_installed r (fun () -> Rthv_core.Hyp_sim.create config)
+  in
+  Rthv_core.Hyp_sim.run sim;
   let stats = Rthv_core.Hyp_sim.stats sim in
   let counter ?labels name =
     match Registry.find r ?labels name with
@@ -265,12 +268,18 @@ let test_recorder_collects_sim_metrics () =
   Alcotest.(check int)
     "slot switches" stats.Rthv_core.Hyp_sim.slot_switches
     (counter "rthv_slot_switches_total");
+  Alcotest.(check int)
+    "direct completions" stats.Rthv_core.Hyp_sim.direct
+    (counter
+       ~labels:
+         (Labels.v [ ("class", "direct"); ("partition", "1"); ("source", "nic") ])
+       "rthv_irq_completed_total");
   match Registry.find r ~labels:(Labels.v [ ("class", "direct"); ("source", "nic") ])
           "rthv_irq_latency_us"
   with
   | Some (Obs.Metric.Summary q) ->
-      Alcotest.(check bool) "direct latencies observed" true
-        (Quantile.count q > 0)
+      Alcotest.(check int) "direct latencies observed"
+        stats.Rthv_core.Hyp_sim.direct (Quantile.count q)
   | _ -> Alcotest.fail "missing rthv_irq_latency_us summary"
 
 let suite =
@@ -292,7 +301,8 @@ let suite =
     Alcotest.test_case "prometheus HELP lines" `Quick
       test_prometheus_help_lines;
     Alcotest.test_case "registry JSON parses" `Quick test_registry_json_parses;
-    Alcotest.test_case "sink install/uninstall" `Quick test_sink_switch;
-    Alcotest.test_case "recorder collects simulator metrics" `Quick
-      test_recorder_collects_sim_metrics;
+    Alcotest.test_case "registry install/uninstall" `Quick
+      test_registry_install;
+    Alcotest.test_case "registry collects simulator metrics" `Quick
+      test_registry_collects_sim_metrics;
   ]

@@ -8,7 +8,6 @@ module Json = Obs.Json
 module Quantile = Obs.Quantile
 module Metric = Obs.Metric
 module Registry = Obs.Registry
-module Sink = Obs.Sink
 module Par = Rthv_par.Par
 
 let digest_of xs =
@@ -193,16 +192,19 @@ let test_registry_merge_bound_mismatch () =
 (* --- parallel sweep composition ------------------------------------------ *)
 
 let test_par_metrics_byte_identical () =
-  (* The acceptance property end to end: a sweep recording through the
-     domain-local sink produces byte-identical metrics at any job count. *)
+  (* The acceptance property end to end: a sweep recording into the
+     domain-locally installed registry produces byte-identical metrics at
+     any job count. *)
   let sweep pool =
     let reg = Registry.create () in
     let _ : int list =
       Par.mapi ~pool ~metrics:reg
         (fun i x ->
-          Sink.incr "rthv_tasks_total" Labels.empty 1;
-          Sink.observe "rthv_task_val_us"
-            (Labels.v [ ("bucket", string_of_int (i mod 3)) ])
+          let task_reg = Option.get (Registry.installed ()) in
+          Registry.incr task_reg "rthv_tasks_total" 1;
+          Registry.observe_summary task_reg
+            ~labels:(Labels.v [ ("bucket", string_of_int (i mod 3)) ])
+            "rthv_task_val_us"
             (float_of_int ((i * 97) + x));
           x)
         (List.init 60 Fun.id)

@@ -1,9 +1,11 @@
 (* Streaming SLO gauges: a conformant run burns under 1.0 end-to-end
    (store -> query -> Slo), artificial violations are counted per sample,
-   the sink intercepts only labelled latency observations, and a stored
-   simulator trace replays clean through the oracle's store entry point. *)
+   fold spans feed their (source, class) series, and a stored simulator
+   trace replays clean through the oracle's store entry point. *)
 
 module Config = Rthv_core.Config
+module Irq_fold = Rthv_core.Irq_fold
+module Irq_record = Rthv_core.Irq_record
 module Hyp_sim = Rthv_core.Hyp_sim
 module Hyp_trace = Rthv_core.Hyp_trace
 module Store = Rthv_core.Trace_store
@@ -13,8 +15,6 @@ module Oracle = Rthv_check.Trace_oracle
 module Scenarios = Rthv_check.Scenarios
 module Slo = Rthv_check.Slo
 module Registry = Rthv_obs.Registry
-module Labels = Rthv_obs.Labels
-module Sink = Rthv_obs.Sink
 module Json = Rthv_obs.Json
 
 let contains haystack needle =
@@ -27,6 +27,8 @@ let with_temp f =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
+
+let direct = Some Irq_record.Direct
 
 let verdict t ~source ~cls =
   List.find_opt
@@ -45,16 +47,8 @@ let test_conformant_burns_under_one () =
   with_temp (fun path ->
       ignore (Store.write_entries path (Hyp_trace.to_list trace) : int);
       let slo = Slo.create config in
-      let on_sample ~source ~cls ~partition:_ ~latency_us =
-        Slo.observe slo ~source ~cls ~latency_us
-      in
-      let line_source line =
-        List.find_map
-          (fun s -> if s.Config.line = line then Some s.Config.name else None)
-          config.Config.sources
-      in
       let q =
-        Query.run ~line_source ~on_sample ~agg:Query.Latency
+        Query.run ~config ~on_sample:(Slo.span slo) ~agg:Query.Latency
           ~group_by:Query.By_class path
       in
       Alcotest.(check bool) "samples flowed" true (q.Query.q_matched > 0);
@@ -63,13 +57,14 @@ let test_conformant_burns_under_one () =
       List.iter
         (fun v ->
           total := !total + v.Slo.sv_count;
-          Alcotest.(check int) ("no violations: " ^ v.Slo.sv_class) 0
+          let cls = Irq_fold.class_name v.Slo.sv_class in
+          Alcotest.(check int) ("no violations: " ^ cls) 0
             v.Slo.sv_violations;
           match v.Slo.sv_burn with
           | Some burn ->
               (* The eq.-(16) bound is tight: the conformant workload can
                  attain it with equality, which is not a violation. *)
-              Alcotest.(check bool) ("burn <= 1: " ^ v.Slo.sv_class) true
+              Alcotest.(check bool) ("burn <= 1: " ^ cls) true
                 (burn <= 1.0)
           | None -> ())
         (Slo.verdicts slo);
@@ -79,18 +74,18 @@ let test_violation_counted () =
   let config = Scenarios.quickstart () in
   let slo = Slo.create config in
   (* The series (and its precomputed bound) appears on first observation. *)
-  Slo.observe slo ~source:"nic" ~cls:"direct" ~latency_us:1.0;
+  Slo.observe slo ~source:"nic" ~cls:direct ~latency_us:1.0;
   let bound =
-    match verdict slo ~source:"nic" ~cls:"direct" with
+    match verdict slo ~source:"nic" ~cls:direct with
     | Some { Slo.sv_bound_us = Some b; _ } -> b
     | _ -> Alcotest.fail "direct series has no finite bound"
   in
   Alcotest.(check bool) "clean so far" true (Slo.ok slo);
-  Slo.observe slo ~source:"nic" ~cls:"direct" ~latency_us:(bound *. 2.);
-  Slo.observe slo ~source:"nic" ~cls:"direct" ~latency_us:(bound *. 3.);
-  Slo.observe slo ~source:"nic" ~cls:"direct" ~latency_us:1.0;
+  Slo.observe slo ~source:"nic" ~cls:direct ~latency_us:(bound *. 2.);
+  Slo.observe slo ~source:"nic" ~cls:direct ~latency_us:(bound *. 3.);
+  Slo.observe slo ~source:"nic" ~cls:direct ~latency_us:1.0;
   Alcotest.(check bool) "violated" false (Slo.ok slo);
-  match verdict slo ~source:"nic" ~cls:"direct" with
+  match verdict slo ~source:"nic" ~cls:direct with
   | Some v ->
       Alcotest.(check int) "samples" 4 v.Slo.sv_count;
       Alcotest.(check int) "per-sample violations" 2 v.Slo.sv_violations;
@@ -108,35 +103,50 @@ let test_violation_counted () =
   | None -> Alcotest.fail "series missing"
 
 (* An unanticipated (source, class) pair — e.g. the query engine's
-   "unknown" — is counted but can never violate. *)
+   unknown class — is counted but can never violate. *)
 let test_unknown_series_unbounded () =
   let slo = Slo.create (Scenarios.quickstart ()) in
-  Slo.observe slo ~source:"nic" ~cls:"unknown" ~latency_us:1e12;
+  Slo.observe slo ~source:"nic" ~cls:None ~latency_us:1e12;
   Alcotest.(check bool) "still ok" true (Slo.ok slo);
-  match verdict slo ~source:"nic" ~cls:"unknown" with
+  match verdict slo ~source:"nic" ~cls:None with
   | Some v ->
       Alcotest.(check int) "counted" 1 v.Slo.sv_count;
       Alcotest.(check bool) "no bound" true (v.Slo.sv_bound_us = None);
       Alcotest.(check int) "no violations" 0 v.Slo.sv_violations
   | None -> Alcotest.fail "unknown series missing"
 
-(* The sink folds in rthv_irq_latency_us observations carrying source and
-   class labels, updates the registry gauges, and ignores everything else. *)
-let test_sink_intercepts_latency () =
+(* Fold spans feed the series of their source and class, with the latency
+   the simulator reports (completion - arrival), and keep the registry
+   gauges current. *)
+let test_span_feeds_series () =
   let registry = Registry.create () in
   let slo = Slo.create ~registry (Scenarios.quickstart ()) in
-  let sink = Slo.sink slo in
-  let labels = Labels.v [ ("source", "nic"); ("class", "direct") ] in
-  sink.Sink.observe "rthv_irq_latency_us" labels 42.0;
-  sink.Sink.observe "rthv_irq_latency_us" labels 17.0;
-  (* Wrong metric name, or no labels: ignored, not misattributed. *)
-  sink.Sink.observe "rthv_slot_stolen_us" labels 1e9;
-  sink.Sink.observe "rthv_irq_latency_us" Labels.empty 1e9;
-  (match verdict slo ~source:"nic" ~cls:"direct" with
+  let span ~cls ~completion =
+    {
+      Irq_fold.irq = 0;
+      line = 0;
+      source = "nic";
+      partition = 1;
+      cls;
+      arrival = Testutil.us 100;
+      top_start = Testutil.us 100;
+      top_end = Testutil.us 105;
+      decision = Testutil.us 105;
+      bh_start = Testutil.us 110;
+      completion = Testutil.us completion;
+    }
+  in
+  Slo.span slo (span ~cls:direct ~completion:142);
+  Slo.span slo (span ~cls:direct ~completion:117);
+  Slo.span slo (span ~cls:(Some Irq_record.Delayed) ~completion:1_100);
+  (match verdict slo ~source:"nic" ~cls:direct with
   | Some v ->
       Alcotest.(check int) "two samples" 2 v.Slo.sv_count;
       Testutil.close ~eps:1e-9 "worst" 42.0 v.Slo.sv_worst_us
-  | None -> Alcotest.fail "sink did not feed the series");
+  | None -> Alcotest.fail "span did not feed the direct series");
+  (match verdict slo ~source:"nic" ~cls:(Some Irq_record.Delayed) with
+  | Some v -> Alcotest.(check int) "delayed series apart" 1 v.Slo.sv_count
+  | None -> Alcotest.fail "span did not feed the delayed series");
   let text = Registry.to_prometheus registry in
   Alcotest.(check bool) "worst gauge exposed" true
     (contains text "rthv_slo_worst_latency_us");
@@ -172,8 +182,7 @@ let suite =
       test_violation_counted;
     Alcotest.test_case "unknown series unbounded" `Quick
       test_unknown_series_unbounded;
-    Alcotest.test_case "sink intercepts latency" `Quick
-      test_sink_intercepts_latency;
+    Alcotest.test_case "span feeds the series" `Quick test_span_feeds_series;
     Alcotest.test_case "audit store clean" `Quick test_audit_store_clean;
     Alcotest.test_case "audit store missing file" `Quick
       test_audit_store_missing_file;

@@ -1,61 +1,66 @@
 (* Per-IRQ causal spans: component decomposition, the attribution
-   waterfalls fed by a live simulation, and bound headroom against the
-   paper's analytic latency bounds. *)
+   waterfalls folded from a live simulation's trace, and bound headroom
+   against the paper's analytic latency bounds. *)
 
-module Obs = Rthv_obs
-module Span = Obs.Span
-module Sink = Obs.Sink
-module Attribution = Obs.Attribution
-module Registry = Obs.Registry
+module Registry = Rthv_obs.Registry
+module Irq_fold = Rthv_core.Irq_fold
+module Irq_record = Rthv_core.Irq_record
+module Attribution = Rthv_core.Attribution
 module Hyp_sim = Rthv_core.Hyp_sim
+module Hyp_trace = Rthv_core.Hyp_trace
 module Scenarios = Rthv_check.Scenarios
 module Headroom = Rthv_check.Headroom
+module Slo = Rthv_check.Slo
+
+let us = Testutil.us
 
 (* --- span decomposition -------------------------------------------------- *)
 
-let span ?(cls = "interposed") () =
+let span cls =
   {
-    Span.sp_irq = 3;
-    sp_line = 0;
-    sp_source = "nic";
-    sp_class = cls;
-    sp_arrival = 100.0;
-    sp_top_start = 102.5;
-    sp_top_end = 107.5;
-    sp_decision = 108.25;
-    sp_bh_start = 120.0;
-    sp_completion = 160.0;
+    Irq_fold.irq = 3;
+    line = 0;
+    source = "nic";
+    partition = 1;
+    cls;
+    arrival = us 100;
+    top_start = us 102;
+    top_end = us 107;
+    decision = us 108;
+    bh_start = us 120;
+    completion = us 160;
   }
 
 let test_components_sum_to_latency () =
   List.iter
-    (fun cls ->
-      let sp = span ~cls () in
-      Alcotest.(check bool) "valid" true (Span.valid sp);
+    (fun (cls, wait) ->
+      let sp = span cls in
       let total =
-        List.fold_left (fun acc (_, v) -> acc +. v) 0.0 (Span.components sp)
+        List.fold_left (fun acc (_, v) -> acc +. v) 0.0 (Irq_fold.components sp)
       in
-      Alcotest.(check (float 1e-9)) "sum = latency" (Span.latency sp) total;
+      Alcotest.(check (float 1e-9)) "sum = latency" (Irq_fold.latency_us sp)
+        total;
       Alcotest.(check (float 1e-9)) "latency = completion - arrival" 60.0
-        (Span.latency sp);
+        (Irq_fold.latency_us sp);
       Alcotest.(check (list string))
         "component order"
-        [ "top_wait"; "top_handler"; "decision_wait"; Span.wait_component cls;
-          "bottom_handler" ]
-        (Span.component_names sp))
-    [ "direct"; "interposed"; "delayed" ]
-
-let test_invalid_span_detected () =
-  let sp = { (span ()) with Span.sp_bh_start = 99.0 } in
-  Alcotest.(check bool) "backwards timestamp invalid" false (Span.valid sp)
+        [ "top_wait"; "top_handler"; "decision_wait"; wait; "bottom_handler" ]
+        (List.map fst (Irq_fold.components sp)))
+    [
+      (Some Irq_record.Direct, "queue_wait");
+      (Some Irq_record.Interposed, "interposed_wait");
+      (Some Irq_record.Delayed, "slot_wait");
+    ]
 
 (* --- attribution over a live simulation ---------------------------------- *)
 
 let test_attribution_collects_simulation () =
   let attr = Attribution.create () in
   let config = Scenarios.quickstart () in
-  let sim = Hyp_sim.create config in
-  Sink.with_sink (Attribution.sink attr) (fun () -> Hyp_sim.run sim);
+  let trace = Hyp_trace.create () in
+  Irq_fold.attach ~config trace (Attribution.record attr);
+  let sim = Hyp_sim.create ~trace config in
+  Hyp_sim.run sim;
   let stats = Hyp_sim.stats sim in
   Alcotest.(check int) "one span per completion"
     stats.Hyp_sim.completed_irqs (Attribution.total_spans attr);
@@ -80,56 +85,55 @@ let test_attribution_collects_simulation () =
       match r.Attribution.r_worst with
       | None -> Alcotest.fail "worst span missing"
       | Some w ->
-          Alcotest.(check bool) "worst span valid" true (Span.valid w);
+          Alcotest.(check bool) "worst span monotone" true
+            (Testutil.monotone w);
           Alcotest.(check (float 1e-6)) "worst matches max"
-            s.Attribution.st_max (Span.latency w))
+            s.Attribution.st_max (Irq_fold.latency_us w))
     rows
 
 (* --- bound headroom ------------------------------------------------------ *)
 
-let measure config =
-  let registry = Registry.create () in
-  let recorder = Obs.Recorder.create ~registry () in
-  let sim = Hyp_sim.create config in
-  Sink.with_sink (Obs.Recorder.sink recorder) (fun () -> Hyp_sim.run sim);
-  registry
+(* The SLO fold judges every latency of a live run against its bound. *)
+let measure ?registry config =
+  let slo = Slo.create ?registry config in
+  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  Irq_fold.attach ~config trace (Slo.span slo);
+  Hyp_sim.run (Hyp_sim.create ~trace config);
+  slo
 
 let test_headroom_non_negative_on_good_scenarios () =
   (* The acceptance property: on every conformant scenario the measured
      worst case stays below the analytic bound for every handling class. *)
   List.iter
     (fun (name, build) ->
-      let config = build () in
-      let registry = measure config in
-      let verdicts = Headroom.verdicts config registry in
+      let verdicts = Slo.verdicts (measure (build ())) in
       Alcotest.(check bool)
         (name ^ ": some series measured")
         true (verdicts <> []);
       List.iter
         (fun v ->
-          match v.Headroom.hv_headroom_us with
-          | Some h when h < 0.0 ->
+          match v.Slo.sv_bound_us with
+          | Some bound when v.Slo.sv_worst_us > bound ->
               Alcotest.failf
                 "%s: %s/%s measured %.1fus exceeds bound %.1fus" name
-                v.Headroom.hv_source v.Headroom.hv_class
-                v.Headroom.hv_measured_us
-                (Option.get v.Headroom.hv_bound_us)
+                v.Slo.sv_source
+                (Irq_fold.class_name v.Slo.sv_class)
+                v.Slo.sv_worst_us bound
           | _ -> ())
         verdicts)
     Scenarios.good
 
 let test_headroom_gauges_surface () =
-  let config = Scenarios.quickstart () in
-  let registry = measure config in
-  Headroom.gauges config registry;
+  let registry = Registry.create () in
+  ignore (measure ~registry (Scenarios.quickstart ()) : Slo.t);
   let rows = Registry.snapshot registry in
   let count name =
     List.length (List.filter (fun r -> r.Registry.name = name) rows)
   in
   Alcotest.(check bool) "bound gauges present" true
-    (count "rthv_latency_bound_us" > 0);
-  Alcotest.(check bool) "headroom gauges present" true
-    (count "rthv_bound_headroom_us" > 0)
+    (count "rthv_slo_latency_bound_us" > 0);
+  Alcotest.(check bool) "burn gauges present" true
+    (count "rthv_slo_burn_ratio" > 0)
 
 let test_interposed_bound_tighter_when_conformant () =
   (* On the statically conformant stream, eq. (16) applies and must beat
@@ -167,8 +171,6 @@ let suite =
   [
     Alcotest.test_case "components sum to latency" `Quick
       test_components_sum_to_latency;
-    Alcotest.test_case "invalid span detected" `Quick
-      test_invalid_span_detected;
     Alcotest.test_case "attribution over a live simulation" `Quick
       test_attribution_collects_simulation;
     Alcotest.test_case "headroom non-negative on good scenarios" `Slow

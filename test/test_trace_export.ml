@@ -240,6 +240,18 @@ let test_save_load_files () =
           Alcotest.(check int) "all entries back"
             (Hyp_trace.length trace) (List.length entries))
 
+(* An unreadable file is an Error, like a malformed line, not an
+   exception: rthv_trace --from-jsonl reports it and exits 1. *)
+let test_load_missing_file () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "rthv-missing.jsonl" in
+  (try Sys.remove path with Sys_error _ -> ());
+  match Export.load_jsonl ~path with
+  | Error msg ->
+      Alcotest.(check bool) "message names the file" true
+        (String.length msg >= String.length path
+        && String.sub msg 0 (String.length path) = path)
+  | Ok _ -> Alcotest.fail "a missing file loaded"
+
 let suite =
   [
     Alcotest.test_case "chrome export is valid JSON" `Quick
@@ -252,4 +264,6 @@ let suite =
     Alcotest.test_case "coalesced raises reach both exporters" `Quick
       test_coalesced_in_exports;
     Alcotest.test_case "save/load files" `Quick test_save_load_files;
+    Alcotest.test_case "load of a missing file is an Error" `Quick
+      test_load_missing_file;
   ]

@@ -129,10 +129,9 @@ let test_classifier_matches_simulator () =
 
 let test_latency_by_source_named () =
   with_store (fun path _ stats ->
-      let line_source line = if line = 0 then Some "nic" else None in
       let q =
-        Query.run ~line_source ~agg:Query.Latency ~group_by:Query.By_source
-          path
+        Query.run ~config:(scenario_config ()) ~agg:Query.Latency
+          ~group_by:Query.By_source path
       in
       match q.Query.q_groups with
       | [ g ] ->
@@ -145,10 +144,11 @@ let test_on_sample_streams_everything () =
   with_store (fun path _ stats ->
       let n = ref 0 in
       let worst = ref 0. in
-      let on_sample ~source:_ ~cls:_ ~partition ~latency_us =
+      let on_sample (sp : Rthv_core.Irq_fold.span) =
         incr n;
+        let latency_us = Rthv_core.Irq_fold.latency_us sp in
         if latency_us > !worst then worst := latency_us;
-        Alcotest.(check int) "subscriber partition" 1 partition
+        Alcotest.(check int) "subscriber partition" 1 sp.partition
       in
       let q =
         Query.run ~on_sample ~agg:Query.Latency ~group_by:Query.By_none path

@@ -23,3 +23,11 @@ let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
 let us = Cycles.of_us
+
+(* A span's timestamps follow its causal chain. *)
+let monotone (sp : Rthv_core.Irq_fold.span) =
+  sp.arrival <= sp.top_start
+  && sp.top_start <= sp.top_end
+  && sp.top_end <= sp.decision
+  && sp.decision <= sp.bh_start
+  && sp.bh_start <= sp.completion
