@@ -4,12 +4,12 @@
 
    Pass 1 checks a configuration against the paper's analysis before a
    single cycle is simulated (rule codes RTHV0xx); pass 2 (--trace-audit)
-   simulates the scenario and replays the recorded hypervisor trace through
-   the invariant oracle (codes RTHV1xx); pass 3 (--certify) synthesizes an
-   adversarial witness trace for every Error-severity refutation, demotes
-   any Error the replay cannot confirm, and emits a proof-carrying
-   certificate artifact that --recheck re-validates without re-running the
-   analysis.
+   simulates the scenario and folds its hypervisor trace through the
+   invariant oracle as it is recorded (codes RTHV1xx); pass 3 (--certify)
+   synthesizes an adversarial witness trace for every Error-severity
+   refutation, demotes any Error the replay cannot confirm, and emits a
+   proof-carrying certificate artifact that --recheck re-validates without
+   re-running the analysis.
 
    Examples:
      rthv_lint                            # lint the three example scenarios
@@ -42,15 +42,16 @@ let trace_audit_scenario name config =
   match Config.validate config with
   | Error _ -> [] (* already an RTHV001 in the lint pass *)
   | Ok () ->
-      let trace =
-        Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity ()
+      (* The oracle folds the events as they are recorded: the ring only
+         carries them, so a run of any length is audited in full. *)
+      let trace = Hyp_trace.create ~capacity:256 () in
+      let fold =
+        Check.Trace_oracle.attach (Check.Trace_oracle.of_config config) trace
       in
-      let sim = Hyp_sim.create ~trace config in
-      Hyp_sim.run sim;
-      let spec = Check.Trace_oracle.of_config config in
+      Hyp_sim.run (Hyp_sim.create ~trace config);
       List.map
         (fun diag -> { scenario = name; pass = "trace"; diag })
-        (Check.Trace_oracle.audit spec trace)
+        (fst (Check.Trace_oracle.finish fold))
 
 let print_text ~selected ~passes findings =
   List.iter

@@ -331,7 +331,7 @@ let metrics =
 let capacity =
   Arg.(
     value
-    & opt int Hyp_sim.audit_trace_capacity
+    & opt int (1 lsl 20)
     & info [ "capacity" ] ~docv:"N"
         ~doc:"Trace ring-buffer capacity when simulating.")
 

@@ -188,7 +188,7 @@ let () =
      dispatch the linter and the headroom gate use: the bucket must be
      vacuous, or interposed completions fall back to the baseline bound. *)
   let plan_cycle = Rthv_core.Slot_plan.cycle_length (Config.slot_plan hardened) in
-  let policy = Rthv_check.Lint.bound_policy ~cycle:plan_cycle shaping in
+  let policy = Rthv_check.Absint.bound_policy ~cycle:plan_cycle shaping in
   (match Rthv_analysis.Bound.per_instance_condition policy with
   | Some _ ->
       Format.printf

@@ -49,7 +49,7 @@ let () =
   (* 4. The price: bounded interference on the "control" partition.  The
      hypervisor enforces it; equation (14) predicts it. *)
   let c_bh_eff =
-    Rthv_check.Lint.c_bh_eff ~platform:Rthv_hw.Platform.arm926ejs_200mhz
+    Rthv_check.Absint.c_bh_eff ~platform:Rthv_hw.Platform.arm926ejs_200mhz
       ~c_bh:(Cycles.of_us 40)
   in
   let bound =

@@ -27,8 +27,9 @@
     interpose at all, partition facts fold every source's interval, and the
     system utilisation folds both — {!Fix.solve} propagates until stable.
 
-    The shared policy primitives ([c_bh_eff], [bound_policy], …) live here
-    and are re-exported by {!Lint} for compatibility. *)
+    The shared policy primitives ([c_bh_eff], [bound_policy], …) live here:
+    {!Lint}, {!Trace_oracle}, {!Headroom} and {!Witness} all read them from
+    this module. *)
 
 module Itv : sig
   (** Closed integer intervals [\[lo, hi\]] with [hi = None] meaning
@@ -163,7 +164,7 @@ val analyze : Rthv_core.Config.t -> t
 
 val c_bh_eff :
   platform:Rthv_hw.Platform.t -> c_bh:Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
-(** Equation (13): [C'_BH = C_BH + C_sched + 2*C_ctx]. *)
+(** Equation (13): [C'_BH = C_BH + C_sched + 2*C_ctx] for the platform. *)
 
 val footprint :
   platform:Rthv_hw.Platform.t ->
@@ -178,16 +179,26 @@ val footprint :
 
 val static_condition :
   Rthv_core.Config.shaping -> Rthv_analysis.Distance_fn.t option
-(** See {!Lint.static_condition}. *)
+(** The statically known delta^- envelope of the admitted stream: the
+    configured condition for [Fixed_monitor], the load bound for a bounded
+    [Self_learning] monitor (Algorithm 2 raises every learned entry to the
+    bound, so the run-phase condition is at least as strict), [None]
+    otherwise. *)
 
 val degenerate : Rthv_analysis.Distance_fn.t -> bool
+(** All entries zero: eq. (14) yields no bound. *)
 
 val shaped : Rthv_core.Config.source -> bool
+(** The source uses the modified top handler or the throttle baseline. *)
 
 val bound_policy :
   cycle:Rthv_engine.Cycles.t ->
   Rthv_core.Config.shaping ->
   Rthv_analysis.Bound.policy
+(** The analysis-side descriptor of a shaping policy — the single mapping
+    from configuration variants onto {!Rthv_analysis.Bound.policy}, shared
+    by {!Lint}, {!Trace_oracle} and {!Headroom}.  [cycle] (the TDMA cycle
+    length) parameterizes budgeted policies. *)
 
 val adversarial_schedule :
   policy:Rthv_analysis.Bound.policy ->

@@ -28,42 +28,29 @@ let () =
 
 let default_fail diags = raise (Audit_failure diags)
 
-let default_warn diags =
-  List.iter (fun d -> Format.eprintf "audit: %a@." Diagnostic.pp d) diags
-
-let install ?(fail = default_fail) ?(warn = default_warn) () =
+let install ?(fail = default_fail) () =
   Rthv_core.Hyp_sim.set_audit_hook
     (Some
        (fun config trace ->
-         let spec = Trace_oracle.of_config config in
-         let diags = Trace_oracle.audit spec trace in
-         if List.exists Diagnostic.is_error diags then begin
-           (* Post-mortem first: persist the events that led to the
-              violation before the failure continuation (which typically
-              raises) unwinds. *)
-           let detail =
-             List.filter Diagnostic.is_error diags
-             |> List.map (fun d -> d.Diagnostic.code)
-             |> List.sort_uniq String.compare
-             |> String.concat ","
-           in
-           ignore
-             (Rthv_core.Flight_recorder.dump ~reason:"oracle_violation"
-                ~detail ()
-               : string option);
-           fail diags
-         end
-         else begin
-           (* A dropped-trace RTHV107 means the audit never ran — surface
-              it instead of letting the skip pass as a clean verdict. *)
-           match
-             List.filter
-               (fun d -> d.Diagnostic.severity = Diagnostic.Warning)
-               diags
-           with
-           | [] -> ()
-           | warnings -> warn warnings
-         end))
+         let fold = Trace_oracle.attach (Trace_oracle.of_config config) trace in
+         fun () ->
+           let diags, _ = Trace_oracle.finish fold in
+           if List.exists Diagnostic.is_error diags then begin
+             (* Post-mortem first: persist the events that led to the
+                violation before the failure continuation (which typically
+                raises) unwinds. *)
+             let detail =
+               List.filter Diagnostic.is_error diags
+               |> List.map (fun d -> d.Diagnostic.code)
+               |> List.sort_uniq String.compare
+               |> String.concat ","
+             in
+             ignore
+               (Rthv_core.Flight_recorder.dump ~reason:"oracle_violation"
+                  ~detail ()
+                 : string option);
+             fail diags
+           end))
 
 let uninstall () = Rthv_core.Hyp_sim.set_audit_hook None
 let installed = Rthv_core.Hyp_sim.audit_hook_installed

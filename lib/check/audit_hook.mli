@@ -1,8 +1,10 @@
 (** Opt-in simulator auditing.
 
-    Installing the hook makes every {!Rthv_core.Hyp_sim} run record a trace
-    (if the caller did not already attach one) and replay it through
-    {!Trace_oracle} when the run finishes.  Error-severity findings raise
+    Installing the hook makes every {!Rthv_core.Hyp_sim} simulation created
+    while it is installed fold its events through {!Trace_oracle} as they
+    are recorded, on the trace's spill hook (a small ring is attached if
+    the caller passed no trace), and rule when its run finishes.  The audit
+    sees the whole run whatever its length.  Error-severity findings raise
     {!Audit_failure}, so an entire test suite can run audited by installing
     the hook once in its main. *)
 
@@ -11,21 +13,13 @@ exception Audit_failure of Diagnostic.t list
     invariant.  A human-readable printer is registered with
     {!Printexc.register_printer}. *)
 
-val install :
-  ?fail:(Diagnostic.t list -> unit) ->
-  ?warn:(Diagnostic.t list -> unit) ->
-  unit ->
-  unit
-(** Install the audit hook.  After every simulator run the trace is audited
-    against the run's configuration; if any Error-severity diagnostics are
-    found, [fail] is called with the full (sorted) list.  The default [fail]
-    raises {!Audit_failure}.
-
-    Runs with no errors but Warning-severity findings — notably [RTHV107],
-    the ring buffer dropped entries so the invariant audit was skipped —
-    call [warn] with just the warnings.  The default [warn] prints them to
-    stderr; pass [~warn:(fun _ -> ())] to silence, or a collector to
-    assert on them in tests. *)
+val install : ?fail:(Diagnostic.t list -> unit) -> unit -> unit
+(** Install the audit hook.  Each simulation created from now on is
+    audited against its configuration; when its run finishes with any
+    Error-severity diagnostics, the {!Rthv_core.Flight_recorder} dumps its
+    ring (if enabled) and [fail] is called with the full (sorted) list.
+    The default [fail] raises {!Audit_failure}.  A live audit folds every
+    event, so it never reports [RTHV107]. *)
 
 val uninstall : unit -> unit
 

@@ -56,7 +56,7 @@ let sole_interposer (config : Config.t) (s : Config.source) =
   not
     (List.exists
        (fun (o : Config.source) ->
-         o.Config.line <> s.Config.line && Lint.shaped o)
+         o.Config.line <> s.Config.line && Absint.shaped o)
        config.Config.sources)
 
 let stream_conforms (s : Config.source) fn =
@@ -71,7 +71,7 @@ let bounds (config : Config.t) =
      analysis expects. *)
   let interferer_model (s : Config.source) =
     let c_th =
-      if Lint.shaped s then Cycles.( + ) s.Config.c_th costs.Irq_latency.c_mon
+      if Absint.shaped s then Cycles.( + ) s.Config.c_th costs.Irq_latency.c_mon
       else s.Config.c_th
     in
     {
@@ -105,7 +105,7 @@ let bounds (config : Config.t) =
           costs.Irq_latency.c_ctx
       in
       let analysis_tdma = Tdma_interference.make ~cycle ~slot in
-      let policy = Lint.bound_policy ~cycle s.Config.shaping in
+      let policy = Absint.bound_policy ~cycle s.Config.shaping in
       let per_instance fn = sole_interposer config s && stream_conforms s fn in
       let eval cls =
         match

@@ -9,16 +9,6 @@ module Bound = Rthv_analysis.Bound
 module GS = Rthv_analysis.Guest_sched
 module D = Diagnostic
 
-(* The policy primitives live in Absint (the abstract interpreter needs them
-   below this module in the dependency order); re-exported here because the
-   trace oracle, the headroom gate and the scenarios all import them from
-   Lint. *)
-let c_bh_eff = Absint.c_bh_eff
-let static_condition = Absint.static_condition
-let shaped = Absint.shaped
-let bound_policy = Absint.bound_policy
-let degenerate = Absint.degenerate
-
 type ctx = {
   config : Config.t;
   cycle : Cycles.t;
@@ -36,7 +26,7 @@ let partition_loc (p : Config.partition) =
   Printf.sprintf "partition %s" p.Config.pname
 
 let eff ctx (s : Config.source) =
-  c_bh_eff ~platform:ctx.config.Config.platform ~c_bh:s.Config.c_bh
+  Absint.c_bh_eff ~platform:ctx.config.Config.platform ~c_bh:s.Config.c_bh
 
 (* Facts are produced in configuration order; pair them back with the
    declarations they describe. *)
@@ -185,7 +175,7 @@ let rule_learning_useful ctx =
 let rule_vacuous_grant ctx =
   List.filter_map
     (fun (s : Config.source) ->
-      if shaped s && Array.length s.Config.interarrivals = 0 then
+      if Absint.shaped s && Array.length s.Config.interarrivals = 0 then
         Some
           (D.warning ~code:"RTHV008" ~loc:(source_loc s)
              ~hint:"drop the grant or give the source a workload"
@@ -201,7 +191,7 @@ let rule_workload_within_condition ctx =
     (fun (s : Config.source) ->
       match s.Config.shaping with
       | Config.Fixed_monitor fn
-        when (not (degenerate fn)) && Array.length s.Config.interarrivals > 0
+        when (not (Absint.degenerate fn)) && Array.length s.Config.interarrivals > 0
         ->
           let n = Array.length s.Config.interarrivals in
           let total =
@@ -272,7 +262,7 @@ let rule_handler_fits_slot ctx =
       | None -> None (* RTHV001 territory *)
       | Some p ->
           let slot = ctx.slots.(s.Config.subscriber) in
-          if shaped s && eff ctx s > slot then
+          if Absint.shaped s && eff ctx s > slot then
             Some
               (D.error ~code:"RTHV012" ~loc:(source_loc s)
                  ~hint:"shrink C_BH or grow the subscriber's slot; eq. (13) \
@@ -349,7 +339,7 @@ let rule_composite_bucket ctx =
     (fun (s : Config.source) ->
       match s.Config.shaping with
       | Config.Monitor_and_bucket { fn; capacity; refill }
-        when not (degenerate fn) ->
+        when not (Absint.degenerate fn) ->
           let bucket = Bound.Bucketed { capacity; refill } in
           if Bound.vacuous_against fn bucket then
             Some
@@ -408,7 +398,7 @@ let rule_sole_interposer ctx =
     (fun ((s : Config.source), (f : Absint.source_fact)) ->
       let has_condition =
         match Bound.per_instance_condition f.Absint.sf_policy with
-        | Some fn -> not (degenerate fn)
+        | Some fn -> not (Absint.degenerate fn)
         | None -> false
       in
       let others =

@@ -74,30 +74,3 @@ val analyze_with : Absint.t -> Rthv_core.Config.t -> Diagnostic.t list
 
 val rules : (string * string) list
 (** [(code, one-line description)] for every static rule, in code order. *)
-
-val c_bh_eff :
-  platform:Rthv_hw.Platform.t -> c_bh:Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
-(** Equation (13): [C'_BH = C_BH + C_sched + 2*C_ctx] for the platform. *)
-
-val static_condition :
-  Rthv_core.Config.shaping -> Rthv_analysis.Distance_fn.t option
-(** The statically known delta^- envelope of the admitted stream: the
-    configured condition for [Fixed_monitor], the load bound for a bounded
-    [Self_learning] monitor (Algorithm 2 raises every learned entry to the
-    bound, so the run-phase condition is at least as strict), [None]
-    otherwise. *)
-
-val degenerate : Rthv_analysis.Distance_fn.t -> bool
-(** All entries zero: eq. (14) yields no bound. *)
-
-val shaped : Rthv_core.Config.source -> bool
-(** The source uses the modified top handler or the throttle baseline. *)
-
-val bound_policy :
-  cycle:Rthv_engine.Cycles.t ->
-  Rthv_core.Config.shaping ->
-  Rthv_analysis.Bound.policy
-(** The analysis-side descriptor of a shaping policy — the single mapping
-    from configuration variants onto {!Rthv_analysis.Bound.policy}, shared
-    by this linter, {!Trace_oracle} and {!Headroom}.  [cycle] (the TDMA
-    cycle length) parameterizes budgeted policies. *)

@@ -35,7 +35,7 @@ let quickstart ?(monitored = true) () =
 let avionics_datalink_bh_us = 60
 
 let avionics_c_bh_eff () =
-  Lint.c_bh_eff
+  Absint.c_bh_eff
     ~platform:Rthv_hw.Platform.arm926ejs_200mhz
     ~c_bh:(Cycles.of_us avionics_datalink_bh_us)
 

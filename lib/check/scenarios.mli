@@ -19,7 +19,7 @@ val avionics_datalink_bh_us : int
 
 val avionics_c_bh_eff : unit -> Rthv_engine.Cycles.t
 (** Eq. (13) effective cost of one admitted datalink interposition on the
-    ARM926ej-s platform ({!Lint.c_bh_eff}). *)
+    ARM926ej-s platform ({!Absint.c_bh_eff}). *)
 
 val avionics_d_min : unit -> Rthv_engine.Cycles.t
 (** The datalink's granted d_min, sized by

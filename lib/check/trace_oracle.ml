@@ -2,6 +2,7 @@ module Cycles = Rthv_engine.Cycles
 module Platform = Rthv_hw.Platform
 module Config = Rthv_core.Config
 module Hyp_trace = Rthv_core.Hyp_trace
+module Trace_store = Rthv_core.Trace_store
 module DF = Rthv_analysis.Distance_fn
 module Independence = Rthv_analysis.Independence
 module Bound = Rthv_analysis.Bound
@@ -39,13 +40,13 @@ let of_config (config : Config.t) =
   let sources =
     List.map
       (fun (s : Config.source) ->
-        let policy = Lint.bound_policy ~cycle s.Config.shaping in
+        let policy = Absint.bound_policy ~cycle s.Config.shaping in
         let condition =
           match Bound.condition policy with
           | Some fn when Bound.degenerate fn -> None
           | c -> c
         in
-        let c_bh_eff = Lint.c_bh_eff ~platform ~c_bh:s.Config.c_bh in
+        let c_bh_eff = Absint.c_bh_eff ~platform ~c_bh:s.Config.c_bh in
         {
           ss_line = s.Config.line;
           ss_name = s.Config.name;
@@ -70,11 +71,23 @@ let of_config (config : Config.t) =
     claims = [];
   }
 
-(* --- replay state ------------------------------------------------------- *)
+type measurement = {
+  m_horizon : Cycles.t;
+  m_service : Cycles.t array;
+  m_charges : (int option * Cycles.t * Cycles.t) list;
+  m_admitted : (int * int) list;
+}
+
+(* --- the fold ----------------------------------------------------------- *)
 
 type active = {
   a_irq : int;
   a_source : source_spec option;
+  a_line : int option;
+  a_charge_time : Cycles.t;
+      (* The admitted activation's arrival (the window's start without
+         one): the line and the charge outlive the IRQ's in-flight entry,
+         which its completion drops before the window ends. *)
   a_target : int;
   a_start : Cycles.t;
   mutable a_allowance : Cycles.t;
@@ -82,17 +95,19 @@ type active = {
          wall-clock time inside [start, end] without consuming budget. *)
 }
 
-type state = {
+type t = {
   spec : spec;
   mutable diags : D.t list;
   mutable index : int;
   mutable at : Cycles.t;
-      (* Position and timestamp of the entry being replayed: a diagnostic's
+      (* Position and timestamp of the event being folded: a diagnostic's
          location, formatted only when one is reported. *)
   mutable last_time : Cycles.t;
   mutable owner : int;
   irq_line : (int, int) Hashtbl.t;
   admitted_arrival : (int, Cycles.t) Hashtbl.t;
+      (* In-flight IRQs only: a bottom-handler completion drops both
+         entries. *)
   history : (int, Cycles.t list) Hashtbl.t;
       (* line -> last l admitted arrivals, newest first. *)
   mutable pending : (int * int ref) option;
@@ -109,13 +124,32 @@ type state = {
   mutable span_start : Cycles.t;
   mutable span_stolen : Cycles.t;  (* steals inside the current span *)
   admitted_count : (int, int ref) Hashtbl.t;  (* line -> admissions *)
-  raised : (int, unit) Hashtbl.t;  (* irq ids seen in Irq_raised *)
-  bh_done : (int, unit) Hashtbl.t;  (* irq ids whose bottom handler completed *)
-  mutable raise_seen : bool;
-      (* Traces produced before the Irq_raised event existed (and synthetic
-         fixtures) have completions with no raise; the RTHV108 orphan check
-         only arms once the trace demonstrably records raises. *)
+  mutable max_raised : int;
+      (* Highest id raised so far, -1 before the first raise: synthetic
+         traces may record none, and RTHV108 only arms on a trace that
+         records raises.  IRQs are numbered in raise order (Sim_route). *)
 }
+
+let create spec =
+  {
+    spec;
+    diags = [];
+    index = -1;
+    at = Cycles.zero;
+    last_time = Cycles.zero;
+    owner = 0;
+    irq_line = Hashtbl.create 64;
+    admitted_arrival = Hashtbl.create 64;
+    history = Hashtbl.create 8;
+    pending = None;
+    active = None;
+    completed = [];
+    service = Array.make (Stdlib.max 1 spec.partitions) Cycles.zero;
+    span_start = Cycles.zero;
+    span_stolen = Cycles.zero;
+    admitted_count = Hashtbl.create 8;
+    max_raised = -1;
+  }
 
 let source_by_line st line =
   List.find_opt (fun ss -> ss.ss_line = line) st.spec.sources
@@ -178,6 +212,11 @@ let close_span st time =
 
 let steal st cost = st.span_stolen <- Cycles.( + ) st.span_stolen cost
 
+let bump_allowance st cost =
+  match st.active with
+  | Some a -> a.a_allowance <- Cycles.( + ) a.a_allowance cost
+  | None -> ()
+
 let finish_interposition st ~time a =
   let execution = Cycles.( - ) (Cycles.( - ) time a.a_start) a.a_allowance in
   (match a.a_source with
@@ -193,26 +232,19 @@ let finish_interposition st ~time a =
               ss.ss_name Cycles.pp execution Cycles.pp ss.ss_budget Cycles.pp
               a.a_start Cycles.pp time Cycles.pp a.a_allowance))
   | Some _ | None -> ());
-  let charge_time =
-    match Hashtbl.find_opt st.admitted_arrival a.a_irq with
-    | Some arrival -> arrival
-    | None -> a.a_start
-  in
   let cost =
     Cycles.( + )
       (Cycles.( + ) st.spec.c_sched (Cycles.( * ) st.spec.c_ctx 2))
       (Cycles.max execution 0)
   in
-  let line = Hashtbl.find_opt st.irq_line a.a_irq in
-  st.completed <- (charge_time, cost, line) :: st.completed;
+  st.completed <- (a.a_charge_time, cost, a.a_line) :: st.completed;
   (* The window plus its bracketing hypervisor work ran inside the slot that
      owns [time]: that slot's tasks lose the whole charge. *)
   steal st cost;
   st.active <- None
 
-let step st index (e : Hyp_trace.entry) =
-  let time = e.Hyp_trace.time in
-  st.index <- index;
+let event st ~time (ev : Hyp_trace.event) =
+  st.index <- st.index + 1;
   st.at <- time;
   if time < st.last_time then
     report st
@@ -221,25 +253,22 @@ let step st index (e : Hyp_trace.entry) =
             "trace timestamps go backwards: %a after %a" Cycles.pp time
             Cycles.pp st.last_time));
   st.last_time <- Cycles.max st.last_time time;
-  let bump_allowance cost =
-    match st.active with
-    | Some a -> a.a_allowance <- Cycles.( + ) a.a_allowance cost
-    | None -> ()
-  in
-  match e.Hyp_trace.event with
+  match ev with
   | Hyp_trace.Boundary_deferred _ -> ()
   | Hyp_trace.Irq_raised { irq; line } ->
-      st.raise_seen <- true;
       if source_by_line st line = None then
         structural st
           (Printf.sprintf "irq %d raised on unconfigured line %d" irq line);
-      if Hashtbl.mem st.raised irq then
+      if irq <= st.max_raised then
         report st
           (D.error ~code:"RTHV108" ~loc:(here st)
              ~hint:"each IRQ instance id must be raised exactly once; a \
                     duplicate raise breaks the causal span accounting"
              (Printf.sprintf "irq %d raised twice" irq))
-      else Hashtbl.replace st.raised irq ()
+      else begin
+        st.max_raised <- irq;
+        Hashtbl.replace st.irq_line irq line
+      end
   | Hyp_trace.Bottom_handler_start { irq = _; partition = _ } ->
       (* A zero-cost marker bracketing the bottom-half slice of the span:
          no allowance bump, no slot check (RTHV105 judges the completion). *)
@@ -261,14 +290,14 @@ let step st index (e : Hyp_trace.entry) =
       Hashtbl.replace st.irq_line irq line;
       match source_by_line st line with
       | Some ss ->
-          bump_allowance ss.ss_c_th;
+          bump_allowance st ss.ss_c_th;
           steal st ss.ss_c_th
       | None ->
           structural st
             (Printf.sprintf "top handler on unconfigured line %d" line))
   | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } -> (
       Hashtbl.replace st.irq_line irq line;
-      bump_allowance st.spec.c_mon;
+      bump_allowance st st.spec.c_mon;
       steal st st.spec.c_mon;
       match verdict with
       | `Denied | `Fallback_direct -> ()
@@ -315,8 +344,9 @@ let step st index (e : Hyp_trace.entry) =
                  irq);
             Cycles.zero
       in
+      let line = Hashtbl.find_opt st.irq_line irq in
       let source =
-        match Hashtbl.find_opt st.irq_line irq with
+        match line with
         | None ->
             structural st
               (Printf.sprintf "interposition for unknown irq %d" irq);
@@ -341,6 +371,10 @@ let step st index (e : Hyp_trace.entry) =
           {
             a_irq = irq;
             a_source = source;
+            a_line = line;
+            a_charge_time =
+              Option.value ~default:time
+                (Hashtbl.find_opt st.admitted_arrival irq);
             a_target = target;
             a_start = time;
             a_allowance = allowance;
@@ -370,17 +404,11 @@ let step st index (e : Hyp_trace.entry) =
                  target a.a_target);
           finish_interposition st ~time a)
   | Hyp_trace.Bottom_handler_done { irq; partition } -> (
+      let line = Hashtbl.find_opt st.irq_line irq in
       (* RTHV108: every completion must match exactly one raise — no orphan
-         completions (if the trace records raises at all) and no duplicate
-         completions of the same instance. *)
-      if Hashtbl.mem st.bh_done irq then
-        report st
-          (D.error ~code:"RTHV108" ~loc:(here st)
-             ~hint:"a bottom handler completes its IRQ instance exactly once"
-             (Printf.sprintf "irq %d's bottom handler completed twice" irq))
-      else begin
-        Hashtbl.replace st.bh_done irq ();
-        if st.raise_seen && not (Hashtbl.mem st.raised irq) then
+         completions and no duplicate completions of the same instance. *)
+      if st.max_raised >= 0 then
+        if irq > st.max_raised then
           report st
             (D.error ~code:"RTHV108" ~loc:(here st)
                ~hint:"every bottom-handler completion must trace back to an \
@@ -389,18 +417,21 @@ let step st index (e : Hyp_trace.entry) =
                   "irq %d's bottom handler completed but the trace has no \
                    matching raise"
                   irq))
-      end;
+        else if line = None then
+          report st
+            (D.error ~code:"RTHV108" ~loc:(here st)
+               ~hint:"a bottom handler completes its IRQ instance exactly once"
+               (Printf.sprintf "irq %d's bottom handler completed twice" irq));
+      Hashtbl.remove st.irq_line irq;
+      Hashtbl.remove st.admitted_arrival irq;
       (* An own-slot completion executed its C_BH inside the owner's span
          (interposed completions are charged at Interposition_end). *)
-      (match st.active with
-      | None when partition = st.owner -> (
-          match Hashtbl.find_opt st.irq_line irq with
-          | Some line -> (
-              match source_by_line st line with
-              | Some ss -> steal st ss.ss_budget
-              | None -> ())
+      (match (st.active, line) with
+      | None, Some line when partition = st.owner -> (
+          match source_by_line st line with
+          | Some ss -> steal st ss.ss_budget
           | None -> ())
-      | None | Some _ -> ());
+      | _ -> ());
       if partition <> st.owner then
         match st.active with
         | Some a when a.a_target = partition -> ()
@@ -415,7 +446,7 @@ let step st index (e : Hyp_trace.entry) =
                      targeting it"
                     partition st.owner)))
 
-(* RTHV104: replay-side equation (14).  Each completed interposition is
+(* RTHV104: equation (14) over the run.  Each completed interposition is
    charged C_sched + 2*C_ctx + execution at the arrival of the activation it
    was admitted for; in every window anchored at a charge and sized by a
    partition slot or the full cycle, the charges must stay within the summed
@@ -481,94 +512,84 @@ let check_interference st =
    Measuring less refutes the claimed bound; this is the confirmation
    channel for service-side refutations (RTHV006/RTHV017/RTHV020), as
    RTHV104 with claim curves is for interference-side ones. *)
-let check_claims st =
-  List.iter
+let refuted_claims claims m =
+  List.filter_map
     (fun { sc_partition; sc_min_total } ->
-      if sc_partition >= 0 && sc_partition < Array.length st.service then
-        let measured = st.service.(sc_partition) in
-        if measured < sc_min_total then
-          report st
-            (D.error ~code:"RTHV109"
-               ~loc:(Printf.sprintf "partition %d" sc_partition)
-               ~hint:"the claimed supply bound does not hold on this run: \
-                      the refutation's witness trace is confirmed"
-               (Format.asprintf
-                  "partition received %a of net service but the claim \
-                   requires at least %a"
-                  Cycles.pp measured Cycles.pp sc_min_total)))
-    st.spec.claims
+      let p = sc_partition in
+      if p < 0 || p >= Array.length m.m_service then None
+      else if m.m_service.(p) >= sc_min_total then None
+      else
+        Some
+          (D.error ~code:"RTHV109"
+             ~loc:(Printf.sprintf "partition %d" p)
+             ~hint:"the claimed supply bound does not hold on this run: the \
+                    refutation's witness trace is confirmed"
+             (Format.asprintf
+                "partition received %a of net service but the claim \
+                 requires at least %a"
+                Cycles.pp m.m_service.(p) Cycles.pp sc_min_total)))
+    claims
 
-let replay spec entries =
-  let st =
+(* A trace cut mid-window (horizon) is not judged: only terminated
+   interpositions enter the interference accounting. *)
+let finish st =
+  close_span st st.last_time;
+  let m =
     {
-      spec;
-      diags = [];
-      index = 0;
-      at = Cycles.zero;
-      last_time = Cycles.zero;
-      owner = 0;
-      irq_line = Hashtbl.create 64;
-      admitted_arrival = Hashtbl.create 64;
-      history = Hashtbl.create 8;
-      pending = None;
-      active = None;
-      completed = [];
-      service = Array.make (Stdlib.max 1 spec.partitions) Cycles.zero;
-      span_start = Cycles.zero;
-      span_stolen = Cycles.zero;
-      admitted_count = Hashtbl.create 8;
-      raised = Hashtbl.create 64;
-      bh_done = Hashtbl.create 64;
-      raise_seen = false;
+      m_horizon = st.last_time;
+      m_service = st.service;
+      m_charges =
+        List.rev_map (fun (t, cost, line) -> (line, t, cost)) st.completed;
+      m_admitted =
+        List.sort compare
+          (Hashtbl.fold
+             (fun line n acc -> (line, !n) :: acc)
+             st.admitted_count []);
     }
   in
-  List.iteri (fun index e -> step st index e) entries;
-  close_span st st.last_time;
+  check_interference st;
+  List.iter (report st) (refuted_claims st.spec.claims m);
+  (D.sort (List.rev st.diags), m)
+
+let attach spec trace =
+  let st = create spec in
+  Hyp_trace.set_spill trace (event st);
   st
 
+let fold_entry st e = event st ~time:e.Hyp_trace.time e.Hyp_trace.event
+
 let audit_entries spec entries =
-  let st = replay spec entries in
-  (* A trace cut mid-window (horizon) is not judged; only terminated
-     interpositions enter the interference accounting. *)
-  check_interference st;
-  check_claims st;
-  D.sort (List.rev st.diags)
-
-type measurement = {
-  m_horizon : Cycles.t;
-  m_service : Cycles.t array;
-  m_charges : (int option * Cycles.t * Cycles.t) list;
-  m_admitted : (int * int) list;
-}
-
-let measure spec entries =
-  let st = replay spec entries in
-  {
-    m_horizon = st.last_time;
-    m_service = st.service;
-    m_charges =
-      List.rev_map (fun (t, cost, line) -> (line, t, cost)) st.completed;
-    m_admitted =
-      List.sort compare
-        (Hashtbl.fold (fun line n acc -> (line, !n) :: acc) st.admitted_count []);
-  }
+  let st = create spec in
+  List.iter (fold_entry st) entries;
+  fst (finish st)
 
 let audit spec trace =
   let dropped = Hyp_trace.dropped trace in
   if dropped > 0 then
     [
       D.warning ~code:"RTHV107" ~loc:"trace"
-        ~hint:"enlarge the trace capacity (Hyp_sim.audit_trace_capacity is \
-               the audit default) or shorten the run"
+        ~hint:"attach the audit before the run (Trace_oracle.attach folds \
+               every event as it is recorded) or enlarge the ring"
         (Printf.sprintf
            "trace ring buffer dropped %d of %d entries; the invariant audit \
             needs the full stream and was skipped"
            dropped (Hyp_trace.recorded trace));
     ]
-  else audit_entries spec (Hyp_trace.to_list trace)
+  else begin
+    let st = create spec in
+    Hyp_trace.iter trace (fold_entry st);
+    fst (finish st)
+  end
 
 let audit_store spec path =
-  Result.map (audit_entries spec) (Rthv_core.Trace_store.read_entries path)
+  let st = create spec in
+  match
+    Trace_store.scan path ~f:(fun ~time ~kind ~a ~b ~c ~d ->
+        event st ~time (Trace_store.decode_event ~kind ~a ~b ~c ~d))
+  with
+  | (_ : Rthv_obs.Tracestore.stats) -> Ok (fst (finish st))
+  | exception Rthv_obs.Tracestore.Corrupt msg -> Error msg
+  | exception Sys_error msg -> Error msg
 
 let invariants =
   [

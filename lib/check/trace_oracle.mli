@@ -1,11 +1,20 @@
 (** Pass 2 — trace-invariant oracle.
 
-    A replay checker over a {!Rthv_core.Hyp_trace} event stream: given the
+    A checker over a {!Rthv_core.Hyp_trace} event stream: given the
     configuration the trace was produced under, verify that the hypervisor's
     observable behaviour stayed inside the paper's guarantees.  The oracle is
     the runtime complement of the static analyzer — {!Lint} proves the
     configuration admits a bound, this pass proves a concrete run respected
     it.
+
+    The oracle is one streaming fold ({!create}, {!event}, {!finish}), and
+    every input goes through it: a live run on its trace's spill hook
+    ({!attach}), a recorded ring ({!audit}), an entry list
+    ({!audit_entries}) and a binary trace store ({!audit_store}).  Its
+    state does not grow with the run beyond the delta^- history (l
+    arrivals per line) and one RTHV104 charge per interposition: an IRQ's
+    in-flight entry is dropped when its bottom handler completes.  So a
+    live audit has no length limit.
 
     Invariant codes:
 
@@ -34,18 +43,25 @@
       end or boundary-crossing with no (or the wrong) interposition in
       flight, events naming an unconfigured interrupt line, a slot switch
       from a partition that did not own the slot (Error);
-    - [RTHV107] the trace ring buffer dropped entries, so no verdict is
-      possible — the audit is skipped (Info);
+    - [RTHV107] a recorded ring handed to {!audit} dropped entries, so no
+      verdict is possible — the audit is skipped (Warning).  Only {!audit}
+      reports it: the fold itself sees every event it is given;
     - [RTHV108] a bottom-handler completion without exactly one matching
-      raise (Error);
+      raise (Error).  The simulator numbers IRQs in raise order, so a raise
+      at or below the highest raised id is a repeat, and so is a completion
+      at or below it whose IRQ already completed; the checks arm at the
+      first raise, since synthetic traces may record none;
     - [RTHV109] a {!service_claim} asserts a minimum of net service for a
-      partition and the replay measured less (Error) — the oracle-side
+      partition and the run measured less (Error) — the oracle-side
       refutation channel for claimed supply bounds, used by {!Witness} the
       way RTHV104 with claim curves is used for interference bounds.  Never
       fires from {!of_config} specs ([claims] is empty there).
 
-    A trace that ends mid-interposition (horizon cut) is not an error; the
-    unfinished window is simply not judged. *)
+    RTHV104 and RTHV109 are judged when the stream ends ({!finish}); the
+    other codes as the events arrive, located as [trace[i] t=...] with [i]
+    the event's position in the stream.  A trace that ends
+    mid-interposition (horizon cut) is not an error; the unfinished window
+    is simply not judged. *)
 
 type source_spec = {
   ss_line : int;
@@ -88,28 +104,12 @@ val of_config : Rthv_core.Config.t -> spec
 (** Derive the oracle's expectations from a configuration (the same values
     {!Rthv_core.Hyp_sim} runs under).  [claims] is empty. *)
 
-val audit_entries :
-  spec -> Rthv_core.Hyp_trace.entry list -> Diagnostic.t list
-(** Audit a raw entry list (oldest first), e.g. one built by hand in a
-    test.  Diagnostics are returned sorted most severe first. *)
-
-val audit : spec -> Rthv_core.Hyp_trace.t -> Diagnostic.t list
-(** Audit a recorded trace.  If the ring buffer dropped entries the result
-    is a single [RTHV107] warning and nothing else is checked — a skipped
-    audit is a blind spot, not mere trivia, so {!Audit_hook} surfaces it. *)
-
-val audit_store : spec -> string -> (Diagnostic.t list, string) result
-(** Audit the event stream of a binary trace store
-    ({!Rthv_core.Trace_store}): archived certification evidence replays
-    through the oracle without a JSONL detour.  IO and corruption problems
-    come back as [Error msg]. *)
-
 type measurement = {
   m_horizon : Rthv_engine.Cycles.t;  (** Last trace timestamp. *)
   m_service : Rthv_engine.Cycles.t array;
       (** Per-partition net service accumulated over the run. *)
   m_charges : (int option * Rthv_engine.Cycles.t * Rthv_engine.Cycles.t) list;
-      (** Completed interpositions, newest first:
+      (** Completed interpositions, oldest first:
           [(source line, charge time, C_sched + 2*C_ctx + execution)] — the
           exact quantities RTHV104 audits, tagged by line so witnesses can
           report the measured interference of the refuted source. *)
@@ -117,10 +117,51 @@ type measurement = {
       (** Admissions per line, ascending by line. *)
 }
 
-val measure : spec -> Rthv_core.Hyp_trace.entry list -> measurement
-(** Replay without judging: the measured quantities a {!Witness} embeds in
-    its artifact so a reviewer can compare prediction against observation
-    without re-running the simulation. *)
+type t
+(** One audit in progress: the fold's state over the events seen so far. *)
+
+val create : spec -> t
+
+val event : t -> time:Rthv_engine.Cycles.t -> Rthv_core.Hyp_trace.event -> unit
+(** Fold one event, in stream order.  Its signature is a
+    {!Rthv_core.Hyp_trace.set_spill} hook's. *)
+
+val finish : t -> Diagnostic.t list * measurement
+(** The end-of-stream ruling: every finding, sorted most severe first
+    ({!Diagnostic.sort}), and the measured quantities a {!Witness} embeds
+    in its artifact so a reviewer can compare prediction against
+    observation without re-running the simulation.  Call it once, after
+    the last event. *)
+
+val attach : spec -> Rthv_core.Hyp_trace.t -> t
+(** {!create} a fold and add its {!event} to the trace's spill hooks: the
+    fold sees every event the trace records from now on, whatever the
+    ring's capacity. *)
+
+val refuted_claims : service_claim list -> measurement -> Diagnostic.t list
+(** The RTHV109 findings of [claims] against a finished fold's measured
+    service, in claim order.  {!finish} reports these for the spec's own
+    claims; a {!Witness} whose claim depends on the measured horizon judges
+    it here without folding the run again. *)
+
+val audit_entries :
+  spec -> Rthv_core.Hyp_trace.entry list -> Diagnostic.t list
+(** Fold a raw entry list (oldest first), e.g. one built by hand in a
+    test, and return {!finish}'s findings. *)
+
+val audit : spec -> Rthv_core.Hyp_trace.t -> Diagnostic.t list
+(** Fold a trace someone already recorded, walking its ring in place.  If
+    the ring dropped entries the result is a single [RTHV107] warning and
+    nothing else is checked: the stream really is truncated, and a skipped
+    audit is a blind spot, not mere trivia.  To audit a run of any length,
+    {!attach} the fold before the run instead. *)
+
+val audit_store : spec -> string -> (Diagnostic.t list, string) result
+(** Fold the event stream of a binary trace store
+    ({!Rthv_core.Trace_store}) as {!Rthv_core.Trace_store.scan} reads it,
+    without materializing the store: archived certification evidence
+    replays through the oracle without a JSONL detour.  IO and corruption
+    problems come back as [Error msg]. *)
 
 val invariants : (string * string) list
 (** [(code, one-line description)] for every trace invariant, in code

@@ -132,15 +132,18 @@ let with_arrivals config overrides ~empty_others =
         config.Config.sources;
   }
 
-(* A witness run must terminate even when the refuted configuration never
-   drains its IRQ backlog (that divergence is often the point): cap the
-   simulation shortly after the synthesized bursts end.  A trace cut
-   mid-window is legitimate oracle input. *)
-let run_trace config ~horizon =
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+(* Run the witness once, with [attach]'s oracle folds on its trace's spill
+   hook; the ring only carries the events to them.  A witness run must
+   terminate even when the refuted configuration never drains its IRQ
+   backlog (that divergence is often the point): cap the simulation shortly
+   after the synthesized bursts end.  A trace cut mid-window is legitimate
+   oracle input. *)
+let replay config ~horizon attach =
+  let trace = Hyp_trace.create ~capacity:256 () in
+  let folds = attach trace in
   let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run ~horizon:(Cycles.( + ) horizon (Cycles.( * ) (cycle_of config) 2)) sim;
-  trace
+  folds
 
 let digest_of arrivals =
   let buf = Buffer.create 256 in
@@ -277,16 +280,18 @@ let interference_witness config ai (diag : D.t) =
       | [] -> None
       | (carrier, _) :: _ ->
           let wconfig = with_arrivals config bursts ~empty_others:true in
-          let trace = run_trace wconfig ~horizon in
           let spec = TO.of_config wconfig in
           let claim_spec =
             match diag.D.code with
             | "RTHV018" -> grant_claim_spec wconfig spec
             | _ -> slot_claim_spec ~c_ctx spec carrier
           in
-          let baseline = TO.audit spec trace in
-          let oracle = TO.audit claim_spec trace in
-          let measured = TO.measure spec (Hyp_trace.to_list trace) in
+          let base, claim =
+            replay wconfig ~horizon (fun trace ->
+                (TO.attach spec trace, TO.attach claim_spec trace))
+          in
+          let baseline, measured = TO.finish base in
+          let oracle, _ = TO.finish claim in
           Some
             {
               w_code = diag.D.code;
@@ -365,15 +370,17 @@ let service_witness config ai (diag : D.t) =
       config.Config.sources
   in
   let wconfig = with_arrivals config bursts ~empty_others:false in
-  let trace = run_trace wconfig ~horizon in
   let spec = TO.of_config wconfig in
-  let baseline = TO.audit spec trace in
-  let measured = TO.measure spec (Hyp_trace.to_list trace) in
+  let baseline, measured =
+    TO.finish (replay wconfig ~horizon (TO.attach spec))
+  in
+  (* The claim comes from the measured horizon, so it is judged on the
+     finished fold's service: the same findings a fold of the claim spec
+     would report, since [spec] claims nothing itself. *)
   match service_claim wconfig ai ~horizon:measured.TO.m_horizon diag with
   | None -> None
   | Some claim ->
-      let claim_spec = { spec with TO.claims = [ claim ] } in
-      let oracle = TO.audit claim_spec trace in
+      let oracle = D.sort (baseline @ TO.refuted_claims [ claim ] measured) in
       Some
         {
           w_code = diag.D.code;

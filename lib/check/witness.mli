@@ -6,8 +6,9 @@
     {!Scenarios}-compatible configuration whose arrival streams are
     synthesized back-to-back δ⁻-conforming bursts ({!Rthv_workload.Gen}'s
     [adversarial] generator for monitored sources,
-    {!Absint.adversarial_schedule} for the rate-based policies), replayed
-    through {!Rthv_core.Hyp_sim}, and audited twice by {!Trace_oracle}:
+    {!Absint.adversarial_schedule} for the rate-based policies), run once
+    through {!Rthv_core.Hyp_sim} and audited twice by {!Trace_oracle} folds
+    riding on that one run:
 
     - once against the {e true} specification derived from the
       configuration — the run must be Error-clean, proving the trace is a
@@ -15,7 +16,9 @@
       broken replay; and
     - once against a {e claim} specification that embeds the refuted
       guarantee — the predicted oracle rule must fire, confirming the
-      violation on the concrete trace.
+      violation on the concrete trace.  A service claim depends on the
+      run's measured horizon, so it is judged on the first fold's measured
+      service ({!Trace_oracle.refuted_claims}) instead of a second fold.
 
     The linter can therefore never cry wolf: a refutation ships with a
     replayable trace on which an independent checker observes the claimed

@@ -49,13 +49,14 @@ type stats = Sim_stats.t = {
   sim_time : Cycles.t;
 }
 
-(* Opt-in post-run audit: when a hook is installed, every simulation created
-   without an explicit trace buffer gets one attached, and [run] hands the
-   configuration plus the recorded trace to the hook once the run finishes.
-   The trace-invariant oracle of [Rthv_check] installs itself here so whole
-   test suites run audited without touching each call site. *)
-let audit_hook : (Config.t -> Hyp_trace.t -> unit) option ref = ref None
-let audit_trace_capacity = 1 lsl 20
+(* Opt-in audit: while a hook is installed, [create] hands it each new
+   simulation's configuration and trace (attaching a small ring when there
+   is none); the hook attaches its fold to the trace and returns the ruling,
+   which [run] calls once the run finishes.  The trace-invariant oracle of
+   [Rthv_check] installs itself here so whole test suites run audited
+   without touching each call site. *)
+let audit_hook : (Config.t -> Hyp_trace.t -> unit -> unit) option ref =
+  ref None
 
 let set_audit_hook hook = audit_hook := hook
 let audit_hook_installed () = Option.is_some !audit_hook
@@ -119,23 +120,27 @@ let create ?trace ?(policies = []) ?(retain = true) config =
   Tdma.locate tdma 0 slot;
   let registry = Rthv_obs.Registry.installed () in
   let trace =
-    match (trace, !audit_hook) with
-    | (Some _ as some), _ -> some
-    | None, Some _ -> Some (Hyp_trace.create ~capacity:audit_trace_capacity ())
-    | None, None ->
-        (* No audit, but the flight recorder wants the last N events of
-           every run available for a post-mortem dump, and the metrics
-           fold reads the events through the ring's spill hook. *)
+    match trace with
+    | Some _ -> trace
+    | None ->
+        (* The flight recorder wants the last N events of every run
+           available for a post-mortem dump; the metrics and audit folds
+           read the events through the ring's spill hook. *)
         if Flight_recorder.enabled () then
           Some (Hyp_trace.create ~capacity:(Flight_recorder.capacity ()) ())
-        else if Option.is_some registry then
-          (* One minor-heap block: the fold, not the ring, keeps the run. *)
+        else if Option.is_some registry || Option.is_some !audit_hook then
+          (* One minor-heap block: the folds, not the ring, keep the run. *)
           Some (Hyp_trace.create ~capacity:256 ())
         else None
   in
   let metrics =
     match (registry, trace) with
     | Some reg, Some trace -> Some (Sim_metrics.attach reg config trace)
+    | _ -> None
+  in
+  let audit =
+    match (!audit_hook, trace) with
+    | Some hook, Some trace -> Some (hook config trace)
     | _ -> None
   in
   let hq_cap = 16 and pf_cap = 64 in
@@ -146,6 +151,7 @@ let create ?trace ?(policies = []) ?(retain = true) config =
       boundary = config.Config.boundary;
       trace;
       metrics;
+      audit;
       prof = Rthv_obs.Prof.disabled;
       tdma;
       ipc;
@@ -416,9 +422,7 @@ let run ?(horizon = default_horizon) t =
     close_slot_accounting t;
     Option.iter (fun m -> Sim_metrics.finished m t.now) t.metrics;
     t.finished <- true;
-    match (!audit_hook, t.trace) with
-    | Some hook, Some trace -> hook t.config trace
-    | _ -> ()
+    Option.iter (fun rule -> rule ()) t.audit
   end
 
 let records t =

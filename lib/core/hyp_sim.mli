@@ -78,10 +78,16 @@ val create :
   t
 (** [?trace] attaches a hypervisor event trace buffer; every scheduling
     decision (slot switches, deferrals, top handlers, monitor decisions,
-    interpositions, completions) is recorded into it.  When an audit hook is
-    installed (see {!set_audit_hook}) and no trace is passed, a buffer of
-    {!audit_trace_capacity} entries is attached automatically so the hook has
-    something to audit.
+    interpositions, completions) is recorded into it.  When no trace is
+    passed, one is attached anyway if something reads the events: the
+    {!Flight_recorder}'s ring (of its capacity) while the recorder is on,
+    otherwise a 256-entry ring when a registry or an audit hook is
+    installed.  The folds on its spill hooks, not the ring, see the whole
+    run.
+
+    While an audit hook is installed (see {!set_audit_hook}), [create] hands
+    it the configuration and the trace, and keeps the ruling it returns for
+    {!run}.
 
     [?policies] overrides the admission policy of the named sources,
     bypassing the {!Config.shaping} dispatch — the injection point for
@@ -107,20 +113,17 @@ val create :
     @raise Invalid_argument if [Config.validate] fails or a policy names an
     unknown source. *)
 
-val set_audit_hook : (Config.t -> Hyp_trace.t -> unit) option -> unit
-(** Install (or clear) the global post-run audit hook.  While installed,
-    {!run} invokes it exactly once per simulation — after the run finishes —
-    with the simulation's configuration and its event trace.  Simulations
-    created before the hook was installed are audited too if they carry a
-    trace buffer.  [Rthv_check.Audit_hook] uses this to run the
-    trace-invariant oracle across entire test suites. *)
+val set_audit_hook : (Config.t -> Hyp_trace.t -> unit -> unit) option -> unit
+(** Install (or clear) the global audit hook.  While installed, {!create}
+    calls it once per simulation with the configuration and the
+    simulation's trace; the hook attaches its fold to the trace's spill
+    hooks and returns the ruling, which {!run} calls exactly once, when the
+    run finishes.  So the hook audits the simulations created while it is
+    installed, whatever their length, and clearing it does not cancel the
+    rulings of simulations already created.  [Rthv_check.Audit_hook] uses
+    this to run the trace-invariant oracle across entire test suites. *)
 
 val audit_hook_installed : unit -> bool
-
-val audit_trace_capacity : int
-(** Retention bound of auto-attached audit traces (2^20 entries) — the
-    longest run an audit can judge, not an allocation: the ring grows with
-    the events a run records (see {!Hyp_trace.create}). *)
 
 val run : ?horizon:Rthv_engine.Cycles.t -> t -> unit
 (** Run until every generated IRQ has completed its bottom handler (and all

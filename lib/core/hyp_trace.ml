@@ -101,24 +101,20 @@ let length t = Stdlib.min t.total t.capacity
 let recorded t = t.total
 let dropped t = Stdlib.max 0 (t.total - t.capacity)
 
-let to_list t =
-  let n = length t in
+let iter t f =
   (* Until the first wrap the entries sit in order from index 0, whatever
      the arrays' current size; after it the arrays are [capacity] long and
      the oldest entry is the next one to be overwritten. *)
   let start = if t.total <= t.capacity then 0 else t.next in
-  let rec collect i acc =
-    if i = n then List.rev acc
-    else
-      let j = (start + i) mod t.capacity in
-      collect (i + 1) ({ time = t.times.(j); event = t.events.(j) } :: acc)
-  in
-  collect 0 []
+  for i = 0 to length t - 1 do
+    let j = (start + i) mod t.capacity in
+    f { time = t.times.(j); event = t.events.(j) }
+  done
 
-let iter t f = List.iter f (to_list t)
-
-let find_all t predicate =
-  List.filter (fun entry -> predicate entry.event) (to_list t)
+let to_list t =
+  let acc = ref [] in
+  iter t (fun entry -> acc := entry :: !acc);
+  List.rev !acc
 
 let pp_event ppf = function
   | Slot_switch { from_partition; to_partition } ->

@@ -90,9 +90,8 @@ val to_list : t -> entry list
 (** Oldest retained entry first. *)
 
 val iter : t -> (entry -> unit) -> unit
-
-val find_all : t -> (event -> bool) -> entry list
-(** Retained entries whose event satisfies the predicate, oldest first. *)
+(** Retained entries, oldest first, read from the ring in place: no list
+    is built. *)
 
 val pp_event : Format.formatter -> event -> unit
 

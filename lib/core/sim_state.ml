@@ -69,6 +69,9 @@ type t = {
   metrics : Sim_metrics.t option;
       (* Set when a registry was installed at creation; its fold reads
          [trace]. *)
+  audit : (unit -> unit) option;
+      (* The installed audit hook's ruling, when there was one at creation;
+         its fold reads [trace] and [Hyp_sim.run] calls it at the end. *)
   mutable prof : Rthv_obs.Prof.t;
       (* The phase profiler for the current run, hoisted out of the step
          loop: [Hyp_sim.run] refreshes it from [Prof.installed] once per

@@ -87,6 +87,29 @@ let test_fleet_recheck () =
             (String.concat " | " msgs))
     (Fleet.gen_batch ~seed:42 ~count:4)
 
+(* The [fleet_certify] corpus: the 128-config CI fleet with guest tasks
+   stripped.  One digest over every artifact pins each witness replay's
+   confirm-or-demote verdict, not just the four configs above. *)
+let test_fleet_corpus_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (name, (c : Rthv_core.Config.t)) ->
+      let config =
+        {
+          c with
+          Rthv_core.Config.partitions =
+            List.map
+              (fun p -> { p with Rthv_core.Config.tasks = [] })
+              c.Rthv_core.Config.partitions;
+        }
+      in
+      Buffer.add_string buf (build name config))
+    (Fleet.gen_batch ~seed:42 ~count:128);
+  Alcotest.(check int) "corpus bytes" 684_080 (Buffer.length buf);
+  Alcotest.(check string) "corpus artifacts byte-identical"
+    "0b1597f2137ff2a8c6197f5b2542479c"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let test_recheck_rejects_garbage () =
   List.iter
     (fun s ->
@@ -159,6 +182,8 @@ let suite =
     Alcotest.test_case "scenario artifacts recheck, tamper detected" `Slow
       test_scenarios_recheck;
     Alcotest.test_case "fleet artifacts recheck" `Slow test_fleet_recheck;
+    Alcotest.test_case "fleet corpus artifacts pinned" `Slow
+      test_fleet_corpus_digest;
     Alcotest.test_case "recheck rejects garbage" `Quick
       test_recheck_rejects_garbage;
     Alcotest.test_case "certify_batch job-invariant" `Slow

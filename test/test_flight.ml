@@ -9,7 +9,6 @@ module Hyp_trace = Rthv_core.Hyp_trace
 module Admission = Rthv_core.Admission
 module FR = Rthv_core.Flight_recorder
 module Trace_export = Rthv_core.Trace_export
-module DF = Rthv_analysis.Distance_fn
 module Gen = Rthv_workload.Gen
 
 (* Ring wraparound: record k events into a capacity-c ring; the last
@@ -73,36 +72,11 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
-(* A monitored source whose arrivals violate d_min, driven by an admit-all
-   override: the trace oracle derives RTHV102 from the declared shaping,
-   the audit hook dumps the flight ring, then raises Audit_failure. *)
-let violating_run () =
-  let d_min = Cycles.of_us 3_000 in
-  let config =
-    Config.make
-      ~partitions:
-        [
-          Config.partition ~name:"a" ~slot_us:5_000 ();
-          Config.partition ~name:"b" ~slot_us:5_000 ();
-        ]
-      ~sources:
-        [
-          Config.source ~name:"nic" ~line:0 ~subscriber:1 ~c_th_us:5
-            ~c_bh_us:40
-            ~interarrivals:
-              (Gen.constant ~period:(Cycles.of_us 500) ~count:50)
-            ~shaping:(Config.Fixed_monitor (DF.d_min d_min)) ()
-        ]
-      ()
-  in
-  let admit_all =
-    Admission.custom ~name:"admit-all"
-      ~decide:(fun _ -> true)
-      ~commit:(fun _ -> ())
-      ()
-  in
-  let sim = Hyp_sim.create ~policies:[ ("nic", admit_all) ] config in
-  Hyp_sim.run sim
+(* The audit hook dumps the flight ring, then raises Audit_failure. *)
+let violating_run ?trace () =
+  Hyp_sim.run
+    (Hyp_sim.create ?trace ~policies:(Testutil.admit_all ())
+       (Testutil.violating_config ()))
 
 let test_dump_on_oracle_violation () =
   let dir = fresh_dir () in
@@ -134,7 +108,16 @@ let test_dump_on_oracle_violation () =
           | Ok entries ->
               Alcotest.(check bool) "re-imports with events" true
                 (List.length entries > 0)
-          | Error msg -> Alcotest.failf "re-import failed: %s" msg))
+          | Error msg -> Alcotest.failf "re-import failed: %s" msg);
+          (* The audited run keeps the recorder's ring, not a bigger one:
+             the dump holds its last 256 events. *)
+          let lines =
+            In_channel.with_open_text path In_channel.input_all
+            |> String.split_on_char '\n'
+            |> List.filter (fun l -> l <> "")
+          in
+          Alcotest.(check int) "meta line plus 256 events" 257
+            (List.length lines))
 
 (* The oracle formats a diagnostic's location when it reports it, not
    for every entry it replays: the RTHV102 locations of the violating run
@@ -156,6 +139,20 @@ let test_violation_locations () =
         (fun loc ->
           Alcotest.(check bool) (loc ^ " reported") true (List.mem loc locs))
         [ "trace[9] t=1010.64us"; "trace[282] t=24750.64us" ]
+
+(* The audit folds the events as they are recorded, so the ring's capacity
+   does not limit it: a 64-entry ring gets the same findings as a ring that
+   keeps every event. *)
+let test_violation_small_ring () =
+  let findings capacity =
+    match violating_run ~trace:(Hyp_trace.create ~capacity ()) () with
+    | () -> Alcotest.fail "expected Audit_failure"
+    | exception Rthv_check.Audit_hook.Audit_failure diags ->
+        List.map (Format.asprintf "%a" Rthv_check.Diagnostic.pp) diags
+  in
+  let full = findings (1 lsl 20) in
+  Alcotest.(check int) "findings" 70 (List.length full);
+  Alcotest.(check (list string)) "64-entry ring" full (findings 64)
 
 let test_dump_on_uncaught_exception () =
   let dir = fresh_dir () in
@@ -222,6 +219,8 @@ let suite =
       test_dump_on_oracle_violation;
     Alcotest.test_case "oracle violation locations are pinned" `Quick
       test_violation_locations;
+    Alcotest.test_case "oracle audits past a small ring" `Quick
+      test_violation_small_ring;
     Alcotest.test_case "uncaught exception dumps the ring" `Quick
       test_dump_on_uncaught_exception;
     Alcotest.test_case "disabled recorder never dumps" `Quick

@@ -43,7 +43,7 @@ let test_capacity_is_not_allocated () =
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
   let before = words () in
-  let t = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let t = Hyp_trace.create ~capacity:(1 lsl 20) () in
   for i = 0 to 999 do
     Hyp_trace.record t ~time:i ev
   done;
@@ -78,7 +78,12 @@ let test_sim_records_events () =
   let trace, stats =
     run_traced ~shaping:(Config.Fixed_monitor (DF.d_min (us 100)))
   in
-  let count predicate = List.length (Hyp_trace.find_all trace predicate) in
+  let count predicate =
+    List.length
+      (List.filter
+         (fun e -> predicate e.Hyp_trace.event)
+         (Hyp_trace.to_list trace))
+  in
   Alcotest.(check int) "one top handler per IRQ" 3
     (count (function Hyp_trace.Top_handler_run _ -> true | _ -> false));
   Alcotest.(check int) "one completion per IRQ" 3
@@ -112,9 +117,12 @@ let test_monitor_decisions_traced () =
     run_traced ~shaping:(Config.Fixed_monitor (DF.d_min (us 10_000)))
   in
   let decisions =
-    Hyp_trace.find_all trace (function
-      | Hyp_trace.Monitor_decision _ -> true
-      | _ -> false)
+    List.filter
+      (fun e ->
+        match e.Hyp_trace.event with
+        | Hyp_trace.Monitor_decision _ -> true
+        | _ -> false)
+      (Hyp_trace.to_list trace)
   in
   let admitted =
     List.filter

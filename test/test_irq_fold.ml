@@ -10,12 +10,6 @@ module Store = Rthv_core.Trace_store
 module Query = Rthv_core.Trace_query
 module Scenarios = Rthv_check.Scenarios
 
-let with_temp f =
-  let path = Filename.temp_file "rthv_test" ".rts" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let collect () =
   let acc = ref [] in
   ((fun sp -> acc := sp :: !acc), fun () -> List.rev !acc)
@@ -41,7 +35,7 @@ let of_span (sp : Irq_fold.span) =
    against [Hyp_sim.records]. *)
 let test_fold_reproduces_records build () =
   let config = build () in
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
   Alcotest.(check int) "whole trace retained" 0 (Hyp_trace.dropped trace);
@@ -61,13 +55,13 @@ let test_fold_reproduces_records build () =
    for span, and the query's latency samples are the live spans'. *)
 let test_live_equals_store () =
   let config = Scenarios.automotive_ecu () in
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   let on_live, live = collect () in
   Irq_fold.attach ~config trace on_live;
   Hyp_sim.run (Hyp_sim.create ~trace config);
   let live = live () in
   Alcotest.(check bool) "spans folded live" true (live <> []);
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path (Hyp_trace.to_list trace) : int);
       let on_stored, stored = collect () in
       let fold = Irq_fold.create ~config on_stored in

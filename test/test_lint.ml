@@ -378,7 +378,8 @@ let test_weighted_plan_linted_on_effective_slots () =
 let test_c_bh_eff_eq13 () =
   (* C'_BH = C_BH + C_sched + 2*C_ctx = 8000 + 877 + 2*10000 cycles. *)
   Testutil.check_cycles "eq. (13)" 28_877
-    (Lint.c_bh_eff ~platform:Rthv_hw.Platform.arm926ejs_200mhz ~c_bh:(us 40))
+    (Rthv_check.Absint.c_bh_eff ~platform:Rthv_hw.Platform.arm926ejs_200mhz
+       ~c_bh:(us 40))
 
 let test_example_scenarios_error_free () =
   List.iter

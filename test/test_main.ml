@@ -1,6 +1,6 @@
-(* Every simulator run in the whole suite is audited: the hook attaches a
-   trace to each Hyp_sim and replays it through the invariant oracle when
-   the run finishes, raising Audit_failure on any violation. *)
+(* Every simulator run in the whole suite is audited: the hook attaches an
+   invariant-oracle fold to each Hyp_sim's trace when it is created and
+   rules when the run finishes, raising Audit_failure on any violation. *)
 let () = Rthv_check.Audit_hook.install ()
 
 let () =
@@ -54,7 +54,6 @@ let () =
       ("analysis.bound", Test_bound.suite);
       ("golden", Test_golden.suite);
       ("workload", Test_workload.suite);
-      ("workload.trace_io", Test_trace_io.suite);
       ("stats", Test_stats.suite);
       ("stats.ascii_plot", Test_ascii_plot.suite);
       ("par", Test_par.suite);

@@ -22,12 +22,6 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-let with_temp f =
-  let path = Filename.temp_file "rthv_test" ".rts" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let direct = Some Irq_record.Direct
 
 let verdict t ~source ~cls =
@@ -41,10 +35,10 @@ let verdict t ~source ~cls =
    guarantee the scenario was built to exhibit. *)
 let test_conformant_burns_under_one () =
   let config = Scenarios.conformant () in
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path (Hyp_trace.to_list trace) : int);
       let slo = Slo.create config in
       let q =
@@ -157,10 +151,10 @@ let test_span_feeds_series () =
    replays clean through the oracle without a JSONL detour. *)
 let test_audit_store_clean () =
   let config = Scenarios.conformant () in
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path (Hyp_trace.to_list trace) : int);
       match Oracle.audit_store (Oracle.of_config config) path with
       | Ok diags ->

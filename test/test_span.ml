@@ -96,7 +96,7 @@ let test_attribution_collects_simulation () =
 (* The SLO fold judges every latency of a live run against its bound. *)
 let measure ?registry config =
   let slo = Slo.create ?registry config in
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   Irq_fold.attach ~config trace (Slo.span slo);
   Hyp_sim.run (Hyp_sim.create ~trace config);
   slo

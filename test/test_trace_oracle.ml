@@ -17,9 +17,10 @@ let us = Testutil.us
 let codes diags = List.sort_uniq compare (List.map (fun d -> d.D.code) diags)
 let error_codes diags = codes (D.errors diags)
 
-(* Two 5 ms partitions; line 0 -> partition 1, C_BH = 40us, d_min = 2 ms. *)
-let monitored_config ?(shaping = Config.Fixed_monitor (DF.d_min (us 2_000))) ()
-    =
+(* Two 5 ms partitions; line 0 -> partition 1, C_BH = 40us, d_min = 2 ms;
+   [count] IRQs every [period_us]. *)
+let monitored_config ?(shaping = Config.Fixed_monitor (DF.d_min (us 2_000)))
+    ?(count = 20) ?(period_us = 4_000) () =
   Config.make
     ~partitions:
       [
@@ -29,7 +30,8 @@ let monitored_config ?(shaping = Config.Fixed_monitor (DF.d_min (us 2_000))) ()
     ~sources:
       [
         Config.source ~name:"s" ~line:0 ~subscriber:1 ~c_th_us:5 ~c_bh_us:40
-          ~interarrivals:(Rthv_workload.Gen.constant ~period:(us 4_000) ~count:20)
+          ~interarrivals:
+            (Rthv_workload.Gen.constant ~period:(us period_us) ~count)
           ~shaping ();
       ]
     ()
@@ -231,7 +233,7 @@ let test_dropped_entries_skip_audit () =
 (* --- end-to-end: simulator-recorded traces audit clean ------------------ *)
 
 let audit_simulated config =
-  let trace = Hyp_trace.create ~capacity:Hyp_sim.audit_trace_capacity () in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
   let sim = Hyp_sim.create ~trace config in
   Hyp_sim.run sim;
   (sim, trace, Oracle.audit (Oracle.of_config config) trace)
@@ -252,6 +254,59 @@ let test_simulated_scenarios_clean () =
       | [] -> ()
       | cs -> Alcotest.failf "%s: audit errors %s" name (String.concat "," cs))
     Scenarios.good
+
+(* A run longer than any ring is audited in full.  200k IRQs record
+   1,059,794 events: the installed hook and an attached fold see them all,
+   while the same run's 2^20-entry ring, audited after the run, is
+   truncated and can only report RTHV107. *)
+let test_long_run_audited_in_full () =
+  let config = monitored_config ~count:200_000 ~period_us:1_000 () in
+  let spec = Oracle.of_config config in
+  let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
+  let fold = Oracle.attach spec trace in
+  let sim = Hyp_sim.create ~trace config in
+  Hyp_sim.run sim;
+  Alcotest.(check int) "events" 1_059_794 (Hyp_trace.recorded trace);
+  let diags, m = Oracle.finish fold in
+  Alcotest.(check (list string)) "live fold: clean, no RTHV107" []
+    (codes diags);
+  let admitted =
+    List.fold_left (fun acc (_, n) -> acc + n) 0 m.Oracle.m_admitted
+  in
+  Alcotest.(check int) "every admission folded" 59_279 admitted;
+  Alcotest.(check int) "admissions match the run"
+    (Hyp_sim.stats sim).Hyp_sim.admissions admitted;
+  Alcotest.(check (list string)) "recorded ring: truncated" [ "RTHV107" ]
+    (codes (Oracle.audit spec trace))
+
+(* One violating run, one fold, four inputs: live on the spill hook, the
+   installed hook's ruling, the run's store and its entry list. *)
+let test_inputs_agree () =
+  let config = Testutil.violating_config () in
+  let spec = Oracle.of_config config in
+  let render = List.map (Format.asprintf "%a" D.pp) in
+  Testutil.with_temp (fun path ->
+      let trace = Hyp_trace.create ~capacity:(1 lsl 20) () in
+      let writer = Rthv_core.Trace_store.Writer.create path in
+      Hyp_trace.set_spill trace (Rthv_core.Trace_store.Writer.add writer);
+      let fold = Oracle.attach spec trace in
+      let hooked =
+        match
+          Hyp_sim.run
+            (Hyp_sim.create ~trace ~policies:(Testutil.admit_all ()) config)
+        with
+        | () -> Alcotest.fail "expected Audit_failure"
+        | exception Audit_hook.Audit_failure diags -> render diags
+      in
+      Rthv_core.Trace_store.Writer.close writer;
+      let live = render (fst (Oracle.finish fold)) in
+      Alcotest.(check int) "findings" 70 (List.length live);
+      Alcotest.(check (list string)) "installed hook" live hooked;
+      Alcotest.(check (list string)) "entry list" live
+        (render (Oracle.audit_entries spec (Hyp_trace.to_list trace)));
+      match Oracle.audit_store spec path with
+      | Ok diags -> Alcotest.(check (list string)) "store" live (render diags)
+      | Error msg -> Alcotest.failf "audit_store: %s" msg)
 
 let test_audit_hook_roundtrip () =
   Alcotest.(check bool) "hook installed by test main" true
@@ -306,5 +361,9 @@ let suite =
       test_simulated_quickstart_clean;
     Alcotest.test_case "simulated scenarios clean" `Slow
       test_simulated_scenarios_clean;
+    Alcotest.test_case "long run audited in full" `Slow
+      test_long_run_audited_in_full;
+    Alcotest.test_case "live, store and list audits agree" `Quick
+      test_inputs_agree;
     Alcotest.test_case "audit hook roundtrip" `Quick test_audit_hook_roundtrip;
   ]

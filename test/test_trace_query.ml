@@ -13,12 +13,6 @@ module DF = Rthv_analysis.Distance_fn
 
 let us = Testutil.us
 
-let with_temp f =
-  let path = Filename.temp_file "rthv_test" ".rts" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let scenario_config () =
   Config.make
     ~partitions:
@@ -45,7 +39,7 @@ let recorded = lazy (
 
 let with_store f =
   let entries, stats = Lazy.force recorded in
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries ~block_events:256 path entries : int);
       f path entries stats)
 
@@ -193,7 +187,7 @@ let golden_entries =
   ]
 
 let test_golden_query_json () =
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path golden_entries : int);
       let q = Query.run ~agg:Query.Latency ~group_by:Query.By_class path in
       let json = Json.to_string (Query.to_json ~store:"golden.rts" q) in

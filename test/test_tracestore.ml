@@ -12,12 +12,6 @@ module DF = Rthv_analysis.Distance_fn
 
 let us = Testutil.us
 
-let with_temp f =
-  let path = Filename.temp_file "rthv_test" ".rts" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
 let entry time event = { Hyp_trace.time; event }
 
 (* One of every kind, every enum variant, argument values spread over the
@@ -49,7 +43,7 @@ let all_kinds_entries =
   ]
 
 let check_roundtrip ?block_events entries =
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       let n = Store.write_entries ?block_events path entries in
       Alcotest.(check int) "events written" (List.length entries) n;
       match Store.read_entries path with
@@ -97,7 +91,7 @@ let test_simulated_roundtrip () =
   let entries = simulated_entries () in
   Alcotest.(check bool) "trace non-trivial" true (List.length entries > 200);
   check_roundtrip entries;
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path entries : int);
       match Store.read_entries path with
       | Error msg -> Alcotest.failf "read_entries: %s" msg
@@ -114,7 +108,7 @@ let test_simulated_roundtrip () =
    wraps: record far more events than the ring holds and compare against
    what was recorded, not what was retained. *)
 let test_spill_outlives_ring () =
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       let ring = Hyp_trace.create ~capacity:8 () in
       let w = Store.Writer.create path in
       Hyp_trace.set_spill ring (fun ~time event ->
@@ -145,7 +139,7 @@ let test_time_pushdown () =
     List.init 256 (fun i ->
         entry (i * 100) (Hyp_trace.Irq_raised { irq = i; line = 0 }))
   in
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries ~block_events:16 path entries : int);
       let filter =
         { Store.no_filter with from_time = Some 10_000; to_time = Some 12_000 }
@@ -170,7 +164,7 @@ let test_time_pushdown () =
 
 let test_kind_pushdown () =
   let entries = all_kinds_entries in
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path entries : int);
       let kind = Option.get (Store.kind_of_name "monitor_decision") in
       let filter = { Store.no_filter with kinds = Some [ kind ] } in
@@ -196,7 +190,7 @@ let test_partition_filter () =
       entry 30 (Hyp_trace.Irq_raised { irq = 2; line = 5 });
     ]
   in
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       ignore (Store.write_entries path entries : int);
       let filter = { Store.no_filter with partition = Some 1 } in
       (match Store.read_entries ~filter path with
@@ -213,7 +207,7 @@ let test_partition_filter () =
           Alcotest.(check int) "kept with line map" 2 (List.length back))
 
 let test_corrupt_input () =
-  with_temp (fun path ->
+  Testutil.with_temp (fun path ->
       let oc = open_out_bin path in
       output_string oc "not a tracestore at all";
       close_out oc;
@@ -282,7 +276,7 @@ let gen_entries =
 let qcheck_roundtrip =
   Testutil.qtest ~count:100 "store round-trip = identity" gen_entries
     (fun (block_events, entries) ->
-      with_temp (fun path ->
+      Testutil.with_temp (fun path ->
           ignore (Store.write_entries ~block_events path entries : int);
           match Store.read_entries path with
           | Error msg -> QCheck2.Test.fail_reportf "read_entries: %s" msg

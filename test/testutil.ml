@@ -24,6 +24,13 @@ let qtest ?(count = 200) name gen law =
 
 let us = Cycles.of_us
 
+(* Run [f] on a fresh temporary file path, removed afterwards. *)
+let with_temp f =
+  let path = Filename.temp_file "rthv_test" ".rts" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
 (* A span's timestamps follow its causal chain. *)
 let monotone (sp : Rthv_core.Irq_fold.span) =
   sp.arrival <= sp.top_start
@@ -31,3 +38,35 @@ let monotone (sp : Rthv_core.Irq_fold.span) =
   && sp.top_end <= sp.decision
   && sp.decision <= sp.bh_start
   && sp.bh_start <= sp.completion
+
+(* A monitored source whose arrivals (every 500 us) violate its 3 ms d_min;
+   run it under {!admit_all}, and the trace oracle derives RTHV102 from the
+   declared shaping. *)
+let violating_config () =
+  let module Config = Rthv_core.Config in
+  Config.make
+    ~partitions:
+      [
+        Config.partition ~name:"a" ~slot_us:5_000 ();
+        Config.partition ~name:"b" ~slot_us:5_000 ();
+      ]
+    ~sources:
+      [
+        Config.source ~name:"nic" ~line:0 ~subscriber:1 ~c_th_us:5 ~c_bh_us:40
+          ~interarrivals:(Rthv_workload.Gen.constant ~period:(us 500) ~count:50)
+          ~shaping:
+            (Config.Fixed_monitor (Rthv_analysis.Distance_fn.d_min (us 3_000)))
+          ();
+      ]
+    ()
+
+(* The [~policies] override that admits every activation of
+   {!violating_config}'s source. *)
+let admit_all () =
+  [
+    ( "nic",
+      Rthv_core.Admission.custom ~name:"admit-all"
+        ~decide:(fun _ -> true)
+        ~commit:(fun _ -> ())
+        () );
+  ]
