@@ -41,45 +41,77 @@ let compare_keys a b =
 
 type bucket = { mutable count : int; digest : Quantile.t option }
 
-let groups_of_table table =
-  Hashtbl.fold (fun key b acc -> (key, b) :: acc) table []
+(* While scanning, a group is found by an int (a kind id, class index,
+   partition or line) in an array slot.  Its string key is given when
+   the int is first seen, and ints whose keys are equal share a bucket.
+   [named] is read once, at the end.  Ints outside [0, slot_limit), which
+   only a corrupt store holds, find their bucket by key on every row. *)
+type groups = {
+  digests : bool;
+  mutable slots : bucket array;  (* [absent] in unseen slots *)
+  named : (string, bucket) Hashtbl.t;
+}
+
+let absent = { count = 0; digest = None }
+let slot_limit = 4096
+let groups ~digests = { digests; slots = [||]; named = Hashtbl.create 16 }
+
+(* The bucket of [k], or [absent] before [add]. *)
+let find g k =
+  if k >= 0 && k < Array.length g.slots then g.slots.(k) else absent
+
+let add g k key =
+  let b =
+    match Hashtbl.find_opt g.named key with
+    | Some b -> b
+    | None ->
+        let b =
+          {
+            count = 0;
+            digest = (if g.digests then Some (Quantile.create ()) else None);
+          }
+        in
+        Hashtbl.add g.named key b;
+        b
+  in
+  if k >= 0 && k < slot_limit then begin
+    let len = Array.length g.slots in
+    if k >= len then begin
+      let slots = Array.make (min slot_limit (max (k + 1) (2 * len))) absent in
+      Array.blit g.slots 0 slots 0 len;
+      g.slots <- slots
+    end;
+    g.slots.(k) <- b
+  end;
+  b
+
+let render g =
+  Hashtbl.fold (fun key b acc -> (key, b) :: acc) g.named []
   |> List.sort (fun (a, _) (b, _) -> compare_keys a b)
   |> List.map (fun (g_key, b) ->
          { g_key; g_count = b.count; g_digest = b.digest })
-
-let bucket table ~digests key =
-  match Hashtbl.find_opt table key with
-  | Some b -> b
-  | None ->
-      let b =
-        {
-          count = 0;
-          digest = (if digests then Some (Quantile.create ()) else None);
-        }
-      in
-      Hashtbl.add table key b;
-      b
 
 (* --- count / rate -------------------------------------------------------- *)
 
 (* An event touching two partitions counts in both groups; line-keyed
    events group under their line's subscriber when a map is given and
-   under "unattributed" otherwise. *)
-let count_keys ~line_partition ~kind ~a ~b emit =
-  let first = Trace_store.row_partition ~line_partition ~kind ~a ~b 0 in
-  let second = Trace_store.row_partition ~line_partition ~kind ~a ~b 1 in
-  if first < 0 then emit "unattributed"
-  else begin
-    emit (string_of_int first);
-    if second >= 0 && second <> first then emit (string_of_int second)
-  end
+   under "unattributed" otherwise.  Group [p + 1] is partition [p], and
+   group 0 is "unattributed". *)
+let count_partition g p =
+  let k = if p < 0 then 0 else p + 1 in
+  let b = find g k in
+  let b =
+    if b != absent then b
+    else add g k (if p < 0 then "unattributed" else string_of_int p)
+  in
+  b.count <- b.count + 1
 
 let run_count ?filter ?line_partition ~group_by path =
   (match group_by with
   | By_none | By_partition | By_kind -> ()
   | By_class | By_source ->
       invalid_arg "Trace_query: group-by class/source needs --agg latency");
-  let table = Hashtbl.create 16 in
+  let g = groups ~digests:false in
   let matched = ref 0 in
   let t_lo = ref max_int and t_hi = ref min_int in
   let stats =
@@ -91,12 +123,24 @@ let run_count ?filter ?line_partition ~group_by path =
         match group_by with
         | By_none -> ()
         | By_kind ->
-            let bk = bucket table ~digests:false (Trace_store.kind_name kind) in
+            let bk = find g kind in
+            let bk =
+              if bk != absent then bk
+              else add g kind (Trace_store.kind_name kind)
+            in
             bk.count <- bk.count + 1
         | By_partition ->
-            count_keys ~line_partition ~kind ~a ~b (fun key ->
-                let bk = bucket table ~digests:false key in
-                bk.count <- bk.count + 1)
+            let first =
+              Trace_store.row_partition ~line_partition ~kind ~a ~b 0
+            in
+            if first < 0 then count_partition g (-1)
+            else begin
+              count_partition g first;
+              let second =
+                Trace_store.row_partition ~line_partition ~kind ~a ~b 1
+              in
+              if second >= 0 && second <> first then count_partition g second
+            end
         | By_class | By_source -> assert false)
   in
   let span_us =
@@ -106,7 +150,7 @@ let run_count ?filter ?line_partition ~group_by path =
     match group_by with
     | By_none ->
         [ { g_key = "all"; g_count = !matched; g_digest = None } ]
-    | _ -> groups_of_table table
+    | _ -> render g
   in
   (stats, !matched, span_us, groups)
 
@@ -131,7 +175,7 @@ let run_latency ?(filter = Trace_store.no_filter) ?config ?on_sample
       partition = None;
     }
   in
-  let table = Hashtbl.create 16 in
+  let g = groups ~digests:true in
   let samples = ref 0 in
   let t_lo = ref max_int and t_hi = ref min_int in
   let sample (sp : Irq_fold.span) =
@@ -144,16 +188,32 @@ let run_latency ?(filter = Trace_store.no_filter) ?config ?on_sample
       incr samples;
       if sp.Irq_fold.arrival < !t_lo then t_lo := sp.Irq_fold.arrival;
       if sp.Irq_fold.completion > !t_hi then t_hi := sp.Irq_fold.completion;
-      Option.iter (fun f -> f sp) on_sample;
-      let key =
+      (match on_sample with Some f -> f sp | None -> ());
+      let k =
         match group_by with
-        | By_none -> "all"
-        | By_partition -> string_of_int sp.Irq_fold.partition
-        | By_class -> Irq_fold.class_name sp.Irq_fold.cls
-        | By_source -> sp.Irq_fold.source
+        | By_none -> 0
+        | By_partition -> sp.Irq_fold.partition
+        | By_class -> (
+            match sp.Irq_fold.cls with
+            | Some Irq_record.Direct -> 0
+            | Some Irq_record.Interposed -> 1
+            | Some Irq_record.Delayed -> 2
+            | None -> 3)
+        | By_source -> sp.Irq_fold.line
         | By_kind -> assert false
       in
-      let bk = bucket table ~digests:true key in
+      let bk = find g k in
+      let bk =
+        if bk != absent then bk
+        else
+          add g k
+            (match group_by with
+            | By_none -> "all"
+            | By_partition -> string_of_int sp.Irq_fold.partition
+            | By_class -> Irq_fold.class_name sp.Irq_fold.cls
+            | By_source -> sp.Irq_fold.source
+            | By_kind -> assert false)
+      in
       bk.count <- bk.count + 1;
       match bk.digest with
       | Some dg -> Quantile.observe dg (Irq_fold.latency_us sp)
@@ -165,7 +225,7 @@ let run_latency ?(filter = Trace_store.no_filter) ?config ?on_sample
     Trace_store.scan ~filter:scan_filter path ~f:(Irq_fold.row fold)
   in
   let span_us = if !samples >= 2 then Cycles.to_us (!t_hi - !t_lo) else 0. in
-  (stats, !samples, span_us, groups_of_table table)
+  (stats, !samples, span_us, render g)
 
 let run ?filter ?config ?on_sample ~agg ~group_by path =
   let stats, matched, span_us, groups =

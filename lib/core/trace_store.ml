@@ -108,21 +108,6 @@ let partition_mask p =
   else if p >= overflow_partition_bit then 1 lsl overflow_partition_bit
   else 1 lsl p
 
-let pmask_of_event = function
-  | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-      partition_mask from_partition lor partition_mask to_partition
-  | Hyp_trace.Boundary_deferred { owner; _ } -> partition_mask owner
-  | Hyp_trace.Interposition_start { target; _ }
-  | Hyp_trace.Interposition_end { target; _ }
-  | Hyp_trace.Interposition_crossed_boundary { target } ->
-      partition_mask target
-  | Hyp_trace.Bottom_handler_start { partition; _ }
-  | Hyp_trace.Bottom_handler_done { partition; _ } ->
-      partition_mask partition
-  | Hyp_trace.Irq_raised _ | Hyp_trace.Top_handler_run _
-  | Hyp_trace.Monitor_decision _ | Hyp_trace.Irq_coalesced _ ->
-      1 lsl unattributed_bit
-
 (* The [i]-th (0 or 1) partition an event row names by kind id, or -1:
    slot switches name from and to, partition-keyed rows one, line-keyed
    rows their line's subscriber through the optional map. *)
@@ -165,11 +150,46 @@ module Writer = struct
     in
     { oc; w; closed = false }
 
+  (* One constructor, one append: the columns of [encode_event], the kind
+     of [kind_of_event] and the partition bits the block index needs. *)
   let add t ~time event =
-    let a, b, c, d = encode_event event in
-    Tracestore.Writer.append t.w ~time
-      ~kind:(kind_of_event event)
-      ~pmask:(pmask_of_event event) ~a ~b ~c ~d
+    let w = t.w and none = 1 lsl unattributed_bit in
+    match event with
+    | Hyp_trace.Slot_switch { from_partition; to_partition } ->
+        Tracestore.Writer.append w ~time ~kind:0
+          ~pmask:
+            (partition_mask from_partition lor partition_mask to_partition)
+          ~a:from_partition ~b:to_partition ~c:0 ~d:0
+    | Hyp_trace.Boundary_deferred { owner; until } ->
+        Tracestore.Writer.append w ~time ~kind:1 ~pmask:(partition_mask owner)
+          ~a:owner ~b:until ~c:0 ~d:0
+    | Hyp_trace.Irq_raised { irq; line } ->
+        Tracestore.Writer.append w ~time ~kind:2 ~pmask:none ~a:irq ~b:line
+          ~c:0 ~d:0
+    | Hyp_trace.Top_handler_run { irq; line } ->
+        Tracestore.Writer.append w ~time ~kind:3 ~pmask:none ~a:irq ~b:line
+          ~c:0 ~d:0
+    | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } ->
+        Tracestore.Writer.append w ~time ~kind:4 ~pmask:none ~a:irq ~b:line
+          ~c:arrival ~d:(verdict_code verdict)
+    | Hyp_trace.Interposition_start { irq; target } ->
+        Tracestore.Writer.append w ~time ~kind:5 ~pmask:(partition_mask target)
+          ~a:irq ~b:target ~c:0 ~d:0
+    | Hyp_trace.Interposition_end { target; reason } ->
+        Tracestore.Writer.append w ~time ~kind:6 ~pmask:(partition_mask target)
+          ~a:target ~b:(reason_code reason) ~c:0 ~d:0
+    | Hyp_trace.Interposition_crossed_boundary { target } ->
+        Tracestore.Writer.append w ~time ~kind:7 ~pmask:(partition_mask target)
+          ~a:target ~b:0 ~c:0 ~d:0
+    | Hyp_trace.Bottom_handler_start { irq; partition } ->
+        Tracestore.Writer.append w ~time ~kind:8
+          ~pmask:(partition_mask partition) ~a:irq ~b:partition ~c:0 ~d:0
+    | Hyp_trace.Bottom_handler_done { irq; partition } ->
+        Tracestore.Writer.append w ~time ~kind:9
+          ~pmask:(partition_mask partition) ~a:irq ~b:partition ~c:0 ~d:0
+    | Hyp_trace.Irq_coalesced { line } ->
+        Tracestore.Writer.append w ~time ~kind:10 ~pmask:none ~a:line ~b:0
+          ~c:0 ~d:0
 
   let add_entry t (e : Hyp_trace.entry) = add t ~time:e.Hyp_trace.time e.Hyp_trace.event
   let events_written t = Tracestore.Writer.events_written t.w
@@ -184,16 +204,11 @@ module Writer = struct
 end
 
 let write_entries ?block_events path entries =
-  Tracestore.with_file_writer ?block_events ~arities path (fun w ->
-      List.iter
-        (fun (e : Hyp_trace.entry) ->
-          let a, b, c, d = encode_event e.Hyp_trace.event in
-          Tracestore.Writer.append w ~time:e.Hyp_trace.time
-            ~kind:(kind_of_event e.Hyp_trace.event)
-            ~pmask:(pmask_of_event e.Hyp_trace.event)
-            ~a ~b ~c ~d)
-        entries;
-      List.length entries)
+  let t = Writer.create ?block_events path in
+  Fun.protect
+    ~finally:(fun () -> Writer.close t)
+    (fun () -> List.iter (Writer.add_entry t) entries);
+  List.length entries
 
 (* --- reading ------------------------------------------------------------- *)
 

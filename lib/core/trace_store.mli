@@ -42,8 +42,6 @@ val unattributed_bit : int
 val partition_mask : int -> int
 (** The index-bitmap bit for one partition id. *)
 
-val pmask_of_event : Hyp_trace.event -> int
-
 val row_partition :
   line_partition:(int -> int option) option ->
   kind:int ->

@@ -25,20 +25,22 @@ let estimator p =
     count = 0;
   }
 
-let parabolic t i d =
+(* The piecewise-parabolic (P²) prediction of marker [i]'s height after a
+   move of [d] (±1), and the linear one the step falls back to.  Both are
+   inlined into [add], which keeps every intermediate float unboxed. *)
+let[@inline] parabolic t i d =
   let q = t.q and n = t.n in
-  let fi = float_of_int in
   q.(i)
   +. d
-     /. fi (n.(i + 1) - n.(i - 1))
-     *. (((fi (n.(i) - n.(i - 1)) +. d)
+     /. float_of_int (n.(i + 1) - n.(i - 1))
+     *. (((float_of_int (n.(i) - n.(i - 1)) +. d)
           *. (q.(i + 1) -. q.(i))
-          /. fi (n.(i + 1) - n.(i)))
-        +. ((fi (n.(i + 1) - n.(i)) -. d)
+          /. float_of_int (n.(i + 1) - n.(i)))
+        +. ((float_of_int (n.(i + 1) - n.(i)) -. d)
            *. (q.(i) -. q.(i - 1))
-           /. fi (n.(i) - n.(i - 1))))
+           /. float_of_int (n.(i) - n.(i - 1))))
 
-let linear t i d =
+let[@inline] linear t i d =
   let di = int_of_float d in
   t.q.(i)
   +. d
@@ -63,8 +65,11 @@ let add t x =
         3
       end
       else begin
-        let rec find i = if x < t.q.(i + 1) then i else find (i + 1) in
-        find 0
+        let k = ref 0 in
+        while not (x < t.q.(!k + 1)) do
+          incr k
+        done;
+        !k
       end
     in
     for i = k + 1 to 4 do
@@ -111,12 +116,18 @@ let observations t = t.count
 
 (* --- digest ------------------------------------------------------------- *)
 
-type t = {
-  estimators : (float * estimator) list;  (* ascending in p *)
-  mutable d_count : int;
+(* The moments live in a record of floats only, which OCaml stores flat,
+   so updating them allocates nothing. *)
+type moments = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
+}
+
+type t = {
+  estimators : (float * estimator) list;  (* ascending in p *)
+  mutable d_count : int;
+  m : moments;
 }
 
 let default_quantiles = [ 0.5; 0.95; 0.99; 0.999 ]
@@ -131,22 +142,32 @@ let create ?(quantiles = default_quantiles) () =
   {
     estimators;
     d_count = 0;
-    sum = 0.;
-    min_v = Float.infinity;
-    max_v = Float.neg_infinity;
+    m = { sum = 0.; min_v = Float.infinity; max_v = Float.neg_infinity };
   }
 
+(* A closure over [x], as [List.iter] would take, is an allocation per
+   observation. *)
+let rec add_all x = function
+  | [] -> ()
+  | (_, e) :: rest ->
+      add e x;
+      add_all x rest
+
 let observe t x =
+  let m = t.m in
   t.d_count <- t.d_count + 1;
-  t.sum <- t.sum +. x;
-  if x < t.min_v then t.min_v <- x;
-  if x > t.max_v then t.max_v <- x;
-  List.iter (fun (_, e) -> add e x) t.estimators
+  m.sum <- m.sum +. x;
+  if x < m.min_v then m.min_v <- x;
+  if x > m.max_v then m.max_v <- x;
+  add_all x t.estimators
 
 let count t = t.d_count
-let mean t = if t.d_count = 0 then None else Some (t.sum /. float_of_int t.d_count)
-let min_value t = if t.d_count = 0 then None else Some t.min_v
-let max_value t = if t.d_count = 0 then None else Some t.max_v
+
+let mean t =
+  if t.d_count = 0 then None else Some (t.m.sum /. float_of_int t.d_count)
+
+let min_value t = if t.d_count = 0 then None else Some t.m.min_v
+let max_value t = if t.d_count = 0 then None else Some t.m.max_v
 
 let quantile t p =
   match List.assoc_opt p t.estimators with
@@ -206,6 +227,7 @@ let copy t =
   {
     t with
     estimators = List.map (fun (p, e) -> (p, copy_estimator e)) t.estimators;
+    m = { t.m with sum = t.m.sum };
   }
 
 let merge a b =
@@ -217,9 +239,12 @@ let merge a b =
         (fun (p, ea) (_, eb) -> (p, merge_estimator p ea eb))
         a.estimators b.estimators;
     d_count = a.d_count + b.d_count;
-    sum = a.sum +. b.sum;
-    min_v = Float.min a.min_v b.min_v;
-    max_v = Float.max a.max_v b.max_v;
+    m =
+      {
+        sum = a.m.sum +. b.m.sum;
+        min_v = Float.min a.m.min_v b.m.min_v;
+        max_v = Float.max a.m.max_v b.m.max_v;
+      };
   }
 
 let pp ppf t =
@@ -227,9 +252,9 @@ let pp ppf t =
   else begin
     Format.fprintf ppf "n=%d mean=%.1f min=%.1f" t.d_count
       (Option.get (mean t))
-      t.min_v;
+      t.m.min_v;
     List.iter
       (fun (p, v) -> Format.fprintf ppf " p%g=%.1f" (p *. 100.) v)
       (quantiles t);
-    Format.fprintf ppf " max=%.1f" t.max_v
+    Format.fprintf ppf " max=%.1f" t.m.max_v
   end

@@ -15,44 +15,29 @@ let max_kinds = 62
 let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag v = (v lsr 1) lxor (-(v land 1))
 
-let add_varint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let byte = !n land 0x7f in
+(* A 63-bit int read as unsigned takes at most 9 seven-bit groups. *)
+let max_varint_bytes = 9
+
+(* Writes [n] (read as unsigned) as LEB128 at [pos] and returns the
+   position after it.  The caller guarantees [max_varint_bytes] of room.
+   Inlined, so a one-byte value costs one test and one store. *)
+let[@inline] put_varint buf pos n =
+  let n = ref n and pos = ref pos in
+  while !n land -0x80 <> 0 do
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr (!n land 0x7f lor 0x80));
     n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr byte);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (byte lor 0x80))
-  done
-
-let add_zigzag buf n = add_varint buf (zigzag n)
-
-(* Decoding cursor over a [Bytes.t] slice. *)
-type cursor = { data : Bytes.t; mutable pos : int; limit : int }
-
-let read_varint cur =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    if cur.pos >= cur.limit then corrupt "truncated varint";
-    let byte = Char.code (Bytes.unsafe_get cur.data cur.pos) in
-    cur.pos <- cur.pos + 1;
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if byte land 0x80 = 0 then continue := false
-    else if !shift > 62 then corrupt "varint overflows a 63-bit int"
+    incr pos
   done;
-  !v
+  Bytes.unsafe_set buf !pos (Char.unsafe_chr !n);
+  !pos + 1
 
-let read_zigzag cur = unzigzag (read_varint cur)
+let[@inline] put_zigzag buf pos n = put_varint buf pos (zigzag n)
 
-let add_u32_le buf n =
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+let put_u32_le buf pos n =
+  Bytes.unsafe_set buf pos (Char.unsafe_chr (n land 0xff));
+  Bytes.unsafe_set buf (pos + 1) (Char.unsafe_chr ((n lsr 8) land 0xff));
+  Bytes.unsafe_set buf (pos + 2) (Char.unsafe_chr ((n lsr 16) land 0xff));
+  Bytes.unsafe_set buf (pos + 3) (Char.unsafe_chr ((n lsr 24) land 0xff))
 
 (* --- writer -------------------------------------------------------------- *)
 
@@ -63,6 +48,21 @@ let check_arities arities =
     (fun a ->
       if a < 0 || a > 4 then invalid_arg "Tracestore: arity must be in 0..4")
     arities
+
+(* The largest encoding of a block of [rows] rows, length prefixes
+   included: a header of five varints, and per row a time varint, a kind
+   byte and up to four argument varints. *)
+let max_block_bytes rows =
+  8 + (5 * max_varint_bytes) + (rows * (1 + (5 * max_varint_bytes)))
+
+(* Argument column [j] of rows [0, n): one zigzag varint per row whose kind
+   carries it.  Returns the position after the column. *)
+let put_column buf pos ~(arities : int array) ~kinds col (j : int) n =
+  let pos = ref pos in
+  for i = 0 to n - 1 do
+    if arities.(kinds.(i)) > j then pos := put_zigzag buf !pos col.(i)
+  done;
+  !pos
 
 module Writer = struct
   type t = {
@@ -75,8 +75,7 @@ module Writer = struct
     col_b : int array;
     col_c : int array;
     col_d : int array;
-    scratch : Buffer.t;
-    header : Buffer.t;
+    buf : Bytes.t;  (* one encoded block, sized by [max_block_bytes] *)
     mutable count : int;  (* rows buffered in the current block *)
     mutable min_time : int;
     mutable max_time : int;
@@ -103,8 +102,7 @@ module Writer = struct
       col_b = Array.make block_events 0;
       col_c = Array.make block_events 0;
       col_d = Array.make block_events 0;
-      scratch = Buffer.create (block_events * 4);
-      header = Buffer.create 64;
+      buf = Bytes.create (max_block_bytes block_events);
       count = 0;
       min_time = max_int;
       max_time = min_int;
@@ -114,44 +112,37 @@ module Writer = struct
       blocks = 0;
     }
 
+  (* The block is encoded in place: its header after a 4-byte gap, then
+     its body after another, and the two lengths go into the gaps. *)
   let flush_block w =
     if w.count > 0 then begin
-      let n = w.count in
-      Buffer.clear w.header;
-      add_varint w.header n;
-      add_zigzag w.header w.min_time;
-      add_zigzag w.header w.max_time;
-      add_varint w.header w.kind_mask;
-      add_varint w.header w.pmask;
-      Buffer.clear w.scratch;
+      let n = w.count and buf = w.buf in
+      let pos = put_varint buf 4 n in
+      let pos = put_zigzag buf pos w.min_time in
+      let pos = put_zigzag buf pos w.max_time in
+      let pos = put_varint buf pos w.kind_mask in
+      let pos = put_varint buf pos w.pmask in
+      put_u32_le buf 0 (pos - 4);
+      let body = pos + 4 in
       (* Time column: deltas against the previous row, the first against
          the block's min; zigzag because a ring truncation or an unordered
          source may hand us non-monotone times. *)
-      let prev = ref w.min_time in
+      let pos = ref body and prev = ref w.min_time in
       for i = 0 to n - 1 do
-        add_zigzag w.scratch (w.times.(i) - !prev);
-        prev := w.times.(i)
+        let t = w.times.(i) in
+        pos := put_zigzag buf !pos (t - !prev);
+        prev := t
       done;
       for i = 0 to n - 1 do
-        Buffer.add_char w.scratch (Char.unsafe_chr w.kinds.(i))
+        Bytes.unsafe_set buf (!pos + i) (Char.unsafe_chr w.kinds.(i))
       done;
-      let column col j =
-        for i = 0 to n - 1 do
-          if w.arities.(w.kinds.(i)) > j then add_zigzag w.scratch col.(i)
-        done
-      in
-      column w.col_a 0;
-      column w.col_b 1;
-      column w.col_c 2;
-      column w.col_d 3;
-      let lengths = Buffer.create 8 in
-      add_u32_le lengths (Buffer.length w.header);
-      Buffer.output_buffer w.oc lengths;
-      Buffer.output_buffer w.oc w.header;
-      Buffer.clear lengths;
-      add_u32_le lengths (Buffer.length w.scratch);
-      Buffer.output_buffer w.oc lengths;
-      Buffer.output_buffer w.oc w.scratch;
+      let arities = w.arities and kinds = w.kinds in
+      let pos = put_column buf (!pos + n) ~arities ~kinds w.col_a 0 n in
+      let pos = put_column buf pos ~arities ~kinds w.col_b 1 n in
+      let pos = put_column buf pos ~arities ~kinds w.col_c 2 n in
+      let pos = put_column buf pos ~arities ~kinds w.col_d 3 n in
+      put_u32_le buf (body - 4) (pos - body);
+      output w.oc buf 0 pos;
       w.blocks <- w.blocks + 1;
       w.count <- 0;
       w.min_time <- max_int;
@@ -181,16 +172,6 @@ module Writer = struct
   let events_written w = w.written
   let blocks_written w = w.blocks
 end
-
-let with_file_writer ?block_events ~arities path f =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let w = Writer.create ?block_events ~arities oc in
-      let v = f w in
-      Writer.flush_block w;
-      v)
 
 (* --- reading ------------------------------------------------------------- *)
 
@@ -232,20 +213,6 @@ let arities path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_header ic)
 
-(* A 4-byte little-endian length, or None at a clean end of file. *)
-let read_u32_le_opt ic =
-  match input_char ic with
-  | exception End_of_file -> None
-  | c0 ->
-      let b = Bytes.create 3 in
-      (try really_input ic b 0 3
-       with End_of_file -> corrupt "truncated block length");
-      Some
-        (Char.code c0
-        lor (Char.code (Bytes.get b 0) lsl 8)
-        lor (Char.code (Bytes.get b 1) lsl 16)
-        lor (Char.code (Bytes.get b 2) lsl 24))
-
 (* Reusable decode buffers, grown on demand: a scan over a million events
    touches every block with the same six arrays. *)
 type scratch = {
@@ -254,6 +221,8 @@ type scratch = {
   mutable kinds : int array;
   mutable cols : int array array;  (* 4 columns *)
   mutable bytes : Bytes.t;
+  header : int array;  (* the current block's five header fields *)
+  len : Bytes.t;  (* the last three bytes of a length prefix *)
 }
 
 let ensure_rows sc n =
@@ -269,13 +238,112 @@ let ensure_bytes sc n =
   if Bytes.length sc.bytes < n then
     sc.bytes <- Bytes.create (Stdlib.max n (2 * Bytes.length sc.bytes))
 
+(* A 4-byte little-endian length, or None at a clean end of file. *)
+let read_u32_le_opt ic sc =
+  match input_char ic with
+  | exception End_of_file -> None
+  | c0 ->
+      let b = sc.len in
+      (try really_input ic b 0 3
+       with End_of_file -> corrupt "truncated block length");
+      Some
+        (Char.code c0
+        lor (Char.code (Bytes.get b 0) lsl 8)
+        lor (Char.code (Bytes.get b 1) lsl 16)
+        lor (Char.code (Bytes.get b 2) lsl 24))
+
+(* The one varint reader, for block headers and bodies alike: decodes the
+   LEB128 value at [pos] into [dst.(i)] and returns the position after it.
+   No byte at or past [limit] is read and callers keep [limit] within
+   [Bytes.length data], so every [unsafe_get] follows a [pos < limit]
+   check.  It is inlined into each loop, so no value costs a call and a
+   one-byte value returns on the first branch.  Errors are raised
+   directly, not through [corrupt], so that no loop variable is live
+   across a call. *)
+let[@inline] get_varint data pos limit dst i =
+  if pos >= limit then raise (Corrupt "truncated varint");
+  let byte = Char.code (Bytes.unsafe_get data pos) in
+  if byte < 0x80 then begin
+    dst.(i) <- byte;
+    pos + 1
+  end
+  else begin
+    let v = ref (byte land 0x7f) and shift = ref 7 and p = ref (pos + 1) in
+    let more = ref true in
+    while !more do
+      if !p >= limit then raise (Corrupt "truncated varint");
+      let byte = Char.code (Bytes.unsafe_get data !p) in
+      v := !v lor ((byte land 0x7f) lsl !shift);
+      incr p;
+      if byte < 0x80 then more := false
+      else begin
+        shift := !shift + 7;
+        if !shift > 62 then raise (Corrupt "varint overflows a 63-bit int")
+      end
+    done;
+    dst.(i) <- !v;
+    !p
+  end
+
+(* The header in [sc.bytes.[0, len)] into [sc.header]: row count, zigzag
+   min and max time, kind bitmap, partition bitmap.  Bytes after the five
+   fields are ignored. *)
+let decode_header sc len =
+  let data = sc.bytes and h = sc.header in
+  let pos = get_varint data 0 len h 0 in
+  let pos = get_varint data pos len h 1 in
+  let pos = get_varint data pos len h 2 in
+  let pos = get_varint data pos len h 3 in
+  ignore (get_varint data pos len h 4 : int)
+
+(* The body in [sc.bytes.[0, len)] into the scratch columns: [n] absolute
+   times, [n] kinds, then the argument columns, 0 where a kind has no
+   such argument.  The body must end exactly at [len]. *)
+let decode_body sc ~arities ~min_time n len =
+  let data = sc.bytes and times = sc.times and kinds = sc.kinds in
+  let n_kinds = Array.length arities in
+  let pos = ref 0 and prev = ref min_time in
+  for i = 0 to n - 1 do
+    pos := get_varint data !pos len times i;
+    let t = !prev + unzigzag times.(i) in
+    times.(i) <- t;
+    prev := t
+  done;
+  for i = 0 to n - 1 do
+    let p = !pos in
+    if p >= len then raise (Corrupt "truncated kind column");
+    let k = Char.code (Bytes.unsafe_get data p) in
+    if k >= n_kinds then
+      raise (Corrupt (Printf.sprintf "kind %d out of range" k));
+    kinds.(i) <- k;
+    pos := p + 1
+  done;
+  for j = 0 to 3 do
+    let col = sc.cols.(j) in
+    for i = 0 to n - 1 do
+      if arities.(kinds.(i)) > j then begin
+        pos := get_varint data !pos len col i;
+        col.(i) <- unzigzag col.(i)
+      end
+      else col.(i) <- 0
+    done
+  done;
+  if !pos <> len then corrupt "trailing bytes in block body"
+
 let scan ?(filter = pass_all) path ~f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
       let arities = read_header ic in
-      let n_kinds = Array.length arities in
+      let file_len = in_channel_length ic in
+      (* A declared length never exceeds what the file still holds, so a
+         flipped length byte cannot become a multi-gigabyte allocation. *)
+      let check_length what len =
+        let left = file_len - pos_in ic in
+        if len > left then
+          corrupt "block %s length %d exceeds the %d bytes left" what len left
+      in
       let sc =
         {
           cap = 0;
@@ -283,6 +351,8 @@ let scan ?(filter = pass_all) path ~f =
           kinds = [||];
           cols = [||];
           bytes = Bytes.create 0;
+          header = Array.make 5 0;
+          len = Bytes.create 3;
         }
       in
       let blocks = ref 0
@@ -291,24 +361,30 @@ let scan ?(filter = pass_all) path ~f =
       and matched = ref 0 in
       let continue = ref true in
       while !continue do
-        match read_u32_le_opt ic with
+        match read_u32_le_opt ic sc with
         | None -> continue := false
         | Some header_len ->
             incr blocks;
+            check_length "header" header_len;
             ensure_bytes sc header_len;
             (try really_input ic sc.bytes 0 header_len
              with End_of_file -> corrupt "truncated block header");
-            let cur = { data = sc.bytes; pos = 0; limit = header_len } in
-            let n = read_varint cur in
-            let min_time = read_zigzag cur in
-            let max_time = read_zigzag cur in
-            let kind_mask = read_varint cur in
-            let block_pmask = read_varint cur in
+            decode_header sc header_len;
+            let n = sc.header.(0) in
+            let min_time = unzigzag sc.header.(1) in
+            let max_time = unzigzag sc.header.(2) in
+            let kind_mask = sc.header.(3) in
+            let block_pmask = sc.header.(4) in
             let body_len =
-              match read_u32_le_opt ic with
+              match read_u32_le_opt ic sc with
               | Some l -> l
               | None -> corrupt "missing block body"
             in
+            check_length "body" body_len;
+            if n < 0 then corrupt "negative row count";
+            (* Every row takes at least a time varint and a kind byte. *)
+            if n > body_len / 2 then
+              corrupt "%d rows cannot fit a %d-byte block body" n body_len;
             let skip =
               (match filter.t_min with Some t -> max_time < t | None -> false)
               || (match filter.t_max with Some t -> min_time > t | None -> false)
@@ -323,33 +399,11 @@ let scan ?(filter = pass_all) path ~f =
             else begin
               incr scanned;
               rows := !rows + n;
-              if n < 0 then corrupt "negative row count";
               ensure_rows sc n;
               ensure_bytes sc body_len;
               (try really_input ic sc.bytes 0 body_len
                with End_of_file -> corrupt "truncated block body");
-              let cur = { data = sc.bytes; pos = 0; limit = body_len } in
-              let prev = ref min_time in
-              for i = 0 to n - 1 do
-                let t = !prev + read_zigzag cur in
-                sc.times.(i) <- t;
-                prev := t
-              done;
-              for i = 0 to n - 1 do
-                if cur.pos >= cur.limit then corrupt "truncated kind column";
-                let k = Char.code (Bytes.unsafe_get cur.data cur.pos) in
-                cur.pos <- cur.pos + 1;
-                if k >= n_kinds then corrupt "kind %d out of range" k;
-                sc.kinds.(i) <- k
-              done;
-              for j = 0 to 3 do
-                let col = sc.cols.(j) in
-                for i = 0 to n - 1 do
-                  if arities.(sc.kinds.(i)) > j then col.(i) <- read_zigzag cur
-                  else col.(i) <- 0
-                done
-              done;
-              if cur.pos <> cur.limit then corrupt "trailing bytes in block body";
+              decode_body sc ~arities ~min_time n body_len;
               let kmask =
                 match filter.kind_mask with Some m -> m | None -> -1
               in

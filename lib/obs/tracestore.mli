@@ -51,9 +51,7 @@ module Writer : sig
   val create : ?block_events:int -> arities:int array -> out_channel -> t
   (** A writer whose rows have [Array.length arities] kinds, kind [k]
       carrying [arities.(k)] (0-4) argument columns.  Writes the file
-      header immediately.  The channel is owned by the caller; use
-      {!Rthv_obs.Tracestore.with_file_writer} for the common
-      open/close-a-path case.
+      header immediately.  The channel is owned by the caller.
       @raise Invalid_argument on a non-positive [block_events], more than
       {!max_kinds} kinds, or an arity outside [0..4]. *)
 
@@ -65,19 +63,15 @@ module Writer : sig
       @raise Invalid_argument on an out-of-range [kind]. *)
 
   val flush_block : t -> unit
-  (** Encode and write the buffered partial block, if any.  Does not flush
-      the underlying channel. *)
+  (** Encode and write the buffered partial block, if any, with one
+      [output] of a buffer the writer reuses for every block.  Does not
+      flush the underlying channel. *)
 
   val events_written : t -> int
   (** Rows appended so far (buffered or flushed). *)
 
   val blocks_written : t -> int
 end
-
-val with_file_writer :
-  ?block_events:int -> arities:int array -> string -> (Writer.t -> 'a) -> 'a
-(** Open [path], run the callback, then flush the final block and close —
-    also on exceptions. *)
 
 (** {2 Scanning} *)
 
@@ -108,7 +102,10 @@ val scan :
 (** Stream every matching row of the file at [path] through [f], oldest
     block first, without materializing the store: decode buffers are
     reused across blocks, and blocks excluded by the index are skipped
-    with a [seek].
+    with a [seek].  Nothing is allocated from what a block declares
+    before it is checked against the file: a header or body length past
+    the end of the file, or more rows than half the body's bytes (each
+    row takes at least a time varint and a kind byte), is [Corrupt].
     @raise Corrupt on malformed input, [Sys_error] on IO failure. *)
 
 val arities : string -> int array

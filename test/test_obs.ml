@@ -104,6 +104,48 @@ let test_p2_monotone_across_quantiles () =
   in
   Alcotest.(check bool) "estimates ascend with p" true (ascending qs)
 
+(* A deterministic stream mixing two scales, so the upper markers move on
+   a long tail. *)
+let p2_stream n =
+  let state = ref 987654321 in
+  Array.init n (fun _ ->
+      state := (1103515245 * !state) + 12345;
+      let v = abs !state mod 100_000 in
+      float_of_int (v mod 1000) *. if v mod 7 = 0 then 37.5 else 1.25)
+
+(* The P² step's float operations are fixed: these estimates are pinned to
+   the bit. *)
+let test_p2_bits_pinned () =
+  let digest = Quantile.create () in
+  Array.iter (Quantile.observe digest) (p2_stream 20_000);
+  Alcotest.(check (list (pair (float 0.) string)))
+    "quantile bits"
+    [
+      (0.5, "408690661d2560c1");
+      (0.95, "40d745939ac4c165");
+      (0.99, "40e0e5bba616d879");
+      (0.999, "40e225adeeb477b7");
+    ]
+    (List.map
+       (fun (p, v) -> (p, Printf.sprintf "%Lx" (Int64.bits_of_float v)))
+       (Quantile.quantiles digest));
+  let mean = Option.get (Quantile.mean digest) in
+  Alcotest.(check string) "mean bits" "40a8e9b5ba5e353f"
+    (Printf.sprintf "%Lx" (Int64.bits_of_float mean))
+
+(* [observe] boxes nothing of its own: the caller's boxed argument is all
+   a sample costs. *)
+let test_p2_observe_allocation () =
+  let xs = p2_stream 100_000 in
+  let digest = Quantile.create () in
+  let before = Gc.minor_words () in
+  Array.iter (Quantile.observe digest) xs;
+  let words = Gc.minor_words () -. before in
+  let per_sample = words /. float_of_int (Array.length xs) in
+  if per_sample > 2.5 then
+    Alcotest.failf "observe allocated %.0f minor words (%.2f per sample)" words
+      per_sample
+
 (* --- registry ----------------------------------------------------------- *)
 
 let test_registry_basics () =
@@ -293,6 +335,10 @@ let suite =
     Alcotest.test_case "P2 tracks exact percentiles" `Quick test_p2_vs_exact;
     Alcotest.test_case "P2 quantiles ascend" `Quick
       test_p2_monotone_across_quantiles;
+    Alcotest.test_case "P2 estimates pinned bit for bit" `Quick
+      test_p2_bits_pinned;
+    Alcotest.test_case "P2 observe boxes nothing" `Quick
+      test_p2_observe_allocation;
     Alcotest.test_case "registry kinds and clash" `Quick test_registry_basics;
     Alcotest.test_case "labelled series are distinct" `Quick
       test_registry_labels_are_distinct_series;

@@ -205,6 +205,60 @@ let test_golden_query_json () =
       in
       Alcotest.(check string) "golden rthv-query/1 document" expected json)
 
+(* Partition groups: a slot switch counts in both partitions (once when
+   they are equal), an event naming no partition (or a negative one) under
+   "unattributed", and ids past the group slots still get their own group;
+   keys sort numerically. *)
+let test_count_by_partition_groups () =
+  let entries =
+    List.mapi
+      (fun i event -> { Hyp_trace.time = 10 * i; event })
+      [
+        Hyp_trace.Slot_switch { from_partition = 0; to_partition = 1 };
+        Hyp_trace.Slot_switch { from_partition = 1; to_partition = 1 };
+        Hyp_trace.Bottom_handler_start { irq = 0; partition = 10 };
+        Hyp_trace.Bottom_handler_done { irq = 0; partition = 5000 };
+        Hyp_trace.Boundary_deferred { owner = -3; until = 50 };
+        Hyp_trace.Irq_raised { irq = 1; line = 0 };
+        Hyp_trace.Interposition_end { target = 2; reason = `Queue_empty };
+        Hyp_trace.Bottom_handler_done { irq = 1; partition = 5000 };
+      ]
+  in
+  Testutil.with_temp (fun path ->
+      ignore (Store.write_entries path entries : int);
+      let q = Query.run ~agg:Query.Count ~group_by:Query.By_partition path in
+      Alcotest.(check (list (pair string int)))
+        "groups"
+        [
+          ("0", 1); ("1", 2); ("2", 1); ("10", 1); ("5000", 2);
+          ("unattributed", 2);
+        ]
+        (List.map (fun g -> (g.Query.g_key, g.Query.g_count)) q.Query.q_groups))
+
+(* A count-by-kind query finds its group by kind id, so a row allocates
+   nothing: no kind-name hash, no option per lookup. *)
+let test_count_by_kind_allocation () =
+  let entries, _ = Lazy.force recorded in
+  let events = Array.of_list entries in
+  let m = Array.length events in
+  let n = 120_000 in
+  Testutil.with_temp (fun path ->
+      let w = Store.Writer.create path in
+      for k = 0 to n - 1 do
+        let e = events.(k mod m) in
+        Store.Writer.add w ~time:(k * 10) e.Hyp_trace.event
+      done;
+      Store.Writer.close w;
+      let before = Gc.minor_words () in
+      let q = Query.run ~agg:Query.Count ~group_by:Query.By_kind path in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "every event counted" n q.Query.q_matched;
+      let per_event = words /. float_of_int n in
+      if per_event >= 0.1 then
+        Alcotest.failf
+          "count/kind query allocated %.0f minor words (%.2f per event)" words
+          per_event)
+
 let suite =
   [
     Alcotest.test_case "count matches entry list" `Quick
@@ -221,4 +275,8 @@ let suite =
     Alcotest.test_case "group-by mismatch rejected" `Quick
       test_group_by_mismatch_rejected;
     Alcotest.test_case "golden query JSON" `Quick test_golden_query_json;
+    Alcotest.test_case "count by partition groups" `Quick
+      test_count_by_partition_groups;
+    Alcotest.test_case "count/kind allocates nothing per event" `Quick
+      test_count_by_kind_allocation;
   ]

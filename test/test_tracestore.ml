@@ -215,6 +215,225 @@ let test_corrupt_input () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "garbage parsed as a store")
 
+(* The format is frozen: the store of a fixed simulated trace keeps these
+   bytes, in one block and in 16-event blocks. *)
+let test_store_bytes_pinned () =
+  let entries = simulated_entries () in
+  Alcotest.(check int) "simulated events" 660 (List.length entries);
+  List.iter
+    (fun (block_events, md5, len) ->
+      Testutil.with_temp (fun path ->
+          ignore (Store.write_entries ?block_events path entries : int);
+          let bytes = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check int) "store length" len (String.length bytes);
+          Alcotest.(check string) "store MD5" md5
+            (Digest.to_hex (Digest.string bytes))))
+    [
+      (None, "6da959ff9b4d3efb83c3801cb7486c07", 4113);
+      (Some 16, "ac6cf9600de2f39cc675c82cc488d67a", 5215);
+    ]
+
+(* Extreme values take every varint width up to nine bytes, in every
+   column, and come back unchanged. *)
+let test_extreme_values_roundtrip () =
+  let values = [ 0; 1; -1; 127; 128; -65; max_int; min_int; 1 lsl 61 ] in
+  let entries =
+    List.concat_map
+      (fun v ->
+        [
+          entry v
+            (Hyp_trace.Monitor_decision
+               {
+                 irq = v;
+                 line = -v;
+                 arrival = v lxor 0x5555;
+                 verdict = `Denied;
+               });
+          entry (-v)
+            (Hyp_trace.Slot_switch { from_partition = v; to_partition = 70 });
+          entry v
+            (Hyp_trace.Bottom_handler_done { irq = max_int; partition = v });
+        ])
+      values
+  in
+  check_roundtrip ~block_events:5 entries;
+  check_roundtrip entries
+
+(* --- decoder robustness --------------------------------------------------- *)
+
+(* Offsets into a store file: the end of the file header (magic, kind
+   count, arity table), then each block's start and its two lengths. *)
+let file_header_len = String.length Tracestore.format_name + 2 + Store.n_kinds
+
+type block = { start : int; header_len : int; body_len : int }
+
+let block_end b = b.start + 8 + b.header_len + b.body_len
+
+let u32_at s i =
+  Char.code s.[i]
+  lor (Char.code s.[i + 1] lsl 8)
+  lor (Char.code s.[i + 2] lsl 16)
+  lor (Char.code s.[i + 3] lsl 24)
+
+let blocks_of s =
+  let rec go pos acc =
+    if pos >= String.length s then List.rev acc
+    else
+      let header_len = u32_at s pos in
+      let body_len = u32_at s (pos + 4 + header_len) in
+      let b = { start = pos; header_len; body_len } in
+      go (block_end b) (b :: acc)
+  in
+  go file_header_len []
+
+(* The recorded multi-block store the mutations start from. *)
+let recorded_store () =
+  let entries = simulated_entries () in
+  Testutil.with_temp (fun path ->
+      ignore (Store.write_entries ~block_events:16 path entries : int);
+      (entries, In_channel.with_open_bin path In_channel.input_all))
+
+(* [read_entries] of a store holding [bytes]: [Ok] or [Error], and any
+   other exception escapes to fail the test. *)
+let read_bytes bytes =
+  Testutil.with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      Store.read_entries path)
+
+let set_byte s i c =
+  let b = Bytes.of_string s in
+  Bytes.set b i c;
+  Bytes.to_string b
+
+(* A flipped high length byte declares ~2 GB: the scan refuses it against
+   the file's size instead of allocating it. *)
+let test_declared_lengths_bounded () =
+  let _, store = recorded_store () in
+  let first = List.hd (blocks_of store) in
+  let expect_error what bytes needle =
+    match read_bytes bytes with
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+    | Error msg ->
+        if not (Testutil.contains msg needle) then
+          Alcotest.failf "%s: unexpected error %S" what msg
+  in
+  expect_error "header length"
+    (set_byte store (first.start + 3) '\x7f')
+    "block header length";
+  expect_error "body length"
+    (set_byte store (first.start + 4 + first.header_len + 3) '\x7f')
+    "block body length";
+  (* The row count is the header's first varint: 16 rows, one byte. *)
+  Alcotest.(check int) "16 rows" 16 (Char.code store.[first.start + 4]);
+  expect_error "row count"
+    (set_byte store (first.start + 4) (Char.chr ((first.body_len / 2) + 1)))
+    "rows cannot fit"
+
+(* A store cut at a block boundary is a shorter store; cut anywhere else,
+   it is an error. *)
+let test_truncation_at_every_offset () =
+  let entries, store = recorded_store () in
+  let blocks = blocks_of store in
+  Alcotest.(check bool) "multi-block" true (List.length blocks > 10);
+  (* Events held by the blocks that end at or before each offset. *)
+  let complete = Hashtbl.create 64 in
+  Hashtbl.replace complete file_header_len 0;
+  ignore
+    (List.fold_left
+       (fun (held, i) b ->
+         let n = min 16 (List.length entries - held) in
+         Hashtbl.replace complete (block_end b) (held + n);
+         (held + n, i + 1))
+       (0, 0) blocks
+      : int * int);
+  for cut = 0 to String.length store - 1 do
+    let back = read_bytes (String.sub store 0 cut) in
+    match (back, Hashtbl.find_opt complete cut) with
+    | Ok back, Some held ->
+        if back <> List.filteri (fun i _ -> i < held) entries then
+          Alcotest.failf "cut at block boundary %d: wrong prefix" cut
+    | Error msg, Some _ -> Alcotest.failf "cut at block boundary %d: %s" cut msg
+    | Ok _, None -> Alcotest.failf "cut inside a block at %d decoded" cut
+    | Error _, None -> ()
+  done
+
+(* Any single byte changed to any other value: Ok or Error, nothing else. *)
+let qcheck_byte_flips =
+  let _, store = recorded_store () in
+  Testutil.qtest ~count:300 "single-byte flips never raise"
+    QCheck2.Gen.(pair (0 -- (String.length store - 1)) (1 -- 255))
+    (fun (i, delta) ->
+      let c = Char.chr ((Char.code store.[i] + delta) land 0xff) in
+      match read_bytes (set_byte store i c) with Ok _ | Error _ -> true)
+
+(* One block's header in front of another block's body decodes or fails,
+   and never raises. *)
+let test_spliced_blocks () =
+  let _, store = recorded_store () in
+  let blocks = Array.of_list (blocks_of store) in
+  let header b = String.sub store b.start (4 + b.header_len) in
+  let body b = String.sub store (b.start + 4 + b.header_len) (4 + b.body_len) in
+  let prefix = String.sub store 0 (block_end blocks.(0)) in
+  Array.iteri
+    (fun i hb ->
+      Array.iteri
+        (fun j bb ->
+          if i <> j then
+            match read_bytes (prefix ^ header hb ^ body bb) with
+            | Ok _ | Error _ -> ())
+        blocks)
+    blocks
+
+(* A block whose body lost its last byte (and whose body length says so)
+   ends inside its last varint.  The decoder must stop at the body's end,
+   although its buffer still holds earlier, longer bodies past it. *)
+let test_short_body_stops_at_its_end () =
+  let _, store = recorded_store () in
+  let u32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * k)) land 0xff)) in
+  List.iter
+    (fun b ->
+      let body_at = b.start + 8 + b.header_len in
+      let cut =
+        String.sub store 0 (body_at - 4)
+        ^ u32 (b.body_len - 1)
+        ^ String.sub store body_at (b.body_len - 1)
+        ^ String.sub store (block_end b) (String.length store - block_end b)
+      in
+      match read_bytes cut with
+      | Ok _ ->
+          Alcotest.failf "block at %d decoded without its last byte" b.start
+      | Error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "block at %d" b.start)
+            "truncated varint" msg)
+    (blocks_of store)
+
+(* After one warm-up block, [Writer.add] of prebuilt events allocates
+   nothing per event: no row tuple, no per-byte buffer call. *)
+let test_writer_add_allocation () =
+  let events = Array.of_list all_kinds_entries in
+  let m = Array.length events in
+  let n = 100_000 in
+  Testutil.with_temp (fun path ->
+      let w = Store.Writer.create path in
+      let add k =
+        let e = events.(k mod m) in
+        Store.Writer.add w ~time:(k * 10) e.Hyp_trace.event
+      in
+      for k = 0 to Tracestore.default_block_events do
+        add k
+      done;
+      let before = Gc.minor_words () in
+      for k = 1 to n do
+        add k
+      done;
+      let words = Gc.minor_words () -. before in
+      Store.Writer.close w;
+      let per_event = words /. float_of_int n in
+      if per_event >= 0.1 then
+        Alcotest.failf "Writer.add allocated %.0f minor words (%.2f per event)"
+          words per_event)
+
 (* qcheck: any generated event stream round-trips identically, across
    random block sizes — Irq_coalesced, span events and every verdict/reason
    included via the constructor list below. *)
@@ -297,4 +516,17 @@ let suite =
     Alcotest.test_case "partition filter" `Quick test_partition_filter;
     Alcotest.test_case "corrupt input is an error" `Quick test_corrupt_input;
     qcheck_roundtrip;
+    Alcotest.test_case "store bytes pinned" `Quick test_store_bytes_pinned;
+    Alcotest.test_case "extreme values round-trip" `Quick
+      test_extreme_values_roundtrip;
+    Alcotest.test_case "declared lengths bounded by the file" `Quick
+      test_declared_lengths_bounded;
+    Alcotest.test_case "truncation at every offset" `Quick
+      test_truncation_at_every_offset;
+    qcheck_byte_flips;
+    Alcotest.test_case "spliced header and body" `Quick test_spliced_blocks;
+    Alcotest.test_case "a short body stops at its end" `Quick
+      test_short_body_stops_at_its_end;
+    Alcotest.test_case "Writer.add allocates nothing per event" `Quick
+      test_writer_add_allocation;
   ]

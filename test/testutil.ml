@@ -24,6 +24,15 @@ let qtest ?(count = 200) name gen law =
 
 let us = Cycles.of_us
 
+(* [needle] occurs in [haystack]. *)
+let contains haystack needle =
+  let n = String.length needle in
+  let rec at i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || at (i + 1))
+  in
+  at 0
+
 (* Run [f] on a fresh temporary file path, removed afterwards. *)
 let with_temp f =
   let path = Filename.temp_file "rthv_test" ".rts" in
