@@ -280,7 +280,7 @@ let micro_bodies () : (string * (unit -> unit)) list =
                Hyp_sim.run sim))
   in
   (* Batched trace capture: the same simulation with a bounded ring whose
-     spill hook streams every event into the columnar store writer
+     row hook streams every event row into the columnar store writer
      (Trace_store), pricing the array-store + amortized-block-encode path
      against the metrics fold.  Ring,
      writer and (unlinked) temp file are hoisted so the row measures the
@@ -290,8 +290,8 @@ let micro_bodies () : (string * (unit -> unit)) list =
     let writer = Rthv_core.Trace_store.Writer.create path in
     (try Sys.remove path with Sys_error _ -> ());
     let ring = Rthv_core.Hyp_trace.create ~capacity:4096 () in
-    Rthv_core.Hyp_trace.set_spill ring (fun ~time event ->
-        Rthv_core.Trace_store.Writer.add writer ~time event);
+    Rthv_core.Hyp_trace.set_row_spill ring
+      (Rthv_core.Trace_store.Writer.add_row writer);
     ( "hypervisor sim, 200 IRQs (tracestore sink)",
       fun () ->
            let sim =

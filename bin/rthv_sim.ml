@@ -198,8 +198,8 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
     match (trace_out, trace) with
     | Some path, Some tr when Filename.check_suffix path ".rts" ->
         let w = Rthv_core.Trace_store.Writer.create path in
-        Rthv_core.Hyp_trace.set_spill tr (fun ~time event ->
-            Rthv_core.Trace_store.Writer.add w ~time event);
+        Rthv_core.Hyp_trace.set_row_spill tr
+          (Rthv_core.Trace_store.Writer.add_row w);
         Some w
     | _ -> None
   in

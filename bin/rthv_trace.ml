@@ -70,6 +70,7 @@ let record_scenario ~capacity ~registry name =
 let apply_filters ~partition ~from_us ~to_us ~line_partition entries =
   let from_c = Option.map Cycles.of_us from_us in
   let to_c = Option.map Cycles.of_us to_us in
+  let r = Array.make 6 0 in
   List.filter
     (fun e ->
       let time_ok =
@@ -83,10 +84,9 @@ let apply_filters ~partition ~from_us ~to_us ~line_partition entries =
         match partition with
         | None -> true
         | Some p ->
-            let event = e.Hyp_trace.event in
-            let a, b, _, _ = Trace_store.encode_event event in
-            Trace_store.row_partition_matches ~line_partition ~p
-              ~kind:(Trace_store.kind_of_event event) ~a ~b
+            Hyp_trace.encode r 0 ~time:e.Hyp_trace.time e.Hyp_trace.event;
+            Trace_store.row_partition_matches ~line_partition ~p ~kind:r.(1)
+              ~a:r.(2) ~b:r.(3)
       in
       time_ok && partition_ok)
     entries
@@ -94,12 +94,12 @@ let apply_filters ~partition ~from_us ~to_us ~line_partition entries =
 (* --- summary ------------------------------------------------------------ *)
 
 let count_trace_events registry entries =
+  let r = Array.make 6 0 in
   List.iter
     (fun e ->
-      let kind =
-        Trace_store.kind_name (Trace_store.kind_of_event e.Hyp_trace.event)
-      in
-      Obs.Registry.incr registry ~labels:(Obs.Labels.v [ ("ev", kind) ])
+      Hyp_trace.encode r 0 ~time:e.Hyp_trace.time e.Hyp_trace.event;
+      Obs.Registry.incr registry
+        ~labels:(Obs.Labels.v [ ("ev", Hyp_trace.kind_name r.(1)) ])
         "rthv_trace_events_total" 1)
     entries
 
@@ -618,12 +618,12 @@ let parse_kinds = function
       let rec conv acc = function
         | [] -> Ok (Some (List.rev acc))
         | n :: tl -> (
-            match Trace_store.kind_of_name n with
+            match Hyp_trace.kind_of_name n with
             | Some k -> conv (k :: acc) tl
             | None ->
                 Error
                   (Printf.sprintf "unknown event kind %S (known: %s)" n
-                     (String.concat ", " Trace_store.kind_names)))
+                     (String.concat ", " Hyp_trace.kind_names)))
       in
       conv [] names
 

@@ -100,6 +100,3 @@ let to_json ?(extra = []) d =
     @ (match d.hint with Some h -> [ field ("hint", h) ] | None -> [])
   in
   "{" ^ String.concat "," fields ^ "}"
-
-let list_to_json ?extra diagnostics =
-  "[" ^ String.concat "," (List.map (to_json ?extra) diagnostics) ^ "]"

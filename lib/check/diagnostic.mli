@@ -53,5 +53,3 @@ val to_json : ?extra:(string * string) list -> t -> string
 (** One JSON object; [extra] prepends additional string fields (e.g. the
     scenario name).  Strings are escaped per RFC 8259. *)
 
-val list_to_json : ?extra:(string * string) list -> t list -> string
-(** A JSON array of {!to_json} objects. *)

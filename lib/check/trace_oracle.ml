@@ -3,6 +3,7 @@ module Platform = Rthv_hw.Platform
 module Config = Rthv_core.Config
 module Hyp_trace = Rthv_core.Hyp_trace
 module Trace_store = Rthv_core.Trace_store
+module K = Hyp_trace.Kind
 module DF = Rthv_analysis.Distance_fn
 module Independence = Rthv_analysis.Independence
 module Bound = Rthv_analysis.Bound
@@ -243,7 +244,9 @@ let finish_interposition st ~time a =
   steal st cost;
   st.active <- None
 
-let event st ~time (ev : Hyp_trace.event) =
+(* One row of the Hyp_trace schema; its columns are named per kind. *)
+let row st ~time ~kind ~a ~b ~c ~d =
+  let kind = Hyp_trace.kind_of_id kind in
   st.index <- st.index + 1;
   st.at <- time;
   if time < st.last_time then
@@ -253,9 +256,10 @@ let event st ~time (ev : Hyp_trace.event) =
             "trace timestamps go backwards: %a after %a" Cycles.pp time
             Cycles.pp st.last_time));
   st.last_time <- Cycles.max st.last_time time;
-  match ev with
-  | Hyp_trace.Boundary_deferred _ -> ()
-  | Hyp_trace.Irq_raised { irq; line } ->
+  match kind with
+  | K.Boundary_deferred -> ()
+  | K.Irq_raised ->
+      let irq = a and line = b in
       if source_by_line st line = None then
         structural st
           (Printf.sprintf "irq %d raised on unconfigured line %d" irq line);
@@ -269,15 +273,17 @@ let event st ~time (ev : Hyp_trace.event) =
         st.max_raised <- irq;
         Hashtbl.replace st.irq_line irq line
       end
-  | Hyp_trace.Bottom_handler_start { irq = _; partition = _ } ->
+  | K.Bottom_handler_start ->
       (* A zero-cost marker bracketing the bottom-half slice of the span:
          no allowance bump, no slot check (RTHV105 judges the completion). *)
       ()
-  | Hyp_trace.Irq_coalesced { line } ->
+  | K.Irq_coalesced ->
+      let line = a in
       if source_by_line st line = None then
         structural st
           (Printf.sprintf "coalesced raise on unconfigured line %d" line)
-  | Hyp_trace.Slot_switch { from_partition; to_partition } ->
+  | K.Slot_switch ->
+      let from_partition = a and to_partition = b in
       if from_partition <> st.owner then
         structural st
           (Printf.sprintf
@@ -286,7 +292,8 @@ let event st ~time (ev : Hyp_trace.event) =
       close_span st time;
       st.owner <- to_partition;
       (match st.pending with Some (_, n) -> incr n | None -> ())
-  | Hyp_trace.Top_handler_run { irq; line } -> (
+  | K.Top_handler_run -> (
+      let irq = a and line = b in
       Hashtbl.replace st.irq_line irq line;
       match source_by_line st line with
       | Some ss ->
@@ -295,7 +302,9 @@ let event st ~time (ev : Hyp_trace.event) =
       | None ->
           structural st
             (Printf.sprintf "top handler on unconfigured line %d" line))
-  | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } -> (
+  | K.Monitor_decision -> (
+      let irq = a and line = b and arrival = c in
+      let verdict = Hyp_trace.verdict_of_code d in
       Hashtbl.replace st.irq_line irq line;
       bump_allowance st st.spec.c_mon;
       steal st st.spec.c_mon;
@@ -320,7 +329,8 @@ let event st ~time (ev : Hyp_trace.event) =
           | None ->
               structural st
                 (Printf.sprintf "monitor decision on unconfigured line %d" line)))
-  | Hyp_trace.Interposition_start { irq; target } ->
+  | K.Interposition_start ->
+      let irq = a and target = b in
       (match st.active with
       | Some a ->
           structural st
@@ -379,7 +389,8 @@ let event st ~time (ev : Hyp_trace.event) =
             a_start = time;
             a_allowance = allowance;
           }
-  | Hyp_trace.Interposition_crossed_boundary { target } -> (
+  | K.Interposition_crossed_boundary -> (
+      let target = a in
       match st.active with
       | Some a when a.a_target = target -> a.a_allowance <- Cycles.( + ) a.a_allowance st.spec.c_ctx
       | Some a ->
@@ -391,7 +402,10 @@ let event st ~time (ev : Hyp_trace.event) =
       | None ->
           structural st
             "boundary crossing reported with no interposition in flight")
-  | Hyp_trace.Interposition_end { target; reason = _ } -> (
+  | K.Interposition_end -> (
+      let target = a in
+      (* The reason does not enter the audit, but a store's must decode. *)
+      ignore (Hyp_trace.reason_of_code b : [ `Budget_exhausted | `Queue_empty ]);
       match st.active with
       | None ->
           structural st "interposition end with no interposition in flight"
@@ -403,7 +417,8 @@ let event st ~time (ev : Hyp_trace.event) =
                   interposition targets partition %d"
                  target a.a_target);
           finish_interposition st ~time a)
-  | Hyp_trace.Bottom_handler_done { irq; partition } -> (
+  | K.Bottom_handler_done -> (
+      let irq = a and partition = b in
       let line = Hashtbl.find_opt st.irq_line irq in
       (* RTHV108: every completion must match exactly one raise — no orphan
          completions and no duplicate completions of the same instance. *)
@@ -553,15 +568,8 @@ let finish st =
 
 let attach spec trace =
   let st = create spec in
-  Hyp_trace.set_spill trace (event st);
+  Hyp_trace.set_row_spill trace (row st);
   st
-
-let fold_entry st e = event st ~time:e.Hyp_trace.time e.Hyp_trace.event
-
-let audit_entries spec entries =
-  let st = create spec in
-  List.iter (fold_entry st) entries;
-  fst (finish st)
 
 let audit spec trace =
   let dropped = Hyp_trace.dropped trace in
@@ -577,15 +585,17 @@ let audit spec trace =
     ]
   else begin
     let st = create spec in
-    Hyp_trace.iter trace (fold_entry st);
+    Hyp_trace.iter_rows trace (row st);
     fst (finish st)
   end
+
+let audit_entries spec entries =
+  audit spec (Rthv_core.Trace_export.trace_of_entries entries)
 
 let audit_store spec path =
   let st = create spec in
   match
-    Trace_store.scan path ~f:(fun ~time ~kind ~a ~b ~c ~d ->
-        event st ~time (Trace_store.decode_event ~kind ~a ~b ~c ~d))
+    Trace_store.scan path ~f:(row st)
   with
   | (_ : Rthv_obs.Tracestore.stats) -> Ok (fst (finish st))
   | exception Rthv_obs.Tracestore.Corrupt msg -> Error msg

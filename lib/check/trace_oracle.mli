@@ -1,13 +1,13 @@
 (** Pass 2 — trace-invariant oracle.
 
-    A checker over a {!Rthv_core.Hyp_trace} event stream: given the
+    A checker over a {!Rthv_core.Hyp_trace} row stream: given the
     configuration the trace was produced under, verify that the hypervisor's
     observable behaviour stayed inside the paper's guarantees.  The oracle is
     the runtime complement of the static analyzer — {!Lint} proves the
     configuration admits a bound, this pass proves a concrete run respected
     it.
 
-    The oracle is one streaming fold ({!create}, {!event}, {!finish}), and
+    The oracle is one streaming fold ({!create}, {!row}, {!finish}), and
     every input goes through it: a live run on its trace's spill hook
     ({!attach}), a recorded ring ({!audit}), an entry list
     ({!audit_entries}) and a binary trace store ({!audit_store}).  Its
@@ -122,9 +122,10 @@ type t
 
 val create : spec -> t
 
-val event : t -> time:Rthv_engine.Cycles.t -> Rthv_core.Hyp_trace.event -> unit
-(** Fold one event, in stream order.  Its signature is a
-    {!Rthv_core.Hyp_trace.set_spill} hook's. *)
+val row : t -> Rthv_core.Hyp_trace.row_fn
+(** Fold one row, in stream order: a {!Rthv_core.Hyp_trace.set_row_spill}
+    hook and a {!Rthv_core.Trace_store.scan} callback.
+    @raise Rthv_obs.Tracestore.Corrupt on a row outside the schema. *)
 
 val finish : t -> Diagnostic.t list * measurement
 (** The end-of-stream ruling: every finding, sorted most severe first
@@ -134,7 +135,7 @@ val finish : t -> Diagnostic.t list * measurement
     the last event. *)
 
 val attach : spec -> Rthv_core.Hyp_trace.t -> t
-(** {!create} a fold and add its {!event} to the trace's spill hooks: the
+(** {!create} a fold and add its {!row} to the trace's spill hooks: the
     fold sees every event the trace records from now on, whatever the
     ring's capacity. *)
 
@@ -146,20 +147,21 @@ val refuted_claims : service_claim list -> measurement -> Diagnostic.t list
 
 val audit_entries :
   spec -> Rthv_core.Hyp_trace.entry list -> Diagnostic.t list
-(** Fold a raw entry list (oldest first), e.g. one built by hand in a
-    test, and return {!finish}'s findings. *)
+(** {!audit} a raw entry list (oldest first), e.g. one built by hand in a
+    test, recorded into a ring that holds all of it. *)
 
 val audit : spec -> Rthv_core.Hyp_trace.t -> Diagnostic.t list
-(** Fold a trace someone already recorded, walking its ring in place.  If
+(** Fold a trace someone already recorded, walking its ring's rows in
+    place.  If
     the ring dropped entries the result is a single [RTHV107] warning and
     nothing else is checked: the stream really is truncated, and a skipped
     audit is a blind spot, not mere trivia.  To audit a run of any length,
     {!attach} the fold before the run instead. *)
 
 val audit_store : spec -> string -> (Diagnostic.t list, string) result
-(** Fold the event stream of a binary trace store
-    ({!Rthv_core.Trace_store}) as {!Rthv_core.Trace_store.scan} reads it,
-    without materializing the store: archived certification evidence
+(** Fold the rows of a binary trace store ({!Rthv_core.Trace_store}) as
+    {!Rthv_core.Trace_store.scan} reads them, with no decode and without
+    materializing the store: archived certification evidence
     replays through the oracle without a JSONL detour.  IO and corruption
     problems come back as [Error msg]. *)
 

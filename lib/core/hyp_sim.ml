@@ -244,13 +244,8 @@ let note_bh_start t (item : Irq_queue.item) elapsed =
     if t.pf_irq.(i) = irq && t.pf_bh_start.(i) < 0 then begin
       let start = Cycles.( - ) t.now elapsed in
       t.pf_bh_start.(i) <- start;
-      if tracing t then
-        trace_event_at t start
-          (Hyp_trace.Bottom_handler_start
-             {
-               irq;
-               partition = t.sources.(t.pf_source.(i)).cfg.Config.subscriber;
-             })
+      trace_row_at t start Hyp_trace.Kind.Bottom_handler_start ~a:irq
+        ~b:t.sources.(t.pf_source.(i)).cfg.Config.subscriber ~c:0 ~d:0
     end
   end
 

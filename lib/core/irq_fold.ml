@@ -1,7 +1,8 @@
-(* The per-IRQ fold: typed trace events (or store rows) in, one span per
-   completed IRQ out.  See irq_fold.mli for the classification rule. *)
+(* The per-IRQ fold: trace rows in, one span per completed IRQ out.  See
+   irq_fold.mli for the classification rule. *)
 
 module Cycles = Rthv_engine.Cycles
+module K = Hyp_trace.Kind
 
 type span = {
   irq : int;
@@ -51,9 +52,13 @@ let components sp =
     ("bottom_handler", completion -. bh_start);
   ]
 
-(* In-flight IRQs hold one row of [width] ints at [irq land (capacity - 1)]
-   (the Sim_state scheme); a free row has [f_irq] = -1.  [f_verdict] is the
-   store's verdict code (0 admitted, 1 denied, 2 fallback), -1 for none. *)
+(* In-flight IRQs hold one row of [width] ints in an open-addressing table:
+   an IRQ's home row is [irq land (capacity - 1)] (the Sim_state scheme),
+   and a taken row sends it to the next one.  A free row has [f_irq] = -1.
+   The table doubles when more than half its rows are live, so its size
+   follows the IRQs in flight, not the distance between their ids; dense
+   simulator ids land in their home rows.  [f_verdict] is the row's verdict
+   code, -1 for none. *)
 let f_irq = 0
 let f_line = 1
 let f_arrival = 2
@@ -70,6 +75,7 @@ type t = {
   names : (int, string) Hashtbl.t;  (* by line, filled on first use *)
   mutable owner : int;  (* current slot owner; partition 0 owns t = 0 *)
   mutable rows : int array;
+  mutable live : int;  (* rows in use *)
 }
 
 let create ?config on_span =
@@ -84,7 +90,8 @@ let create ?config on_span =
       c_th.(s.Config.line) <- s.Config.c_th;
       Hashtbl.replace names s.Config.line s.Config.name)
     sources;
-  { on_span; c_th; names; owner = 0; rows = Array.make (64 * width) (-1) }
+  let rows = Array.make (64 * width) (-1) in
+  { on_span; c_th; names; owner = 0; rows; live = 0 }
 
 let source_name t line =
   match Hashtbl.find t.names line with
@@ -94,42 +101,64 @@ let source_name t line =
       Hashtbl.add t.names line name;
       name
 
-let row_of t irq = (irq land ((Array.length t.rows / width) - 1)) * width
+(* The row holding [irq], or else the free row that ends its probe. *)
+let probe rows irq =
+  let mask = (Array.length rows / width) - 1 in
+  let s = ref (irq land mask) in
+  while
+    let held = rows.(!s * width) in
+    held >= 0 && held <> irq
+  do
+    s := (!s + 1) land mask
+  done;
+  !s * width
 
-(* Double the table; ids that differ modulo the capacity still differ
-   modulo twice the capacity, so re-placing the live rows cannot collide. *)
 let grow t =
   let old = t.rows in
   t.rows <- Array.make (2 * Array.length old) (-1);
   for r = 0 to (Array.length old / width) - 1 do
     let irq = old.(r * width) in
-    if irq >= 0 then Array.blit old (r * width) t.rows (row_of t irq) width
+    if irq >= 0 then Array.blit old (r * width) t.rows (probe t.rows irq) width
+  done
+
+(* Free row [r], then re-place the rest of its probe run: a row whose
+   probe now stops at an earlier free row moves there. *)
+let remove t r =
+  let rows = t.rows in
+  let mask = (Array.length rows / width) - 1 in
+  rows.(r + f_irq) <- -1;
+  t.live <- t.live - 1;
+  let s = ref (((r / width) + 1) land mask) in
+  while rows.(!s * width) >= 0 do
+    let from = !s * width in
+    let dst = probe rows rows.(from) in
+    if dst <> from then begin
+      Array.blit rows from rows dst width;
+      rows.(from) <- -1
+    end;
+    s := (!s + 1) land mask
   done
 
 (* Negative ids cannot come from the simulator; a corrupt store's are
-   ignored rather than mistaken for free rows. *)
-let rec raised t ~time ~irq ~line =
+   ignored rather than mistaken for free rows.  A repeated raise of a live
+   id restarts its row. *)
+let raised t ~time ~irq ~line =
   if irq >= 0 then begin
-    let r = row_of t irq in
-    let held = t.rows.(r + f_irq) in
-    if held >= 0 && held <> irq then begin
-      grow t;
-      raised t ~time ~irq ~line
-    end
-    else begin
-      Array.fill t.rows r width (-1);
-      t.rows.(r + f_irq) <- irq;
-      t.rows.(r + f_line) <- line;
-      t.rows.(r + f_arrival) <- time;
-      t.rows.(r + f_top_end) <- time
-    end
+    if 2 * (t.live + 1) > Array.length t.rows / width then grow t;
+    let r = probe t.rows irq in
+    if t.rows.(r + f_irq) < 0 then t.live <- t.live + 1;
+    Array.fill t.rows r width (-1);
+    t.rows.(r + f_irq) <- irq;
+    t.rows.(r + f_line) <- line;
+    t.rows.(r + f_arrival) <- time;
+    t.rows.(r + f_top_end) <- time
   end
 
 (* Row of a live IRQ, or -1 when its raise was not folded. *)
 let live t irq =
   if irq < 0 then -1
   else
-    let r = row_of t irq in
+    let r = probe t.rows irq in
     if t.rows.(r + f_irq) = irq then r else -1
 
 let top_handler t ~time ~irq =
@@ -150,25 +179,28 @@ let bh_started t ~time ~irq =
   let r = live t irq in
   if r >= 0 && t.rows.(r + f_bh_start) < 0 then t.rows.(r + f_bh_start) <- time
 
+let admitted = Hyp_trace.verdict_code `Admitted
+let denied = Hyp_trace.verdict_code `Denied
+let fallback_direct = Hyp_trace.verdict_code `Fallback_direct
+
 (* The classifier.  The options are constants, so nothing is allocated. *)
 let classify ~verdict ~owner ~partition =
-  match verdict with
-  | 0 -> Some Irq_record.Interposed
-  | 1 -> Some Irq_record.Delayed
-  | 2 -> Some Irq_record.Direct
-  | _ ->
-      if owner < 0 then None
-      else if owner = partition then Some Irq_record.Direct
-      else Some Irq_record.Delayed
+  if verdict = admitted then Some Irq_record.Interposed
+  else if verdict = denied then Some Irq_record.Delayed
+  else if verdict = fallback_direct then Some Irq_record.Direct
+  else if owner < 0 then None
+  else if owner = partition then Some Irq_record.Direct
+  else Some Irq_record.Delayed
 
 let completed t ~time ~irq ~partition =
   let r = live t irq in
   if r >= 0 then begin
     let row = t.rows in
-    row.(r + f_irq) <- -1;
     let line = row.(r + f_line) and top_end = row.(r + f_top_end) in
     let owner = row.(r + f_owner) and decision = row.(r + f_decision) in
-    let bh_start = row.(r + f_bh_start) in
+    let bh_start = row.(r + f_bh_start) and arrival = row.(r + f_arrival) in
+    let verdict = row.(r + f_verdict) in
+    remove t r;
     let c_th =
       if owner >= 0 && line >= 0 && line < Array.length t.c_th then
         t.c_th.(line)
@@ -180,8 +212,8 @@ let completed t ~time ~irq ~partition =
         line;
         source = source_name t line;
         partition;
-        cls = classify ~verdict:row.(r + f_verdict) ~owner ~partition;
-        arrival = row.(r + f_arrival);
+        cls = classify ~verdict ~owner ~partition;
+        arrival;
         top_start = Cycles.( - ) top_end c_th;
         top_end;
         decision = (if decision >= 0 then decision else top_end);
@@ -190,32 +222,25 @@ let completed t ~time ~irq ~partition =
       }
   end
 
-let event t ~time = function
-  | Hyp_trace.Slot_switch { to_partition; _ } -> t.owner <- to_partition
-  | Hyp_trace.Irq_raised { irq; line } -> raised t ~time ~irq ~line
-  | Hyp_trace.Top_handler_run { irq; _ } -> top_handler t ~time ~irq
-  | Hyp_trace.Monitor_decision { irq; verdict; _ } ->
-      decided t ~time ~irq (Trace_store.verdict_code verdict)
-  | Hyp_trace.Bottom_handler_start { irq; _ } -> bh_started t ~time ~irq
-  | Hyp_trace.Bottom_handler_done { irq; partition } ->
-      completed t ~time ~irq ~partition
-  | Hyp_trace.Boundary_deferred _ | Hyp_trace.Interposition_start _
-  | Hyp_trace.Interposition_end _ | Hyp_trace.Interposition_crossed_boundary _
-  | Hyp_trace.Irq_coalesced _ ->
+let row t ~time ~kind ~a ~b ~c:_ ~d =
+  match Hyp_trace.kind_of_id kind with
+  | K.Slot_switch -> t.owner <- b
+  | K.Irq_raised -> raised t ~time ~irq:a ~line:b
+  | K.Top_handler_run -> top_handler t ~time ~irq:a
+  | K.Monitor_decision -> decided t ~time ~irq:a d
+  | K.Bottom_handler_start -> bh_started t ~time ~irq:a
+  | K.Bottom_handler_done -> completed t ~time ~irq:a ~partition:b
+  | K.Boundary_deferred | K.Interposition_start | K.Interposition_end
+  | K.Interposition_crossed_boundary | K.Irq_coalesced ->
       ()
 
-(* Trace_store's kind ids and columns (Trace_store.encode_event). *)
-let row t ~time ~kind ~a ~b ~c:_ ~d =
-  match kind with
-  | 0 -> t.owner <- b
-  | 2 -> raised t ~time ~irq:a ~line:b
-  | 3 -> top_handler t ~time ~irq:a
-  | 4 -> decided t ~time ~irq:a d
-  | 8 -> bh_started t ~time ~irq:a
-  | 9 -> completed t ~time ~irq:a ~partition:b
-  | _ -> ()
-
-let latency_kinds = [ 0; 2; 3; 4; 9 ]
+let latency_kinds =
+  List.map Hyp_trace.kind_id
+    K.
+      [
+        Slot_switch; Irq_raised; Top_handler_run; Monitor_decision;
+        Bottom_handler_done;
+      ]
 
 let attach ?config trace on_span =
-  Hyp_trace.set_spill trace (event (create ?config on_span))
+  Hyp_trace.set_row_spill trace (row (create ?config on_span))

@@ -1,7 +1,7 @@
-(** The per-IRQ fold over the typed trace events.
+(** The per-IRQ fold over the trace rows.
 
     The simulator reports each interrupt instance only as {!Hyp_trace}
-    events.  This fold turns them back into one {!span} per completed IRQ:
+    rows.  This fold turns them back into one {!span} per completed IRQ:
     the timestamps of the paper's latency decomposition (eq. 2) and the
     handling class of Figure 4.  It holds the only event-side classifier:
     the {!Hyp_trace.Monitor_decision} verdict when the IRQ has one
@@ -9,9 +9,9 @@
     the slot owner when its top handler ran, compared with the partition
     that completes it (direct when equal, delayed when not).
 
-    The same fold runs live on a trace's spill hook ({!attach}) and over a
-    store scan ({!row}, which reads kind ids and int columns, no decoded
-    event).  In-flight state is one row of ints per live IRQ.  The metrics,
+    The same entry point, {!row}, runs live on a trace's spill hook
+    ({!attach}) and over a store scan.  In-flight state is one row of ints
+    per live IRQ, in a table sized by the IRQs in flight.  The metrics,
     attribution, SLO and query consumers all read these spans. *)
 
 type span = {
@@ -57,23 +57,13 @@ val create : ?config:Config.t -> (span -> unit) -> t
 (** A fold calling [on_span] per completed IRQ, in completion order.
     [config] names the sources and gives each line's C_TH. *)
 
-val event : t -> time:Rthv_engine.Cycles.t -> Hyp_trace.event -> unit
-(** Fold one event: a {!Hyp_trace.set_spill} hook. *)
-
-val row :
-  t ->
-  time:Rthv_engine.Cycles.t ->
-  kind:int ->
-  a:int ->
-  b:int ->
-  c:int ->
-  d:int ->
-  unit
-(** Fold one {!Trace_store} row: a {!Trace_store.scan} callback. *)
+val row : t -> Hyp_trace.row_fn
+(** Fold one row: a {!Hyp_trace.set_row_spill} hook and a
+    {!Trace_store.scan} callback. *)
 
 val latency_kinds : int list
 (** The store kinds that fix each span's class, arrival, top-handler end,
     decision and completion; a scan of only these misses [bh_start]. *)
 
 val attach : ?config:Config.t -> Hyp_trace.t -> (span -> unit) -> unit
-(** {!create} a fold and add its {!event} to the trace's spill hooks. *)
+(** {!create} a fold and add its {!row} to the trace's spill hooks. *)

@@ -30,10 +30,8 @@ let handle_boundary t =
   let deferred = boundary_deferral t in
   if deferred >= 0 then begin
     t.bh_boundary_deferrals <- t.bh_boundary_deferrals + 1;
-    if tracing t then
-      trace_event t
-        (Hyp_trace.Boundary_deferred
-           { owner = t.slot.Tdma.owner; until = deferred });
+    trace_row t Hyp_trace.Kind.Boundary_deferred ~a:t.slot.Tdma.owner
+      ~b:deferred ~c:0 ~d:0;
     (* Keep the old owner in place; extend its slot to the deferred check
        so execution can proceed, and re-examine then. *)
     t.slot.Tdma.slot_end <- deferred;
@@ -47,22 +45,16 @@ let handle_boundary t =
        stolen time. *)
     if t.ip_target >= 0 then begin
       t.boundary_crossings <- t.boundary_crossings + 1;
-      if tracing t then
-        trace_event t
-          (Hyp_trace.Interposition_crossed_boundary { target = t.ip_target })
+      trace_row t Hyp_trace.Kind.Interposition_crossed_boundary
+        ~a:t.ip_target ~b:0 ~c:0 ~d:0
     end;
     close_slot_accounting t;
     let previous_owner = t.slot.Tdma.owner in
     (* One lookup yields the new owner and its slot end, which is also the
        next boundary. *)
     Tdma.locate t.tdma t.now t.slot;
-    if tracing t then
-      trace_event t
-        (Hyp_trace.Slot_switch
-           {
-             from_partition = previous_owner;
-             to_partition = t.slot.Tdma.owner;
-           });
+    trace_row t Hyp_trace.Kind.Slot_switch ~a:previous_owner
+      ~b:t.slot.Tdma.owner ~c:0 ~d:0;
     enqueue_hyp t K_slot_switch ~cost:t.c_ctx (-1);
     Event_arena.push t.events ~time:t.slot.Tdma.slot_end ev_boundary
   end;

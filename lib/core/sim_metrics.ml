@@ -7,6 +7,7 @@ module Cycles = Rthv_engine.Cycles
 module Registry = Rthv_obs.Registry
 module Labels = Rthv_obs.Labels
 module Quantile = Rthv_obs.Quantile
+module K = Hyp_trace.Kind
 
 let help =
   [
@@ -93,6 +94,7 @@ let span t (sp : Irq_fold.span) =
     (fun j (_, v) -> Quantile.observe s.components.(j) v)
     (Irq_fold.components sp)
 
+(* Label values by verdict code. *)
 let verdict_names = [| "admitted"; "denied"; "fallback_direct" |]
 
 let decision_counter t k =
@@ -116,24 +118,21 @@ let scalar_names =
 
 let scalar_counter t i = Registry.counter t.reg scalar_names.(i)
 
-let event t fold ~time event =
-  (match event with
-  | Hyp_trace.Monitor_decision { line; verdict; _ } ->
-      let k = (line * 3) + Trace_store.verdict_code verdict in
-      incr (cached t t.decisions k decision_counter)
-  | Hyp_trace.Interposition_start { target; _ } ->
-      incr (cached t t.interpositions target interposition_counter)
-  | Hyp_trace.Irq_coalesced { line } ->
-      incr (cached t t.coalesced line coalesced_counter)
-  | Hyp_trace.Slot_switch _ -> incr (cached t t.scalars 0 scalar_counter)
-  | Hyp_trace.Interposition_crossed_boundary _ ->
+let row t fold ~time ~kind ~a ~b ~c ~d =
+  (match Hyp_trace.kind_of_id kind with
+  | K.Monitor_decision ->
+      incr (cached t t.decisions ((b * 3) + d) decision_counter)
+  | K.Interposition_start ->
+      incr (cached t t.interpositions b interposition_counter)
+  | K.Irq_coalesced -> incr (cached t t.coalesced a coalesced_counter)
+  | K.Slot_switch -> incr (cached t t.scalars 0 scalar_counter)
+  | K.Interposition_crossed_boundary ->
       incr (cached t t.scalars 1 scalar_counter)
-  | Hyp_trace.Boundary_deferred _ -> incr (cached t t.scalars 2 scalar_counter)
-  | Hyp_trace.Irq_raised _ | Hyp_trace.Top_handler_run _
-  | Hyp_trace.Interposition_end _ | Hyp_trace.Bottom_handler_start _
-  | Hyp_trace.Bottom_handler_done _ ->
+  | K.Boundary_deferred -> incr (cached t t.scalars 2 scalar_counter)
+  | K.Irq_raised | K.Top_handler_run | K.Interposition_end
+  | K.Bottom_handler_start | K.Bottom_handler_done ->
       ());
-  Irq_fold.event fold ~time event
+  Irq_fold.row fold ~time ~kind ~a ~b ~c ~d
 
 let attach reg (config : Config.t) trace =
   List.iter (fun (name, doc) -> Registry.set_help reg name doc) help;
@@ -159,7 +158,7 @@ let attach reg (config : Config.t) trace =
       stolen = Array.make partitions None;
     }
   in
-  Hyp_trace.set_spill trace (event t (Irq_fold.create ~config (span t)));
+  Hyp_trace.set_row_spill trace (row t (Irq_fold.create ~config (span t)));
   t
 
 let slot_closed t ~owner stolen =

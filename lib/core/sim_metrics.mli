@@ -1,4 +1,4 @@
-(** Registry metrics of a live simulation, read off its trace events.
+(** Registry metrics of a live simulation, read off its trace rows.
 
     {!Hyp_sim.create} attaches one to every simulation created while a
     registry is installed.  It counts monitor decisions, interpositions,

@@ -16,12 +16,10 @@ module Intc = Rthv_hw.Intc
 open Sim_state
 
 (* Trace one monitor verdict; top-level so the hot path allocates no
-   closure, and guarded so untraced runs do not build the event value. *)
+   closure. *)
 let record_decision t src irq ~arrival verdict =
-  if tracing t then
-    trace_event t
-      (Hyp_trace.Monitor_decision
-         { irq; line = src.cfg.Config.line; arrival; verdict })
+  trace_row t Hyp_trace.Kind.Monitor_decision ~a:irq ~b:src.cfg.Config.line
+    ~c:arrival ~d:(Hyp_trace.verdict_code verdict)
 
 (* Decision point of the modified top handler (Figure 4b), reached after the
    admission predicate ran: admit the interposition or fall back to delayed
@@ -63,9 +61,8 @@ let top_handler_done t irq =
   let src = t.sources.(t.pf_source.(i)) in
   let arrival = t.pf_arrival.(i) in
   t.pf_top_end.(i) <- t.now;
-  if tracing t then
-    trace_event t
-      (Hyp_trace.Top_handler_run { irq; line = src.cfg.Config.line });
+  trace_row t Hyp_trace.Kind.Top_handler_run ~a:irq ~b:src.cfg.Config.line
+    ~c:0 ~d:0;
   Intc.ack t.intc src.cfg.Config.line;
   (* The paper's experiment setup: the trigger timer is reprogrammed with the
      next pre-generated interarrival from within the top handler. *)
@@ -102,9 +99,8 @@ let hyp_done t kind irq =
       let subscriber = src.cfg.Config.subscriber in
       t.interposition_switches <- t.interposition_switches + 1;
       t.interpositions_started <- t.interpositions_started + 1;
-      if tracing t then
-        trace_event t
-          (Hyp_trace.Interposition_start { irq; target = subscriber });
+      trace_row t Hyp_trace.Kind.Interposition_start ~a:irq ~b:subscriber
+        ~c:0 ~d:0;
       t.ip_target <- subscriber;
       t.ip_budget <- src.cfg.Config.c_bh
   | K_ctx_back ->
@@ -129,19 +125,17 @@ let deliver t line =
       t.next_irq_id <- t.next_irq_id + 1;
       t.live_irqs <- t.live_irqs + 1;
       pending_add t irq ~source:src.s_idx ~arrival:t.now;
-      if tracing t then
-        trace_event t
-          (Hyp_trace.Irq_raised { irq; line = src.cfg.Config.line });
+      trace_row t Hyp_trace.Kind.Irq_raised ~a:irq ~b:src.cfg.Config.line
+        ~c:0 ~d:0;
       enqueue_hyp t K_top_handler ~cost:src.cfg.Config.c_th irq
 
 let handle_arrival t s_idx =
   t.scheduled_arrivals <- t.scheduled_arrivals - 1;
   let src = t.sources.(s_idx) in
   let line = src.cfg.Config.line in
-  if Intc.is_pending t.intc line then begin
+  if Intc.is_pending t.intc line then
     (* The non-counting pending flag is already set: this raise coalesces
        into the earlier one and is lost.  Intc counts it; the trace makes
        it visible on the timeline. *)
-    if tracing t then trace_event t (Hyp_trace.Irq_coalesced { line })
-  end;
+    trace_row t Hyp_trace.Kind.Irq_coalesced ~a:line ~b:0 ~c:0 ~d:0;
   Intc.raise_line t.intc line

@@ -236,16 +236,16 @@ let rec pending_add t irq ~source ~arrival =
     t.pf_class.(i) <- Irq_record.Delayed
   end
 
-let trace_event_at t time event =
+(* The simulator's one emission call: a row of ints, so an untraced run
+   pays one branch per site and a traced one allocates nothing. *)
+let[@inline] trace_row_at t time kind ~a ~b ~c ~d =
   match t.trace with
-  | Some trace -> Hyp_trace.record trace ~time event
+  | Some trace ->
+      Hyp_trace.record_row trace ~time ~kind:(Hyp_trace.kind_id kind) ~a ~b ~c
+        ~d
   | None -> ()
 
-let trace_event t event = trace_event_at t t.now event
-
-(* Guard for hot call sites: constructing the event value itself allocates,
-   so untraced runs skip even that. *)
-let tracing t = match t.trace with Some _ -> true | None -> false
+let[@inline] trace_row t kind ~a ~b ~c ~d = trace_row_at t t.now kind ~a ~b ~c ~d
 
 (* Profiled phases of the stepping loop (see DESIGN "Profiling"): the drain
    loop's event dispatch, the admission decision and boundary handling. *)
@@ -326,10 +326,8 @@ let finalize_completion t (item : Irq_queue.item) =
   recycle_item t item;
   t.n_completed <- t.n_completed + 1;
   t.live_irqs <- t.live_irqs - 1;
-  if tracing t then
-    trace_event t
-      (Hyp_trace.Bottom_handler_done
-         { irq; partition = src.cfg.Config.subscriber });
+  trace_row t Hyp_trace.Kind.Bottom_handler_done ~a:irq
+    ~b:src.cfg.Config.subscriber ~c:0 ~d:0;
   t.pf_irq.(i) <- -1;
   (* uC/OS pattern: the bottom handler posts to an application task. *)
   match src.cfg.Config.activates with
@@ -340,9 +338,9 @@ let finalize_completion t (item : Irq_queue.item) =
   | None -> ()
 
 let end_interposition t ~reason =
-  if t.ip_target >= 0 && tracing t then
-    trace_event t
-      (Hyp_trace.Interposition_end { target = t.ip_target; reason });
+  if t.ip_target >= 0 then
+    trace_row t Hyp_trace.Kind.Interposition_end ~a:t.ip_target
+      ~b:(Hyp_trace.reason_code reason) ~c:0 ~d:0;
   t.ip_target <- -1;
   t.ip_budget <- 0;
   enqueue_hyp t K_ctx_back ~cost:t.c_ctx (-1)

@@ -7,27 +7,17 @@ module Json = Rthv_obs.Json
 let hyp_tid = 0
 let tid_of_partition p = p + 1
 
-let max_partition entries =
-  List.fold_left
-    (fun acc e ->
-      let p =
-        match e.Hyp_trace.event with
-        | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-            Stdlib.max from_partition to_partition
-        | Hyp_trace.Boundary_deferred { owner; _ } -> owner
-        | Hyp_trace.Interposition_start { target; _ }
-        | Hyp_trace.Interposition_end { target; _ }
-        | Hyp_trace.Interposition_crossed_boundary { target } ->
-            target
-        | Hyp_trace.Bottom_handler_start { partition; _ }
-        | Hyp_trace.Bottom_handler_done { partition; _ } ->
-            partition
-        | Hyp_trace.Irq_raised _ | Hyp_trace.Top_handler_run _
-        | Hyp_trace.Monitor_decision _ | Hyp_trace.Irq_coalesced _ ->
-            -1
-      in
-      Stdlib.max acc p)
-    0 entries
+(* The partitions the trace names, ascending, by the store's partition
+   rule; partition 0 owns the first slot, so it always has a track. *)
+let named_partitions trace =
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen 0 ();
+  Hyp_trace.iter_rows trace (fun ~time:_ ~kind ~a ~b ~c:_ ~d:_ ->
+      for i = 0 to 1 do
+        let p = Trace_store.row_partition ~line_partition:None ~kind ~a ~b i in
+        if p >= 0 then Hashtbl.replace seen p ()
+      done);
+  List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) seen [])
 
 let event ~ph ~ts ~tid ~name ?cat ?id ?(args = []) () =
   Json.Obj
@@ -54,37 +44,31 @@ let meta_event ~name ~tid args =
       ("args", Json.Obj args);
     ]
 
-let verdict_name = function
-  | `Admitted -> "admitted"
-  | `Denied -> "denied"
-  | `Fallback_direct -> "fallback-direct"
-
-let reason_name = function
-  | `Budget_exhausted -> "budget-exhausted"
-  | `Queue_empty -> "queue-empty"
+let verdict_name v = Hyp_trace.verdict_names.(Hyp_trace.verdict_code v)
+let reason_name r = Hyp_trace.reason_names.(Hyp_trace.reason_code r)
 
 let chrome_json ?partition_names trace =
   let entries = Hyp_trace.to_list trace in
   let events = ref [] in
   let emit e = events := e :: !events in
-  let partitions = max_partition entries + 1 in
   emit (meta_event ~name:"process_name" ~tid:0 [ ("name", Json.String "rthv hypervisor") ]);
   emit (meta_event ~name:"thread_name" ~tid:hyp_tid [ ("name", Json.String "hypervisor") ]);
-  for p = 0 to partitions - 1 do
-    let label =
-      match partition_names with
-      | Some names when p < Array.length names ->
-          Printf.sprintf "partition %d (%s)" p names.(p)
-      | _ -> Printf.sprintf "partition %d" p
-    in
-    emit
-      (meta_event ~name:"thread_name" ~tid:(tid_of_partition p)
-         [ ("name", Json.String label) ]);
-    (* Render partitions in index order in the Perfetto track list. *)
-    emit
-      (meta_event ~name:"thread_sort_index" ~tid:(tid_of_partition p)
-         [ ("sort_index", Json.Int (tid_of_partition p)) ])
-  done;
+  List.iter
+    (fun p ->
+      let label =
+        match partition_names with
+        | Some names when p < Array.length names ->
+            Printf.sprintf "partition %d (%s)" p names.(p)
+        | _ -> Printf.sprintf "partition %d" p
+      in
+      emit
+        (meta_event ~name:"thread_name" ~tid:(tid_of_partition p)
+           [ ("name", Json.String label) ]);
+      (* Render partitions in index order in the Perfetto track list. *)
+      emit
+        (meta_event ~name:"thread_sort_index" ~tid:(tid_of_partition p)
+           [ ("sort_index", Json.Int (tid_of_partition p)) ]))
+    (named_partitions trace);
   (* The simulation starts with partition 0 owning the first slot at t=0;
      unless the ring buffer dropped the prefix, the slot slices tile the
      timeline exactly. *)
@@ -234,80 +218,31 @@ let save_chrome ?partition_names ~path trace =
 
 (* --- JSONL --------------------------------------------------------------- *)
 
-let json_of_event = function
-  | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-      [
-        ("ev", Json.String "slot_switch");
-        ("from", Json.Int from_partition);
-        ("to", Json.Int to_partition);
-      ]
-  | Hyp_trace.Boundary_deferred { owner; until } ->
-      [
-        ("ev", Json.String "boundary_deferred");
-        ("owner", Json.Int owner);
-        ("until", Json.Int until);
-      ]
-  | Hyp_trace.Irq_raised { irq; line } ->
-      [
-        ("ev", Json.String "irq_raised");
-        ("irq", Json.Int irq);
-        ("line", Json.Int line);
-      ]
-  | Hyp_trace.Top_handler_run { irq; line } ->
-      [
-        ("ev", Json.String "top_handler");
-        ("irq", Json.Int irq);
-        ("line", Json.Int line);
-      ]
-  | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } ->
-      [
-        ("ev", Json.String "monitor_decision");
-        ("irq", Json.Int irq);
-        ("line", Json.Int line);
-        ("arrival", Json.Int arrival);
-        ("verdict", Json.String (verdict_name verdict));
-      ]
-  | Hyp_trace.Interposition_start { irq; target } ->
-      [
-        ("ev", Json.String "interposition_start");
-        ("irq", Json.Int irq);
-        ("target", Json.Int target);
-      ]
-  | Hyp_trace.Interposition_end { target; reason } ->
-      [
-        ("ev", Json.String "interposition_end");
-        ("target", Json.Int target);
-        ("reason", Json.String (reason_name reason));
-      ]
-  | Hyp_trace.Interposition_crossed_boundary { target } ->
-      [
-        ("ev", Json.String "interposition_crossed_boundary");
-        ("target", Json.Int target);
-      ]
-  | Hyp_trace.Bottom_handler_start { irq; partition } ->
-      [
-        ("ev", Json.String "bottom_handler_start");
-        ("irq", Json.Int irq);
-        ("partition", Json.Int partition);
-      ]
-  | Hyp_trace.Bottom_handler_done { irq; partition } ->
-      [
-        ("ev", Json.String "bottom_handler_done");
-        ("irq", Json.Int irq);
-        ("partition", Json.Int partition);
-      ]
-  | Hyp_trace.Irq_coalesced { line } ->
-      [ ("ev", Json.String "irq_coalesced"); ("line", Json.Int line) ]
+(* The JSONL codec: one object per row, its keys the schema's columns. *)
+let json_of_row ~time ~kind ~a ~b ~c ~d =
+  let value j = match j with 0 -> a | 1 -> b | 2 -> c | _ -> d in
+  Json.Obj
+    (("t", Json.Int time)
+    :: ("ev", Json.String (Hyp_trace.kind_name kind))
+    :: List.mapi
+         (fun j col ->
+           match col with
+           | Hyp_trace.Int key -> (key, Json.Int (value j))
+           | Hyp_trace.Enum { key; names; _ } ->
+               (key, Json.String names.(value j)))
+         (Array.to_list (Hyp_trace.columns kind)))
 
 let jsonl_line entry =
+  let r = Array.make 6 0 in
+  Hyp_trace.encode r 0 ~time:entry.Hyp_trace.time entry.Hyp_trace.event;
   Json.to_string
-    (Json.Obj
-       (("t", Json.Int entry.Hyp_trace.time) :: json_of_event entry.Hyp_trace.event))
+    (json_of_row ~time:r.(0) ~kind:r.(1) ~a:r.(2) ~b:r.(3) ~c:r.(4) ~d:r.(5))
 
 let jsonl_string trace =
   let buf = Buffer.create 4096 in
-  Hyp_trace.iter trace (fun entry ->
-      Buffer.add_string buf (jsonl_line entry);
+  Hyp_trace.iter_rows trace (fun ~time ~kind ~a ~b ~c ~d ->
+      Buffer.add_string buf
+        (Json.to_string (json_of_row ~time ~kind ~a ~b ~c ~d));
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
@@ -324,75 +259,37 @@ let field name extract json =
 
 let ( let* ) = Result.bind
 
-let event_of_json json =
-  let int name = field name Json.to_int json in
-  let str name = field name Json.to_str json in
-  let* ev = str "ev" in
-  match ev with
-  | "slot_switch" ->
-      let* from_partition = int "from" in
-      let* to_partition = int "to" in
-      Ok (Hyp_trace.Slot_switch { from_partition; to_partition })
-  | "boundary_deferred" ->
-      let* owner = int "owner" in
-      let* until = int "until" in
-      Ok (Hyp_trace.Boundary_deferred { owner; until })
-  | "irq_raised" ->
-      let* irq = int "irq" in
-      let* line = int "line" in
-      Ok (Hyp_trace.Irq_raised { irq; line })
-  | "top_handler" ->
-      let* irq = int "irq" in
-      let* line = int "line" in
-      Ok (Hyp_trace.Top_handler_run { irq; line })
-  | "monitor_decision" ->
-      let* irq = int "irq" in
-      let* line = int "line" in
-      let* arrival = int "arrival" in
-      let* verdict =
-        let* v = str "verdict" in
-        match v with
-        | "admitted" -> Ok `Admitted
-        | "denied" -> Ok `Denied
-        | "fallback-direct" -> Ok `Fallback_direct
-        | other -> Error (Printf.sprintf "unknown verdict %S" other)
-      in
-      Ok (Hyp_trace.Monitor_decision { irq; line; arrival; verdict })
-  | "interposition_start" ->
-      let* irq = int "irq" in
-      let* target = int "target" in
-      Ok (Hyp_trace.Interposition_start { irq; target })
-  | "interposition_end" ->
-      let* target = int "target" in
-      let* reason =
-        let* r = str "reason" in
-        match r with
-        | "budget-exhausted" -> Ok `Budget_exhausted
-        | "queue-empty" -> Ok `Queue_empty
-        | other -> Error (Printf.sprintf "unknown end reason %S" other)
-      in
-      Ok (Hyp_trace.Interposition_end { target; reason })
-  | "interposition_crossed_boundary" ->
-      let* target = int "target" in
-      Ok (Hyp_trace.Interposition_crossed_boundary { target })
-  | "bottom_handler_start" ->
-      let* irq = int "irq" in
-      let* partition = int "partition" in
-      Ok (Hyp_trace.Bottom_handler_start { irq; partition })
-  | "bottom_handler_done" ->
-      let* irq = int "irq" in
-      let* partition = int "partition" in
-      Ok (Hyp_trace.Bottom_handler_done { irq; partition })
-  | "irq_coalesced" ->
-      let* line = int "line" in
-      Ok (Hyp_trace.Irq_coalesced { line })
-  | other -> Error (Printf.sprintf "unknown event kind %S" other)
+let cell json = function
+  | Hyp_trace.Int key -> field key Json.to_int json
+  | Hyp_trace.Enum { key; what; names } -> (
+      let* name = field key Json.to_str json in
+      match Array.find_index (String.equal name) names with
+      | Some code -> Ok code
+      | None -> Error (Printf.sprintf "unknown %s %S" what name))
 
 let entry_of_jsonl line =
   let* json = Json.parse line in
   let* time = field "t" Json.to_int json in
-  let* event = event_of_json json in
-  Ok { Hyp_trace.time; event }
+  let* ev = field "ev" Json.to_str json in
+  let* kind =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown event kind %S" ev)
+      (Hyp_trace.kind_of_name ev)
+  in
+  let cols = Hyp_trace.columns kind and v = Array.make 4 0 in
+  let rec fill j =
+    if j = Array.length cols then Ok ()
+    else
+      let* x = cell json cols.(j) in
+      v.(j) <- x;
+      fill (j + 1)
+  in
+  let* () = fill 0 in
+  Ok
+    {
+      Hyp_trace.time;
+      event = Hyp_trace.decode ~kind ~a:v.(0) ~b:v.(1) ~c:v.(2) ~d:v.(3);
+    }
 
 (* Flight-recorder dumps (see Flight_recorder) prefix the event stream with
    an {"ev":"meta", ...} header; it carries no trace entry, so re-import

@@ -3,14 +3,16 @@
     Two machine-readable complements to the {!Vcd_export} waveform:
 
     - {b Chrome Trace Event JSON} — loads in Perfetto or
-      [chrome://tracing].  One track (thread) per partition carrying the
+      [chrome://tracing].  One track (thread) per partition the trace
+      names (and partition 0, which owns the first slot) carrying the
       TDMA slot ownership as begin/end slices and each admitted
       interposition as a nested slice; a separate hypervisor track carries
       top handlers, monitor verdicts, coalesced raises and deferral marks
       as instant events.
 
-    - {b JSONL} — one compact JSON object per trace entry, timestamps in
-      cycles (lossless).  The format round-trips: {!entries_of_jsonl_string}
+    - {b JSONL} — one compact JSON object per trace row, timestamps in
+      cycles (lossless): its ["ev"] is the kind name and its other keys
+      the columns {!Hyp_trace.columns} declares.  The format round-trips: {!entries_of_jsonl_string}
       re-reads what {!jsonl_string} wrote, so recorded timelines can be
       re-exported or audited offline. *)
 

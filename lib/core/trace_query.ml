@@ -126,7 +126,7 @@ let run_count ?filter ?line_partition ~group_by path =
             let bk = find g kind in
             let bk =
               if bk != absent then bk
-              else add g kind (Trace_store.kind_name kind)
+              else add g kind (Hyp_trace.kind_name kind)
             in
             bk.count <- bk.count + 1
         | By_partition ->

@@ -1,102 +1,6 @@
 module Cycles = Rthv_engine.Cycles
 module Tracestore = Rthv_obs.Tracestore
-
-let schema = Tracestore.format_name
-
-(* Kind ids are the on-disk representation: append-only.  Names and order
-   match the JSONL "ev" vocabulary of Trace_export so filters and docs
-   speak one language. *)
-let kind_table =
-  [|
-    ("slot_switch", 2);
-    ("boundary_deferred", 2);
-    ("irq_raised", 2);
-    ("top_handler", 2);
-    ("monitor_decision", 4);
-    ("interposition_start", 2);
-    ("interposition_end", 2);
-    ("interposition_crossed_boundary", 1);
-    ("bottom_handler_start", 2);
-    ("bottom_handler_done", 2);
-    ("irq_coalesced", 1);
-  |]
-
-let n_kinds = Array.length kind_table
-let arities = Array.map snd kind_table
-let kind_name k = fst kind_table.(k)
-let kind_names = Array.to_list (Array.map fst kind_table)
-
-let kind_of_name name =
-  let rec find i =
-    if i = n_kinds then None
-    else if fst kind_table.(i) = name then Some i
-    else find (i + 1)
-  in
-  find 0
-
-let kind_of_event = function
-  | Hyp_trace.Slot_switch _ -> 0
-  | Hyp_trace.Boundary_deferred _ -> 1
-  | Hyp_trace.Irq_raised _ -> 2
-  | Hyp_trace.Top_handler_run _ -> 3
-  | Hyp_trace.Monitor_decision _ -> 4
-  | Hyp_trace.Interposition_start _ -> 5
-  | Hyp_trace.Interposition_end _ -> 6
-  | Hyp_trace.Interposition_crossed_boundary _ -> 7
-  | Hyp_trace.Bottom_handler_start _ -> 8
-  | Hyp_trace.Bottom_handler_done _ -> 9
-  | Hyp_trace.Irq_coalesced _ -> 10
-
-let verdict_code = function `Admitted -> 0 | `Denied -> 1 | `Fallback_direct -> 2
-let reason_code = function `Budget_exhausted -> 0 | `Queue_empty -> 1
-
-let encode_event = function
-  | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-      (from_partition, to_partition, 0, 0)
-  | Hyp_trace.Boundary_deferred { owner; until } -> (owner, until, 0, 0)
-  | Hyp_trace.Irq_raised { irq; line } -> (irq, line, 0, 0)
-  | Hyp_trace.Top_handler_run { irq; line } -> (irq, line, 0, 0)
-  | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } ->
-      (irq, line, arrival, verdict_code verdict)
-  | Hyp_trace.Interposition_start { irq; target } -> (irq, target, 0, 0)
-  | Hyp_trace.Interposition_end { target; reason } ->
-      (target, reason_code reason, 0, 0)
-  | Hyp_trace.Interposition_crossed_boundary { target } -> (target, 0, 0, 0)
-  | Hyp_trace.Bottom_handler_start { irq; partition } -> (irq, partition, 0, 0)
-  | Hyp_trace.Bottom_handler_done { irq; partition } -> (irq, partition, 0, 0)
-  | Hyp_trace.Irq_coalesced { line } -> (line, 0, 0, 0)
-
-let corrupt fmt = Printf.ksprintf (fun s -> raise (Tracestore.Corrupt s)) fmt
-
-let decode_event ~kind ~a ~b ~c ~d =
-  match kind with
-  | 0 -> Hyp_trace.Slot_switch { from_partition = a; to_partition = b }
-  | 1 -> Hyp_trace.Boundary_deferred { owner = a; until = b }
-  | 2 -> Hyp_trace.Irq_raised { irq = a; line = b }
-  | 3 -> Hyp_trace.Top_handler_run { irq = a; line = b }
-  | 4 ->
-      let verdict =
-        match d with
-        | 0 -> `Admitted
-        | 1 -> `Denied
-        | 2 -> `Fallback_direct
-        | v -> corrupt "monitor_decision verdict code %d" v
-      in
-      Hyp_trace.Monitor_decision { irq = a; line = b; arrival = c; verdict }
-  | 5 -> Hyp_trace.Interposition_start { irq = a; target = b }
-  | 6 ->
-      let reason =
-        match b with
-        | 0 -> `Budget_exhausted
-        | 1 -> `Queue_empty
-        | r -> corrupt "interposition_end reason code %d" r
-      in
-      Hyp_trace.Interposition_end { target = a; reason }
-  | 7 -> Hyp_trace.Interposition_crossed_boundary { target = a }
-  | 8 -> Hyp_trace.Bottom_handler_start { irq = a; partition = b }
-  | 9 -> Hyp_trace.Bottom_handler_done { irq = a; partition = b }
-  | 10 -> Hyp_trace.Irq_coalesced { line = a }
-  | k -> corrupt "event kind %d out of range" k
+module K = Hyp_trace.Kind
 
 (* --- partition bitmap ---------------------------------------------------- *)
 
@@ -108,23 +12,30 @@ let partition_mask p =
   else if p >= overflow_partition_bit then 1 lsl overflow_partition_bit
   else 1 lsl p
 
-(* The [i]-th (0 or 1) partition an event row names by kind id, or -1:
-   slot switches name from and to, partition-keyed rows one, line-keyed
-   rows their line's subscriber through the optional map. *)
-let row_partition ~line_partition ~kind ~a ~b i =
-  match kind with
-  | 0 -> if i = 0 then a else b  (* slot_switch from/to *)
-  | _ when i > 0 -> -1
-  | 1 | 6 | 7 -> a  (* deferral owner; interposition end and crossing target *)
-  | 5 | 8 | 9 -> b  (* interposition start target, bh start/done *)
-  | 2 | 3 | 4 | 10 -> (
-      (* irq_raised/top_handler/monitor_decision carry the line in column
-         b, irq_coalesced in column a *)
-      match line_partition with
-      | None -> -1
-      | Some f -> (
-          match f (if kind = 10 then a else b) with Some q -> q | None -> -1))
-  | _ -> -1
+let line_subscriber line_partition line =
+  match line_partition with
+  | None -> -1
+  | Some f -> ( match f line with Some q -> q | None -> -1)
+
+(* The [i]-th (0 or 1) partition an event row names, or -1: slot switches
+   name from and to, partition-keyed rows one, line-keyed rows their line's
+   subscriber through the optional map.  A kind this schema does not know
+   names none. *)
+let[@inline] row_partition ~line_partition ~kind ~a ~b i =
+  if kind < 0 || kind >= Hyp_trace.n_kinds then -1
+  else
+    match Hyp_trace.kind_of_id kind with
+    | K.Slot_switch -> if i = 0 then a else b
+    | _ when i > 0 -> -1
+    | K.Boundary_deferred | K.Interposition_end
+    | K.Interposition_crossed_boundary ->
+        a
+    | K.Interposition_start | K.Bottom_handler_start | K.Bottom_handler_done
+      ->
+        b
+    | K.Irq_raised | K.Top_handler_run | K.Monitor_decision ->
+        line_subscriber line_partition b
+    | K.Irq_coalesced -> line_subscriber line_partition a
 
 let row_partition_matches ~line_partition ~p ~kind ~a ~b =
   let first = row_partition ~line_partition ~kind ~a ~b 0 in
@@ -137,59 +48,36 @@ module Writer = struct
   type t = {
     oc : out_channel;
     w : Tracestore.Writer.t;
+    row : int array;  (* the typed calls' encoded row *)
     mutable closed : bool;
   }
 
   let create ?block_events path =
     let oc = open_out_bin path in
     let w =
-      try Tracestore.Writer.create ?block_events ~arities oc
+      try Tracestore.Writer.create ?block_events ~arities:Hyp_trace.arities oc
       with e ->
         close_out_noerr oc;
         raise e
     in
-    { oc; w; closed = false }
+    { oc; w; row = Array.make 6 0; closed = false }
 
-  (* One constructor, one append: the columns of [encode_event], the kind
-     of [kind_of_event] and the partition bits the block index needs. *)
+  (* The one partition rule, [row_partition], gives the block index its
+     bits: a row naming no partition sets the unattributed bit. *)
+  let add_row t ~time ~kind ~a ~b ~c ~d =
+    let p0 = row_partition ~line_partition:None ~kind ~a ~b 0 in
+    let p1 = row_partition ~line_partition:None ~kind ~a ~b 1 in
+    let pmask =
+      if p1 < 0 then partition_mask p0
+      else partition_mask p0 lor partition_mask p1
+    in
+    Tracestore.Writer.append t.w ~time ~kind ~pmask ~a ~b ~c ~d
+
+  (* The typed calls: the shared encoder into a reused row, then [add_row]. *)
   let add t ~time event =
-    let w = t.w and none = 1 lsl unattributed_bit in
-    match event with
-    | Hyp_trace.Slot_switch { from_partition; to_partition } ->
-        Tracestore.Writer.append w ~time ~kind:0
-          ~pmask:
-            (partition_mask from_partition lor partition_mask to_partition)
-          ~a:from_partition ~b:to_partition ~c:0 ~d:0
-    | Hyp_trace.Boundary_deferred { owner; until } ->
-        Tracestore.Writer.append w ~time ~kind:1 ~pmask:(partition_mask owner)
-          ~a:owner ~b:until ~c:0 ~d:0
-    | Hyp_trace.Irq_raised { irq; line } ->
-        Tracestore.Writer.append w ~time ~kind:2 ~pmask:none ~a:irq ~b:line
-          ~c:0 ~d:0
-    | Hyp_trace.Top_handler_run { irq; line } ->
-        Tracestore.Writer.append w ~time ~kind:3 ~pmask:none ~a:irq ~b:line
-          ~c:0 ~d:0
-    | Hyp_trace.Monitor_decision { irq; line; arrival; verdict } ->
-        Tracestore.Writer.append w ~time ~kind:4 ~pmask:none ~a:irq ~b:line
-          ~c:arrival ~d:(verdict_code verdict)
-    | Hyp_trace.Interposition_start { irq; target } ->
-        Tracestore.Writer.append w ~time ~kind:5 ~pmask:(partition_mask target)
-          ~a:irq ~b:target ~c:0 ~d:0
-    | Hyp_trace.Interposition_end { target; reason } ->
-        Tracestore.Writer.append w ~time ~kind:6 ~pmask:(partition_mask target)
-          ~a:target ~b:(reason_code reason) ~c:0 ~d:0
-    | Hyp_trace.Interposition_crossed_boundary { target } ->
-        Tracestore.Writer.append w ~time ~kind:7 ~pmask:(partition_mask target)
-          ~a:target ~b:0 ~c:0 ~d:0
-    | Hyp_trace.Bottom_handler_start { irq; partition } ->
-        Tracestore.Writer.append w ~time ~kind:8
-          ~pmask:(partition_mask partition) ~a:irq ~b:partition ~c:0 ~d:0
-    | Hyp_trace.Bottom_handler_done { irq; partition } ->
-        Tracestore.Writer.append w ~time ~kind:9
-          ~pmask:(partition_mask partition) ~a:irq ~b:partition ~c:0 ~d:0
-    | Hyp_trace.Irq_coalesced { line } ->
-        Tracestore.Writer.append w ~time ~kind:10 ~pmask:none ~a:line ~b:0
-          ~c:0 ~d:0
+    let r = t.row in
+    Hyp_trace.encode r 0 ~time event;
+    add_row t ~time ~kind:r.(1) ~a:r.(2) ~b:r.(3) ~c:r.(4) ~d:r.(5)
 
   let add_entry t (e : Hyp_trace.entry) = add t ~time:e.Hyp_trace.time e.Hyp_trace.event
   let events_written t = Tracestore.Writer.events_written t.w
@@ -253,7 +141,8 @@ let read_entries ?filter ?line_partition path =
     let _stats =
       scan ?filter ?line_partition path ~f:(fun ~time ~kind ~a ~b ~c ~d ->
           acc :=
-            { Hyp_trace.time; event = decode_event ~kind ~a ~b ~c ~d } :: !acc)
+            { Hyp_trace.time; event = Hyp_trace.decode ~kind ~a ~b ~c ~d }
+            :: !acc)
     in
     List.rev !acc
   with

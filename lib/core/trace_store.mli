@@ -1,46 +1,19 @@
 (** Binary trace store of hypervisor events.
 
-    The {!Hyp_trace.event} codec over the generic columnar container
-    {!Rthv_obs.Tracestore} ([rthv-tracestore/1]): each event maps to a
-    fixed kind id plus up to four integer argument columns, so a store
-    round-trips losslessly with the JSONL exporter ({!Trace_export}) while
-    costing array stores instead of a JSON object per event.  Kind ids and
-    names match the JSONL ["ev"] vocabulary, so CLI filters work unchanged
-    across both formats.
+    The {!Hyp_trace} row schema over the generic columnar container
+    {!Rthv_obs.Tracestore} ([rthv-tracestore/1]): a store row is the
+    ring's row [(time, kind, a, b, c, d)], with the kind ids, arities and
+    names {!Hyp_trace} declares, so a store round-trips losslessly with the
+    JSONL exporter ({!Trace_export}) while costing array stores instead of
+    a JSON object per event.  {!Writer.add_row} and {!scan} speak rows;
+    the typed {!Writer.add}, {!Writer.add_entry} and {!read_entries} remain
+    because the end-to-end benchmark calls them, and go through the
+    {!Hyp_trace} codec.
 
     The per-block partition bitmap uses bits [0..60] for directly-named
     partitions, bit 61 for any partition >= 61, and bit 62 for events that
     name no partition (line-keyed or global events).  A partition filter
     keeps unattributable events, mirroring [rthv_trace --partition]. *)
-
-val schema : string
-(** ["rthv-tracestore/1"]. *)
-
-val n_kinds : int
-val arities : int array
-
-val kind_of_event : Hyp_trace.event -> int
-
-val kind_name : int -> string
-(** The JSONL ["ev"] name of a kind id ("slot_switch", "irq_raised", ...). *)
-
-val kind_of_name : string -> int option
-val kind_names : string list
-(** All kind names in kind-id order. *)
-
-val encode_event : Hyp_trace.event -> int * int * int * int
-(** The argument columns (a, b, c, d) of an event; unused columns are 0. *)
-
-val verdict_code : [ `Admitted | `Denied | `Fallback_direct ] -> int
-(** A monitor decision's column [d]: 0, 1 and 2 in that order. *)
-
-val decode_event : kind:int -> a:int -> b:int -> c:int -> d:int -> Hyp_trace.event
-(** @raise Rthv_obs.Tracestore.Corrupt on an out-of-range kind or enum. *)
-
-val overflow_partition_bit : int
-val unattributed_bit : int
-val partition_mask : int -> int
-(** The index-bitmap bit for one partition id. *)
 
 val row_partition :
   line_partition:(int -> int option) option ->
@@ -52,7 +25,9 @@ val row_partition :
 (** [row_partition ~kind ~a ~b i] is the [i]-th (0 or 1) partition a row
     names, from its kind and first two columns, or -1: a slot switch names
     two, a line-keyed row its line's subscriber through [line_partition]
-    (none without it, or for an unmapped line), any other row one. *)
+    (none without it, or for an unmapped line), any other row one.  The
+    only partition rule: the block index, the partition filter, the
+    partition query and the Chrome export's tracks all read it. *)
 
 val row_partition_matches :
   line_partition:(int -> int option) option ->
@@ -70,10 +45,16 @@ module Writer : sig
   type t
 
   val create : ?block_events:int -> string -> t
-  (** Open [path] and stream events into it; blocks flush automatically.
-      Suitable as a {!Hyp_trace.set_spill} hook target for live runs. *)
+  (** Open [path] and stream rows into it; blocks flush automatically. *)
+
+  val add_row : t -> Hyp_trace.row_fn
+  (** Append one row; its partition bits come from {!row_partition}.  A
+      {!Hyp_trace.set_row_spill} hook for live runs. *)
 
   val add : t -> time:Rthv_engine.Cycles.t -> Hyp_trace.event -> unit
+  (** {!Hyp_trace.encode} into a reused row, then {!add_row}: allocates
+      nothing. *)
+
   val add_entry : t -> Hyp_trace.entry -> unit
   val events_written : t -> int
 
@@ -105,9 +86,9 @@ val scan :
   ?filter:filter ->
   ?line_partition:(int -> int option) ->
   string ->
-  f:(time:Rthv_engine.Cycles.t -> kind:int -> a:int -> b:int -> c:int -> d:int -> unit) ->
+  f:Hyp_trace.row_fn ->
   Rthv_obs.Tracestore.stats
-(** Stream matching events through [f] without materializing the store;
+(** Stream matching rows through [f] without materializing the store;
     blocks excluded by the index (time range, kind set, partition bitmap)
     are skipped unread.
     @raise Rthv_obs.Tracestore.Corrupt on malformed input. *)
@@ -117,6 +98,5 @@ val read_entries :
   ?line_partition:(int -> int option) ->
   string ->
   (Hyp_trace.entry list, string) result
-(** Materialize the (filtered) store as entries, oldest first — the bridge
-    back into {!Trace_export} and the oracle.  IO and corruption errors
-    come back as [Error msg]. *)
+(** Materialize the (filtered) store as decoded entries, oldest first.
+    IO and corruption errors come back as [Error msg]. *)

@@ -4,10 +4,6 @@ let zero = 0
 let cycles_per_us = 200
 let of_us n = n * cycles_per_us
 
-let of_us_f x =
-  let c = x *. float_of_int cycles_per_us in
-  int_of_float (Float.round c)
-
 let of_ms n = n * 1000 * cycles_per_us
 let of_instr n = n
 let to_us t = float_of_int t /. float_of_int cycles_per_us

@@ -17,9 +17,6 @@ val cycles_per_us : int
 val of_us : int -> t
 (** [of_us n] is [n] microseconds as cycles. *)
 
-val of_us_f : float -> t
-(** [of_us_f x] rounds [x] microseconds to the nearest cycle. *)
-
 val of_ms : int -> t
 (** [of_ms n] is [n] milliseconds as cycles. *)
 

@@ -34,9 +34,6 @@ exception Corrupt of string
 (** Raised by readers on malformed input (bad magic, truncated block,
     out-of-range kind).  The message names the offending structure. *)
 
-val format_name : string
-(** ["rthv-tracestore/1"] — the magic line at the start of every file. *)
-
 val default_block_events : int
 (** Events buffered per block before an automatic flush (8192). *)
 

@@ -179,15 +179,3 @@ let init ?pool ?metrics ?profile n f =
   let pool = resolve pool in
   if plain metrics profile && not (parallel pool n) then List.init n f
   else run ?metrics ?profile pool n f
-
-let map_array ?pool ?metrics ?profile f input =
-  let pool = resolve pool in
-  let n = Array.length input in
-  if plain metrics profile && not (parallel pool n) then Array.map f input
-  else Array.of_list (run ?metrics ?profile pool n (fun i -> f input.(i)))
-
-let map_reduce ?pool ?metrics ?profile ~map:f ~reduce ~init xs =
-  let pool = resolve pool in
-  if plain metrics profile && not (parallel pool (List.length xs)) then
-    List.fold_left (fun acc x -> reduce acc (f x)) init xs
-  else List.fold_left reduce init (map ~pool ?metrics ?profile f xs)

@@ -122,26 +122,3 @@ val init :
   (int -> 'a) ->
   'a list
 (** Parallel [List.init].  @raise Invalid_argument on negative length. *)
-
-val map_array :
-  ?pool:pool ->
-  ?metrics:Rthv_obs.Registry.t ->
-  ?profile:Rthv_obs.Prof.t ->
-  ('a -> 'b) ->
-  'a array ->
-  'b array
-(** Order-preserving parallel [Array.map]. *)
-
-val map_reduce :
-  ?pool:pool ->
-  ?metrics:Rthv_obs.Registry.t ->
-  ?profile:Rthv_obs.Prof.t ->
-  map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** [map_reduce ~map ~reduce ~init xs] maps in parallel, then folds the
-    results {e in input order} in the calling domain — associativity of
-    [reduce] is not required and the result equals the sequential
-    [fold_left (fun acc x -> reduce acc (map x)) init xs]. *)

@@ -47,7 +47,3 @@ let utilisation specs =
     (fun acc spec ->
       acc +. (float_of_int spec.wcet /. float_of_int spec.period))
     0. specs
-
-let pp_spec ppf spec =
-  Format.fprintf ppf "%s(T=%a, C=%a, prio=%d)" spec.name Cycles.pp spec.period
-    Cycles.pp spec.wcet spec.priority

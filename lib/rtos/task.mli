@@ -50,5 +50,3 @@ val response_time : completion -> Rthv_engine.Cycles.t
 
 val utilisation : spec list -> float
 (** Sum of wcet/period over the set. *)
-
-val pp_spec : Format.formatter -> spec -> unit

@@ -46,8 +46,6 @@ let bins t =
   done;
   !rows
 
-let bin_count t = Array.length t.counts
-
 let max_bin t =
   List.fold_left
     (fun acc (lo, hi, c) ->

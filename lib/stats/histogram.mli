@@ -21,8 +21,6 @@ val bins : t -> (float * float * int) list
     up to the last non-empty one; the overflow bin appears with
     [hi_us = infinity] when non-empty. *)
 
-val bin_count : t -> int
-
 val max_bin : t -> (float * float * int) option
 (** The fullest bin. *)
 

@@ -7,11 +7,6 @@ let test_conversions () =
   Testutil.close "to_us roundtrip" 14000. (Cycles.to_us (Cycles.of_us 14000));
   Alcotest.(check int) "to_us_int floors" 4 (Cycles.to_us_int 999)
 
-let test_of_us_f () =
-  Testutil.check_cycles "fractional us rounds" 309 (Cycles.of_us_f 1.543);
-  Testutil.check_cycles "exact us" 200 (Cycles.of_us_f 1.0);
-  Testutil.check_cycles "zero" 0 (Cycles.of_us_f 0.0)
-
 let test_arithmetic () =
   let open Cycles in
   Testutil.check_cycles "add" 300 (of_us 1 + 100);
@@ -24,12 +19,11 @@ let test_compare_and_pp () =
   Alcotest.(check bool) "compare orders" true (Cycles.compare 1 2 < 0);
   Alcotest.(check string)
     "pp renders us" "150.50us"
-    (Format.asprintf "%a" Cycles.pp (Cycles.of_us_f 150.5))
+    (Format.asprintf "%a" Cycles.pp 30_100)
 
 let suite =
   [
     Alcotest.test_case "unit conversions" `Quick test_conversions;
-    Alcotest.test_case "fractional conversion" `Quick test_of_us_f;
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "compare and pp" `Quick test_compare_and_pp;
     Testutil.qtest "of_us/to_us_int roundtrip"

@@ -518,6 +518,7 @@ let test_empty_interarrivals_source () =
 (* --- growable tables at their initial capacity N and at N+1 ------------ *)
 
 module Sim_state = Rthv_core.Sim_state
+module Hyp_trace = Rthv_core.Hyp_trace
 
 (* [n] exponential arrivals (mean 1544us) at one d_min-monitored source of
    partition 1. *)
@@ -545,8 +546,7 @@ let test_streaming_pending_table_bounded () =
    live minor heap; OCaml 5.1's [Gc.quick_stat] leaves it out.  The
    suite-wide audit hook attaches a trace whose events allocate by design,
    so it is suspended for this run. *)
-let test_streaming_run_allocation () =
-  let n = 100_000 in
+let streaming_run_words ?trace n =
   let was_installed = Rthv_check.Audit_hook.installed () in
   Rthv_check.Audit_hook.uninstall ();
   let sim, words =
@@ -554,7 +554,7 @@ let test_streaming_run_allocation () =
       ~finally:(fun () ->
         if was_installed then Rthv_check.Audit_hook.install ())
       (fun () ->
-        let sim = Hyp_sim.create ~retain:false (streaming_config n) in
+        let sim = Hyp_sim.create ?trace ~retain:false (streaming_config n) in
         let before = Gc.minor_words () in
         Hyp_sim.run sim;
         let after = Gc.minor_words () in
@@ -562,10 +562,27 @@ let test_streaming_run_allocation () =
   in
   Alcotest.(check int) "all complete" n
     (Hyp_sim.stats sim).Hyp_sim.completed_irqs;
-  let per_irq = words /. float_of_int n in
+  words /. float_of_int n
+
+let test_streaming_run_allocation () =
+  let per_irq = streaming_run_words 100_000 in
   if per_irq > 2.0 then
-    Alcotest.failf "streaming run allocated %.0f minor words (%.2f per IRQ)"
-      words per_irq
+    Alcotest.failf "streaming run allocated %.2f minor words per IRQ" per_irq
+
+(* A traced streaming run emits rows, not event values: with a 256-entry
+   ring and a row hook that counts them, it still allocates nothing per
+   IRQ. *)
+let test_traced_streaming_allocation () =
+  let n = 100_000 in
+  let trace = Hyp_trace.create ~capacity:256 () in
+  let rows = ref 0 in
+  Hyp_trace.set_row_spill trace (fun ~time:_ ~kind:_ ~a:_ ~b:_ ~c:_ ~d:_ ->
+      incr rows);
+  let per_irq = streaming_run_words ~trace n in
+  Alcotest.(check bool) "rows spilled for every IRQ" true (!rows >= 3 * n);
+  if per_irq > 2.0 then
+    Alcotest.failf "traced streaming run allocated %.2f minor words per IRQ"
+      per_irq
 
 (* The record store holds [n] completed IRQs: 64 fill its initial rows and
    the 65th doubles them.  Returns the store's row count. *)
@@ -717,6 +734,8 @@ let suite =
         test_pending_table_past_capacity;
       Alcotest.test_case "streaming run allocates <= 2 words/IRQ" `Quick
         test_streaming_run_allocation;
+      Alcotest.test_case "traced streaming run allocates <= 2 words/IRQ"
+        `Quick test_traced_streaming_allocation;
       Alcotest.test_case "record store at capacity (64)" `Quick
         test_record_store_at_capacity;
       Alcotest.test_case "record store past capacity (65)" `Quick

@@ -41,8 +41,7 @@ let test_fold_reproduces_records build () =
   Alcotest.(check int) "whole trace retained" 0 (Hyp_trace.dropped trace);
   let on_span, spans = collect () in
   let fold = Irq_fold.create ~config on_span in
-  Hyp_trace.iter trace (fun e ->
-      Irq_fold.event fold ~time:e.Hyp_trace.time e.Hyp_trace.event);
+  Hyp_trace.iter_rows trace (Irq_fold.row fold);
   let spans = by_irq (spans ()) in
   Alcotest.(check (list string))
     "one span per record, equal fields"
@@ -82,6 +81,47 @@ let test_live_equals_store () =
         "query samples = live samples" (List.map sample live)
         (List.map sample (samples ())))
 
+(* The in-flight table against a model: raises and completions of ids
+   that collide in the table (multiples of 64, ids 2^40 apart) or not,
+   folded as rows.  Every completion of a live id yields one span with
+   its latest raise's arrival, whatever the collisions and removals. *)
+let qcheck_in_flight_table =
+  let gen =
+    QCheck2.Gen.(
+      list_size (0 -- 400)
+        (pair bool
+           (oneof
+              [
+                0 -- 7; map (fun k -> 64 * k) (0 -- 7);
+                map (fun k -> k lsl 40) (0 -- 3);
+              ])))
+  in
+  Testutil.qtest ~count:200 "in-flight table = model" gen (fun ops ->
+      let on_span, spans = collect () in
+      let fold = Irq_fold.create on_span in
+      let raised = Hyp_trace.kind_id Hyp_trace.Kind.Irq_raised in
+      let done_ = Hyp_trace.kind_id Hyp_trace.Kind.Bottom_handler_done in
+      let live = Hashtbl.create 16 and expected = ref [] in
+      List.iteri
+        (fun time (raise, irq) ->
+          if raise then begin
+            Hashtbl.replace live irq time;
+            Irq_fold.row fold ~time ~kind:raised ~a:irq ~b:0 ~c:0 ~d:0
+          end
+          else begin
+            (match Hashtbl.find_opt live irq with
+            | Some arrival ->
+                Hashtbl.remove live irq;
+                expected := (irq, arrival, time) :: !expected
+            | None -> ());
+            Irq_fold.row fold ~time ~kind:done_ ~a:irq ~b:0 ~c:0 ~d:0
+          end)
+        ops;
+      List.rev !expected
+      = List.map
+          (fun sp -> Irq_fold.(sp.irq, sp.arrival, sp.completion))
+          (spans ()))
+
 let suite =
   List.map
     (fun (name, build) ->
@@ -92,4 +132,5 @@ let suite =
     Scenarios.all
   @ [
       Alcotest.test_case "live fold = store fold" `Quick test_live_equals_store;
+      qcheck_in_flight_table;
     ]

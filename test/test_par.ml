@@ -67,19 +67,6 @@ let prop_init n =
   let f i = (i * i) - (7 * i) in
   Par.init ~pool:pool4 n f = List.init n f
 
-let prop_map_array xs =
-  let a = Array.of_list xs in
-  let f x = x lxor 0x55 in
-  Par.map_array ~pool:pool4 f a = Array.map f a
-
-let prop_map_reduce xs =
-  (* Deliberately non-associative, non-commutative reduce: only the exact
-     sequential fold order produces this value. *)
-  let map x = x + 1 in
-  let reduce acc y = (acc * 31) + y in
-  Par.map_reduce ~pool:pool4 ~map ~reduce ~init:7 xs
-  = List.fold_left (fun acc x -> reduce acc (map x)) 7 xs
-
 let suite =
   [
     Alcotest.test_case "pool validation" `Quick test_create_validation;
@@ -94,7 +81,4 @@ let suite =
     Testutil.qtest "map = List.map at jobs=4" gen_ints prop_map;
     Testutil.qtest "init = List.init at jobs=4" QCheck2.Gen.(0 -- 128)
       prop_init;
-    Testutil.qtest "map_array = Array.map at jobs=4" gen_ints prop_map_array;
-    Testutil.qtest "map_reduce = sequential fold at jobs=4" gen_ints
-      prop_map_reduce;
   ]

@@ -252,6 +252,27 @@ let test_load_missing_file () =
         && String.sub msg 0 (String.length path) = path)
   | Ok _ -> Alcotest.fail "a missing file loaded"
 
+(* A trace that names partition 100000000 gets a track for each partition
+   it names, plus partition 0, which owns the first slot: not one for every
+   id up to the largest. *)
+let test_chrome_sparse_partitions () =
+  let line = {|{"t":0,"ev":"slot_switch","from":0,"to":100000000}|} in
+  match Export.entries_of_jsonl_string line with
+  | Error e -> Alcotest.failf "jsonl: %s" e
+  | Ok entries ->
+      let doc = Export.chrome_json (Export.trace_of_entries entries) in
+      let tracks =
+        List.filter_map
+          (fun e ->
+            if str_field "name" e = Some "thread_sort_index" then
+              Json.member "tid" e
+            else None)
+          (events_of doc)
+      in
+      Alcotest.(check (list int))
+        "two partition tracks, ascending" [ 1; 100_000_001 ]
+        (List.filter_map Json.to_int tracks)
+
 let suite =
   [
     Alcotest.test_case "chrome export is valid JSON" `Quick
@@ -266,4 +287,6 @@ let suite =
     Alcotest.test_case "save/load files" `Quick test_save_load_files;
     Alcotest.test_case "load of a missing file is an Error" `Quick
       test_load_missing_file;
+    Alcotest.test_case "chrome tracks only the named partitions" `Quick
+      test_chrome_sparse_partitions;
   ]

@@ -59,15 +59,16 @@ let test_count_matches_entries () =
         List.length
           (List.filter
              (fun e ->
-               Store.kind_name (Store.kind_of_event e.Hyp_trace.event)
-               = kindname)
+               let r = Array.make 6 0 in
+               Hyp_trace.encode r 0 ~time:e.Hyp_trace.time e.Hyp_trace.event;
+               Hyp_trace.kind_name r.(1) = kindname)
              entries)
       in
       List.iter
         (fun kindname ->
           Alcotest.(check int) ("count of " ^ kindname) (expected kindname)
             (count_of kindname))
-        Store.kind_names)
+        Hyp_trace.kind_names)
 
 let test_time_filter_count () =
   with_store (fun path entries _ ->

@@ -5,6 +5,7 @@
 module Cycles = Rthv_engine.Cycles
 module Hyp_trace = Rthv_core.Hyp_trace
 module Store = Rthv_core.Trace_store
+module Export = Rthv_core.Trace_export
 module Tracestore = Rthv_obs.Tracestore
 module Config = Rthv_core.Config
 module Hyp_sim = Rthv_core.Hyp_sim
@@ -166,7 +167,7 @@ let test_kind_pushdown () =
   let entries = all_kinds_entries in
   Testutil.with_temp (fun path ->
       ignore (Store.write_entries path entries : int);
-      let kind = Option.get (Store.kind_of_name "monitor_decision") in
+      let kind = Option.get (Hyp_trace.kind_of_name "monitor_decision") in
       let filter = { Store.no_filter with kinds = Some [ kind ] } in
       match Store.read_entries ~filter path with
       | Error msg -> Alcotest.failf "read_entries: %s" msg
@@ -263,7 +264,8 @@ let test_extreme_values_roundtrip () =
 
 (* Offsets into a store file: the end of the file header (magic, kind
    count, arity table), then each block's start and its two lengths. *)
-let file_header_len = String.length Tracestore.format_name + 2 + Store.n_kinds
+(* The magic line "rthv-tracestore/1\n", the kind count and the arities. *)
+let file_header_len = String.length "rthv-tracestore/1\n" + 1 + Hyp_trace.n_kinds
 
 type block = { start : int; header_len : int; body_len : int }
 
@@ -501,6 +503,46 @@ let qcheck_roundtrip =
           | Error msg -> QCheck2.Test.fail_reportf "read_entries: %s" msg
           | Ok back -> entries = back))
 
+(* qcheck: the row is the one encoding.  Every generated event (all kinds,
+   every verdict and reason) decodes back from its row, its JSONL line
+   re-reads to a row that prints the same line, and a ring's rows come
+   back unchanged from a store written row by row. *)
+let qcheck_row_codec =
+  Testutil.qtest ~count:100 "row codec round-trips" gen_entries
+    (fun (block_events, entries) ->
+      let r = Array.make 6 0 in
+      let decodes (e : Hyp_trace.entry) =
+        Hyp_trace.encode r 0 ~time:e.Hyp_trace.time e.Hyp_trace.event;
+        Hyp_trace.decode ~kind:r.(1) ~a:r.(2) ~b:r.(3) ~c:r.(4) ~d:r.(5)
+        = e.Hyp_trace.event
+      in
+      let jsonl_stable e =
+        let line = Export.jsonl_line e in
+        match Export.entry_of_jsonl line with
+        | Ok back -> Export.jsonl_line back = line
+        | Error msg -> QCheck2.Test.fail_reportf "%s: %s" line msg
+      in
+      let rows_of iter =
+        let acc = ref [] in
+        iter (fun ~time ~kind ~a ~b ~c ~d ->
+            acc := (time, kind, a, b, c, d) :: !acc);
+        List.rev !acc
+      in
+      let ring = Hyp_trace.create ~capacity:(max 1 (List.length entries)) () in
+      List.iter
+        (fun e -> Hyp_trace.record ring ~time:e.Hyp_trace.time e.Hyp_trace.event)
+        entries;
+      let stored =
+        Testutil.with_temp (fun path ->
+            let w = Store.Writer.create ~block_events path in
+            Hyp_trace.iter_rows ring (Store.Writer.add_row w);
+            Store.Writer.close w;
+            rows_of (fun f -> ignore (Store.scan path ~f : Tracestore.stats)))
+      in
+      List.for_all decodes entries
+      && List.for_all jsonl_stable entries
+      && stored = rows_of (Hyp_trace.iter_rows ring))
+
 let suite =
   [
     Alcotest.test_case "all kinds round-trip" `Quick test_all_kinds_roundtrip;
@@ -516,6 +558,7 @@ let suite =
     Alcotest.test_case "partition filter" `Quick test_partition_filter;
     Alcotest.test_case "corrupt input is an error" `Quick test_corrupt_input;
     qcheck_roundtrip;
+    qcheck_row_codec;
     Alcotest.test_case "store bytes pinned" `Quick test_store_bytes_pinned;
     Alcotest.test_case "extreme values round-trip" `Quick
       test_extreme_values_roundtrip;
