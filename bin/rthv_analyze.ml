@@ -77,33 +77,34 @@ open Cmdliner
 
 let cycle_us =
   Arg.(
-    value & opt int 14_000
+    value & opt Cli_arg.us 14_000
     & info [ "cycle-us" ] ~docv:"US" ~doc:"TDMA cycle length T_TDMA.")
 
 let slot_us =
   Arg.(
-    value & opt int 6_000
+    value & opt Cli_arg.us 6_000
     & info [ "slot-us" ] ~docv:"US" ~doc:"Subscriber partition slot T_i.")
 
 let c_th_us =
   Arg.(
-    value & opt int 5 & info [ "cth-us" ] ~docv:"US" ~doc:"Top handler WCET.")
+    value & opt Cli_arg.us 5
+    & info [ "cth-us" ] ~docv:"US" ~doc:"Top handler WCET.")
 
 let c_bh_us =
   Arg.(
-    value & opt int 50
+    value & opt Cli_arg.us 50
     & info [ "cbh-us" ] ~docv:"US" ~doc:"Bottom handler WCET.")
 
 let d_min_us =
   Arg.(
-    value & opt int 1_544
+    value & opt Cli_arg.us 1_544
     & info [ "dmin-us" ] ~docv:"US"
         ~doc:"Minimum inter-arrival distance (monitoring condition).")
 
 let max_util =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some Cli_arg.fraction) None
     & info [ "max-util" ] ~docv:"FRACTION"
         ~doc:
           "Also compute the d_min needed to keep long-term interference at \

@@ -355,7 +355,7 @@ let batch =
 let gen_batch =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.count) None
     & info [ "gen-batch" ] ~docv:"N"
         ~doc:
           "Write N deterministically generated configs (from --seed) to \
@@ -369,7 +369,7 @@ let seed =
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.count) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for batch/certify runs (default: $(b,RTHV_JOBS) \

@@ -4,7 +4,7 @@
      rthv_sim --slots 6000,6000,2000 --subscriber 1 --mean-us 1544 \
               --monitor dmin --count 5000
      rthv_sim --monitor off --histogram
-     rthv_sim --monitor learn --trace ecu --count 0         # ECU trace replay
+     rthv_sim --monitor learn --trace ecu                   # ECU trace replay
      rthv_sim --experiment fig6b                            # paper experiment *)
 
 module Cycles = Rthv_engine.Cycles
@@ -44,10 +44,9 @@ let monitor_kind_conv =
 
 let build_interarrivals ~trace ~seed ~mean_us ~d_min_us ~count =
   match trace with
-  | Some "ecu" ->
+  | Some `Ecu ->
       Ecu_trace.to_distances
         (Ecu_trace.generate ~seed Ecu_trace.default_profile)
-  | Some other -> failwith (Printf.sprintf "unknown trace %S (try: ecu)" other)
   | None ->
       let mean = Cycles.of_us mean_us in
       if d_min_us > 0 then
@@ -123,9 +122,8 @@ let write_metrics ~path registry =
         path;
       0
 
-let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
-    seed monitor budget weighted_cycle_us strict_tdma show_histogram csv_out
-    vcd_out trace_out metrics_out profile_out slo trace =
+let custom_config slots subscriber c_th_us c_bh_us mean_us d_min_us count
+    seed monitor budget weighted_cycle_us strict_tdma trace =
   let partitions =
     List.mapi
       (fun i slot_us ->
@@ -179,9 +177,10 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
   let config =
     Config.make ~boundary ~plan ~partitions ~sources:[ source ] ()
   in
-  (match Config.validate config with
-  | Ok () -> ()
-  | Error msg -> failwith msg);
+  Result.map (fun () -> config) (Config.validate config)
+
+let run_custom config show_histogram csv_out vcd_out trace_out metrics_out
+    profile_out slo =
   (* Attach a trace whenever any timeline export was requested; --slo
      alone needs only a ring whose spill hook feeds the SLO fold. *)
   let trace =
@@ -228,14 +227,19 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
   let records = Hyp_sim.records sim in
   let stats = Hyp_sim.stats sim in
   let latencies = List.map Irq_record.latency_us records in
-  let s = Summary.of_list latencies in
   Format.printf "IRQs completed: %d over %a simulated@."
     stats.Hyp_sim.completed_irqs Cycles.pp stats.Hyp_sim.sim_time;
   Format.printf "classes: %d direct, %d interposed, %d delayed@."
     stats.Hyp_sim.direct stats.Hyp_sim.interposed stats.Hyp_sim.delayed;
-  Format.printf
-    "latency: avg %.1fus, p50 %.1fus, p95 %.1fus, p99 %.1fus, worst %.1fus@."
-    s.Summary.mean s.Summary.p50 s.Summary.p95 s.Summary.p99 s.Summary.max;
+  (match latencies with
+  | [] -> Format.printf "latency: no IRQ completed@."
+  | _ ->
+      let s = Summary.of_list latencies in
+      Format.printf
+        "latency: avg %.1fus, p50 %.1fus, p95 %.1fus, p99 %.1fus, worst \
+         %.1fus@."
+        s.Summary.mean s.Summary.p50 s.Summary.p95 s.Summary.p99
+        s.Summary.max);
   Format.printf
     "context switches: %d slot, %d interposition (%d interpositions, %d \
      crossed a boundary, %d deferred switches)@."
@@ -295,7 +299,10 @@ let run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us count
             0
         | Ok `Chrome ->
             let partition_names =
-              Array.of_list (List.map (fun (p : Config.partition) -> p.Config.pname) partitions)
+              Array.of_list
+                (List.map
+                   (fun (p : Config.partition) -> p.Config.pname)
+                   config.Config.partitions)
             in
             Rthv_core.Trace_export.save_chrome ~partition_names ~path trace;
             Format.printf "wrote %d trace events to %s (chrome)@."
@@ -414,9 +421,16 @@ let main jobs experiment slots subscriber c_th_us c_bh_us mean_us
         1
       end
       else
-        run_custom slots subscriber c_th_us c_bh_us mean_us d_min_us
-          count seed monitor budget weighted_cycle_us strict_tdma histogram
-          csv_out vcd_out trace_out metrics_out profile_out slo trace
+        match
+          custom_config slots subscriber c_th_us c_bh_us mean_us d_min_us
+            count seed monitor budget weighted_cycle_us strict_tdma trace
+        with
+        | Error msg ->
+            Format.eprintf "rthv_sim: invalid configuration: %s@." msg;
+            1
+        | Ok config ->
+            run_custom config histogram csv_out vcd_out trace_out metrics_out
+              profile_out slo
 
 open Cmdliner
 
@@ -432,7 +446,7 @@ let experiment =
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.count) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for experiment sweeps (default: $(b,RTHV_JOBS) \
@@ -443,7 +457,7 @@ let jobs =
 let slots =
   Arg.(
     value
-    & opt (list int) [ 6000; 6000; 2000 ]
+    & opt (list Cli_arg.us) [ 6000; 6000; 2000 ]
     & info [ "slots" ] ~docv:"US,US,..."
         ~doc:"TDMA slot lengths in microseconds, in cycle order.")
 
@@ -455,23 +469,23 @@ let subscriber =
 
 let c_th_us =
   Arg.(
-    value & opt int 5
+    value & opt Cli_arg.us 5
     & info [ "cth-us" ] ~docv:"US" ~doc:"Top handler WCET in microseconds.")
 
 let c_bh_us =
   Arg.(
-    value & opt int 50
+    value & opt Cli_arg.us 50
     & info [ "cbh-us" ] ~docv:"US" ~doc:"Bottom handler WCET in microseconds.")
 
 let mean_us =
   Arg.(
-    value & opt int 1544
+    value & opt Cli_arg.us 1544
     & info [ "mean-us" ] ~docv:"US"
         ~doc:"Mean exponential interarrival time in microseconds.")
 
 let d_min_us =
   Arg.(
-    value & opt int 0
+    value & opt Cli_arg.us_or_zero 0
     & info [ "dmin-us" ] ~docv:"US"
         ~doc:
           "Clamp interarrivals to at least this distance (0: no clamping). \
@@ -479,8 +493,9 @@ let d_min_us =
 
 let count =
   Arg.(
-    value & opt int 5000
-    & info [ "count"; "n" ] ~docv:"N" ~doc:"Number of IRQs to generate.")
+    value & opt Cli_arg.count 5000
+    & info [ "count"; "n" ] ~docv:"N"
+        ~doc:"Number of IRQs to generate (ignored with $(b,--trace)).")
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -508,7 +523,7 @@ let budget =
 let weighted_cycle_us =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.us) None
     & info [ "weighted-cycle-us" ] ~docv:"US"
         ~doc:
           "Use a weighted slot plan: keep the TDMA cycle at this length and \
@@ -605,7 +620,7 @@ let flight_dir =
 let trace_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (enum [ ("ecu", `Ecu) ])) None
     & info [ "trace" ] ~docv:"NAME"
         ~doc:
           "Drive the IRQ source from a named activation trace instead of \

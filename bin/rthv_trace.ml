@@ -63,7 +63,11 @@ let record_scenario ~capacity ~registry name =
              (fun (p : Config.partition) -> p.Config.pname)
              config.Config.partitions)
       in
-      Ok (Hyp_trace.to_list trace, Some names, Some (line_partition config))
+      Ok
+        ( { Trace_export.entries = Hyp_trace.to_list trace;
+            dropped = Hyp_trace.dropped trace },
+          Some names,
+          Some (line_partition config) )
 
 (* --- filtering ---------------------------------------------------------- *)
 
@@ -141,24 +145,25 @@ let main jobs flight_dir source format out to_store partition from_us
     | Scenario name -> record_scenario ~capacity ~registry name
     | From_jsonl path -> (
         match Trace_export.load_jsonl ~path with
-        | Ok entries -> Ok (entries, None, None)
+        | Ok jsonl -> Ok (jsonl, None, None)
         | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
     | From_store path -> (
         match Trace_store.read_entries path with
-        | Ok entries -> Ok (entries, None, None)
+        | Ok entries -> Ok ({ Trace_export.entries; dropped = 0 }, None, None)
         | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
   in
   match recorded with
   | Error msg ->
       Format.eprintf "rthv_trace: %s@." msg;
       1
-  | Ok (entries, partition_names, line_partition) -> (
+  | Ok ({ Trace_export.entries; dropped }, partition_names, line_partition)
+    -> (
       let total = List.length entries in
       let entries =
         apply_filters ~partition ~from_us ~to_us ~line_partition entries
       in
       count_trace_events registry entries;
-      let trace = Trace_export.trace_of_entries entries in
+      let trace = Trace_export.trace_of_entries ~dropped entries in
       let fail = ref None in
       (* --to-store always writes the binary store; the -o export then only
          runs when it targets a real file, so a bare --to-store does not
@@ -301,13 +306,13 @@ let partition =
 let from_us =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.us_or_zero) None
     & info [ "from-us" ] ~docv:"US" ~doc:"Drop events before this time.")
 
 let to_us =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.us_or_zero) None
     & info [ "to-us" ] ~docv:"US" ~doc:"Drop events after this time.")
 
 let metrics =
@@ -331,14 +336,14 @@ let metrics =
 let capacity =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt Cli_arg.count (1 lsl 20)
     & info [ "capacity" ] ~docv:"N"
         ~doc:"Trace ring-buffer capacity when simulating.")
 
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.count) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for any sharded sweeps (default: $(b,RTHV_JOBS) \

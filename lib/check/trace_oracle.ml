@@ -589,8 +589,8 @@ let audit spec trace =
     fst (finish st)
   end
 
-let audit_entries spec entries =
-  audit spec (Rthv_core.Trace_export.trace_of_entries entries)
+let audit_entries ?dropped spec entries =
+  audit spec (Rthv_core.Trace_export.trace_of_entries ?dropped entries)
 
 let audit_store spec path =
   let st = create spec in

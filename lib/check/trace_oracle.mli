@@ -146,9 +146,12 @@ val refuted_claims : service_claim list -> measurement -> Diagnostic.t list
     it here without folding the run again. *)
 
 val audit_entries :
-  spec -> Rthv_core.Hyp_trace.entry list -> Diagnostic.t list
+  ?dropped:int -> spec -> Rthv_core.Hyp_trace.entry list -> Diagnostic.t list
 (** {!audit} a raw entry list (oldest first), e.g. one built by hand in a
-    test, recorded into a ring that holds all of it. *)
+    test, recorded into a ring that holds all of it.  [dropped] (default
+    0) is how many older entries the list's recorder lost, as a
+    re-imported flight dump's {!Rthv_core.Trace_export.jsonl} says: any
+    gives the RTHV107 warning. *)
 
 val audit : spec -> Rthv_core.Hyp_trace.t -> Diagnostic.t list
 (** Fold a trace someone already recorded, walking its ring's rows in

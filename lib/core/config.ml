@@ -192,9 +192,21 @@ let validate t =
         | [] -> Ok ()
         | port :: _ -> Error (Printf.sprintf "undeclared port %S" port))
   in
+  (* Every time in a run is below a multiple of the TDMA cycle, so its
+     length must be an int, and so must a weighted plan's apportionment
+     products (cycle times weight sum). *)
+  let sum xs =
+    List.fold_left
+      (fun acc x ->
+        match acc with Some s when x <= max_int - s -> Some (s + x) | _ -> None)
+      (Some 0) xs
+  in
   let check_plan () =
     match t.plan with
-    | Partition_slots -> Ok ()
+    | Partition_slots ->
+        if sum (List.map (fun p -> p.slot) t.partitions) = None then
+          Error "TDMA cycle length overflows"
+        else Ok ()
     | Weighted_plan { cycle; weights } ->
         if Array.length weights <> n_partitions then
           Error
@@ -205,7 +217,10 @@ let validate t =
           Error "weighted plan: non-positive weight"
         else if cycle < n_partitions then
           Error "weighted plan: cycle shorter than one cycle per partition"
-        else Ok ()
+        else (
+          match sum (Array.to_list weights) with
+          | Some total when cycle <= max_int / total -> Ok ()
+          | _ -> Error "weighted plan: cycle times weight sum overflows")
   in
   if n_partitions = 0 then Error "no partitions"
   else

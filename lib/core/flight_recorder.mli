@@ -10,8 +10,9 @@
 
     A dump is the standard {!Trace_export} JSONL stream prefixed with one
     [{"ev":"meta", ...}] line carrying the reason, schema, and ring
-    statistics; {!Trace_export.load_jsonl} skips meta lines, so every dump
-    re-imports through [rthv_trace --from-jsonl] unchanged.
+    statistics; {!Trace_export.load_jsonl} keeps only the meta line's
+    dropped count, so every dump re-imports through
+    [rthv_trace --from-jsonl] and a truncated one still says so.
 
     Enablement (capacity, output directory) is process-wide and normally
     set once at startup — via {!enable}, the [--flight-dir] CLI options, or

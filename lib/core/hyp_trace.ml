@@ -184,6 +184,7 @@ type t = {
   capacity : int;  (* most rows retained; the array never exceeds it *)
   mutable pos : int;  (* word offset of the next row written *)
   mutable total : int;  (* events ever recorded *)
+  lost : int;  (* events an earlier ring dropped before this one's first *)
   mutable spill : row_fn option;
 }
 
@@ -193,10 +194,11 @@ let stride = 6
    ints fit, so a ring that never outgrows them is one minor allocation. *)
 let first_block = 256 / stride
 
-let create ?(capacity = 65_536) () =
+let create ?(capacity = 65_536) ?(dropped = 0) () =
   if capacity <= 0 then invalid_arg "Hyp_trace.create: capacity must be positive";
+  if dropped < 0 then invalid_arg "Hyp_trace.create: dropped must be >= 0";
   let rows = Array.make (stride * Stdlib.min capacity first_block) 0 in
-  { rows; capacity; pos = 0; total = 0; spill = None }
+  { rows; capacity; pos = 0; total = 0; lost = dropped; spill = None }
 
 let capacity t = t.capacity
 
@@ -244,8 +246,8 @@ let record t ~time ev =
     ~c:rows.(i + 4) ~d:rows.(i + 5)
 
 let length t = Stdlib.min t.total t.capacity
-let recorded t = t.total
-let dropped t = Stdlib.max 0 (t.total - t.capacity)
+let recorded t = t.lost + t.total
+let dropped t = t.lost + Stdlib.max 0 (t.total - t.capacity)
 
 let iter_rows t (f : row_fn) =
   (* Until the first wrap the rows sit in order from offset 0, whatever

@@ -120,12 +120,16 @@ type row_fn =
   unit
 (** A spill hook, a {!Trace_store.scan} callback and a fold's entry. *)
 
-val create : ?capacity:int -> unit -> t
+val create : ?capacity:int -> ?dropped:int -> unit -> t
 (** [capacity] (default 65536) is the most entries the ring retains, not
     an allocation: the ring starts with a small block and its memory grows
     with the entries recorded, doubling until it holds [capacity] entries.
     A short run in a ring sized for the longest one pays only for what it
-    records.  @raise Invalid_argument if non-positive. *)
+    records.  [dropped] (default 0) counts entries an earlier ring dropped
+    before the first one this ring will hold, as in a re-imported flight
+    dump; {!recorded} and {!dropped} include them.
+    @raise Invalid_argument if [capacity] is non-positive or [dropped]
+    negative. *)
 
 val capacity : t -> int
 (** The retention bound passed to {!create}. *)

@@ -291,38 +291,49 @@ let entry_of_jsonl line =
       event = Hyp_trace.decode ~kind ~a:v.(0) ~b:v.(1) ~c:v.(2) ~d:v.(3);
     }
 
+type jsonl = { entries : Hyp_trace.entry list; dropped : int }
+
 (* Flight-recorder dumps (see Flight_recorder) prefix the event stream with
-   an {"ev":"meta", ...} header; it carries no trace entry, so re-import
-   skips it rather than failing on the unknown kind. *)
-let is_meta_line json =
+   an {"ev":"meta", ...} header.  It carries no trace entry, only the
+   ring's statistics, of which re-import keeps the dropped count. *)
+let meta_dropped json =
   match Json.member "ev" json with
-  | Some (Json.String "meta") -> true
-  | _ -> false
+  | Some (Json.String "meta") -> (
+      match Json.member "dropped" json with
+      | None -> Some (Ok 0)
+      | Some v -> (
+          match Json.to_int v with
+          | Some n when n >= 0 -> Some (Ok n)
+          | _ -> Some (Error "meta line: \"dropped\" is not a count")))
+  | _ -> None
 
 let entries_of_jsonl_string contents =
   let lines = String.split_on_char '\n' contents in
-  let rec loop lineno acc = function
-    | [] -> Ok (List.rev acc)
+  let rec loop lineno acc dropped = function
+    | [] -> Ok { entries = List.rev acc; dropped }
     | line :: rest ->
-        if String.trim line = "" then loop (lineno + 1) acc rest
+        let fail msg = Error (Printf.sprintf "line %d: %s" lineno msg) in
+        if String.trim line = "" then loop (lineno + 1) acc dropped rest
         else (
-          match Json.parse line with
-          | Ok json when is_meta_line json -> loop (lineno + 1) acc rest
-          | Ok _ | Error _ -> (
+          match Result.map meta_dropped (Json.parse line) with
+          | Ok (Some (Ok n)) ->
+              loop (lineno + 1) acc (Stdlib.max dropped n) rest
+          | Ok (Some (Error msg)) -> fail msg
+          | Ok None | Error _ -> (
               match entry_of_jsonl line with
-              | Ok entry -> loop (lineno + 1) (entry :: acc) rest
-              | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)))
+              | Ok entry -> loop (lineno + 1) (entry :: acc) dropped rest
+              | Error msg -> fail msg))
   in
-  loop 1 [] lines
+  loop 1 [] 0 lines
 
 let load_jsonl ~path =
   match In_channel.with_open_bin path In_channel.input_all with
   | contents -> entries_of_jsonl_string contents
   | exception Sys_error msg -> Error msg
 
-let trace_of_entries entries =
+let trace_of_entries ?dropped entries =
   let trace =
-    Hyp_trace.create ~capacity:(Stdlib.max 1 (List.length entries)) ()
+    Hyp_trace.create ~capacity:(Stdlib.max 1 (List.length entries)) ?dropped ()
   in
   List.iter
     (fun e -> Hyp_trace.record trace ~time:e.Hyp_trace.time e.Hyp_trace.event)

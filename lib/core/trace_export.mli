@@ -43,17 +43,28 @@ val save_jsonl : path:string -> Hyp_trace.t -> unit
 
 val entry_of_jsonl : string -> (Hyp_trace.entry, string) result
 
-val entries_of_jsonl_string : string -> (Hyp_trace.entry list, string) result
-(** Blank lines are skipped; the first malformed line aborts with its line
-    number. *)
+type jsonl = {
+  entries : Hyp_trace.entry list;  (** Oldest first. *)
+  dropped : int;
+      (** Entries the recording ring had dropped before the first one
+          here: the ["dropped"] count of the [{"ev":"meta", ...}] line a
+          flight dump starts with (the largest, if there are several), 0
+          for plain JSONL. *)
+}
 
-val load_jsonl : path:string -> (Hyp_trace.entry list, string) result
+val entries_of_jsonl_string : string -> (jsonl, string) result
+(** Blank lines are skipped and meta lines contribute only their dropped
+    count; the first malformed line aborts with its line number. *)
+
+val load_jsonl : path:string -> (jsonl, string) result
 (** {!entries_of_jsonl_string} of the file; an unreadable file (a missing
     one, say) is an [Error] too. *)
 
 (** {2 Rebuilding a trace} *)
 
-val trace_of_entries : Hyp_trace.entry list -> Hyp_trace.t
+val trace_of_entries : ?dropped:int -> Hyp_trace.entry list -> Hyp_trace.t
 (** A fresh trace buffer (capacity fitted to the list) holding exactly
-    these entries — the bridge from a re-read JSONL file back into the
-    exporters and the {!Rthv_check} oracle. *)
+    these entries, after [dropped] (default 0) older ones it lost — the
+    bridge from a re-read JSONL file back into the exporters and the
+    {!Rthv_check} oracle.  A truncated dump's Chrome slots then start at
+    its first slot switch, and its audit is the RTHV107 warning. *)

@@ -123,6 +123,16 @@ let test_plan_validation () =
     (Config.make ~partitions ~sources
        ~plan:(Config.Weighted_plan { cycle = 1; weights = [| 1; 1 |] })
        ());
+  (* A cycle length, or a cycle times the weight sum, past max_int. *)
+  let half_us = (max_int / Rthv_engine.Cycles.cycles_per_us / 2) + 1 in
+  expect_error
+    (Config.make
+       ~partitions:[ partition "a" half_us; partition "b" half_us ]
+       ~sources ());
+  expect_error
+    (Config.make ~partitions ~sources
+       ~plan:(Config.Weighted_plan { cycle = max_int / 2; weights = [| 2; 1 |] })
+       ());
   match
     Config.validate
       (Config.make ~partitions ~sources

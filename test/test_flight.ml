@@ -105,7 +105,7 @@ let test_dump_on_oracle_violation () =
           (* The dump must re-import through the standard loader (the meta
              line is skipped), so rthv_trace --from-jsonl can replay it. *)
           (match Trace_export.load_jsonl ~path with
-          | Ok entries ->
+          | Ok { Trace_export.entries; _ } ->
               Alcotest.(check bool) "re-imports with events" true
                 (List.length entries > 0)
           | Error msg -> Alcotest.failf "re-import failed: %s" msg);

@@ -177,6 +177,76 @@ let test_install_domain_local () =
       Alcotest.(check bool) "installed inside" true (Prof.installed () == p));
   Alcotest.(check bool) "restored" true (Prof.installed () == Prof.disabled)
 
+(* The node and stack arrays start at 16 entries and double.  Phases are
+   zero-padded so their sorted order is their number. *)
+let cap_phase i = Prof.phase (Printf.sprintf "t_cap%02d" i)
+
+let find_row rows path =
+  match List.find_opt (fun r -> r.Prof.r_path = path) rows with
+  | Some r -> r
+  | None -> Alcotest.failf "missing row %s" path
+
+(* [n] sibling phases, phase i open for i ns, all profiled twice: the
+   second pass must find every node the first one made, across the
+   growth. *)
+let check_siblings n =
+  let now = ref 0. in
+  let p = Prof.create ~clock:(fun () -> !now) () in
+  for _ = 1 to 2 do
+    for i = 1 to n do
+      Prof.enter p (cap_phase i);
+      now := !now +. float_of_int i;
+      Prof.leave p
+    done
+  done;
+  let rows = Prof.rows p in
+  Alcotest.(check int) (Printf.sprintf "%d rows" n) n (List.length rows);
+  for i = 1 to n do
+    let r = find_row rows (Printf.sprintf "t_cap%02d" i) in
+    let label what = Printf.sprintf "%d siblings: phase %d %s" n i what in
+    Alcotest.(check int) (label "calls") 2 r.Prof.r_calls;
+    Alcotest.(check int) (label "depth") 1 r.Prof.r_depth;
+    Testutil.close (label "total") (float_of_int (2 * i)) r.Prof.r_total_ns;
+    Testutil.close (label "self") (float_of_int (2 * i)) r.Prof.r_self_ns
+  done
+
+(* An [n]-deep chain, twice: depth k spends k ns before it opens depth
+   k + 1, so its self time is k and its total is k + ... + n. *)
+let check_nesting n =
+  let now = ref 0. in
+  let p = Prof.create ~clock:(fun () -> !now) () in
+  for _ = 1 to 2 do
+    for k = 1 to n do
+      Prof.enter p (cap_phase k);
+      now := !now +. float_of_int k
+    done;
+    Alcotest.(check int) (Printf.sprintf "%d deep" n) n (Prof.depth p);
+    for _ = 1 to n do
+      Prof.leave p
+    done
+  done;
+  Alcotest.(check int) "depth back to 0" 0 (Prof.depth p);
+  let rows = Prof.rows p in
+  Alcotest.(check int) (Printf.sprintf "%d rows" n) n (List.length rows);
+  for k = 1 to n do
+    let path =
+      String.concat "/" (List.init k (fun j -> Printf.sprintf "t_cap%02d" (j + 1)))
+    in
+    let r = find_row rows path in
+    let label what = Printf.sprintf "%d deep: depth %d %s" n k what in
+    let total = (n * (n + 1) / 2) - (k * (k - 1) / 2) in
+    Alcotest.(check int) (label "calls") 2 r.Prof.r_calls;
+    Alcotest.(check int) (label "depth") k r.Prof.r_depth;
+    Testutil.close (label "total") (float_of_int (2 * total)) r.Prof.r_total_ns;
+    Testutil.close (label "self") (float_of_int (2 * k)) r.Prof.r_self_ns
+  done
+
+let test_capacity_boundary () =
+  check_siblings 16;
+  check_siblings 17;
+  check_nesting 16;
+  check_nesting 17
+
 (* Property: for any well-nested scope script, depth returns to zero and
    every row's self time is non-negative and bounded by its total. *)
 let prop_rows_consistent script =
@@ -214,6 +284,8 @@ let suite =
       test_merge_byte_identical;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "reset" `Quick test_reset;
+    Alcotest.test_case "16 and 17 phases, siblings and nested" `Quick
+      test_capacity_boundary;
     Alcotest.test_case "domain-local install" `Quick
       test_install_domain_local;
     Testutil.qtest "random scope scripts keep rows consistent"

@@ -122,7 +122,8 @@ let test_jsonl_roundtrip () =
   let text = Export.jsonl_string trace in
   match Export.entries_of_jsonl_string text with
   | Error e -> Alcotest.failf "re-read failed: %s" e
-  | Ok entries ->
+  | Ok { Export.entries; dropped } ->
+      Alcotest.(check int) "plain JSONL dropped nothing" 0 dropped;
       let original = Hyp_trace.to_list trace in
       Alcotest.(check int) "entry count" (List.length original)
         (List.length entries);
@@ -142,6 +143,9 @@ let test_jsonl_rejects_malformed () =
   | Error _ -> ());
   (match Export.entry_of_jsonl "{\"ev\":\"slot_switch\",\"from\":0,\"to\":1}" with
   | Ok _ -> Alcotest.fail "accepted entry without timestamp"
+  | Error _ -> ());
+  (match Export.entries_of_jsonl_string {|{"ev":"meta","dropped":-1}|} with
+  | Ok _ -> Alcotest.fail "accepted a negative dropped count"
   | Error _ -> ());
   match Export.entries_of_jsonl_string "{\"t\":1,\"ev\":\"irq_coalesced\",\"line\":0}\nnot json\n" with
   | Ok _ -> Alcotest.fail "accepted malformed line"
@@ -204,7 +208,7 @@ let test_coalesced_in_exports () =
   (* JSONL carries them through a round-trip... *)
   (match Export.entries_of_jsonl_string (Export.jsonl_string trace) with
   | Error e -> Alcotest.failf "jsonl: %s" e
-  | Ok entries ->
+  | Ok { Export.entries; _ } ->
       let n =
         List.length
           (List.filter
@@ -236,7 +240,7 @@ let test_save_load_files () =
       Export.save_jsonl ~path trace;
       match Export.load_jsonl ~path with
       | Error e -> Alcotest.failf "load: %s" e
-      | Ok entries ->
+      | Ok { Export.entries; _ } ->
           Alcotest.(check int) "all entries back"
             (Hyp_trace.length trace) (List.length entries))
 
@@ -259,7 +263,7 @@ let test_chrome_sparse_partitions () =
   let line = {|{"t":0,"ev":"slot_switch","from":0,"to":100000000}|} in
   match Export.entries_of_jsonl_string line with
   | Error e -> Alcotest.failf "jsonl: %s" e
-  | Ok entries ->
+  | Ok { Export.entries; _ } ->
       let doc = Export.chrome_json (Export.trace_of_entries entries) in
       let tracks =
         List.filter_map
@@ -272,6 +276,35 @@ let test_chrome_sparse_partitions () =
       Alcotest.(check (list int))
         "two partition tracks, ascending" [ 1; 100_000_001 ]
         (List.filter_map Json.to_int tracks)
+
+(* A re-imported flight dump keeps its ring's dropped count, so the
+   Chrome export draws no partition-0 slot before the first recorded
+   switch. *)
+let test_truncated_dump_slots () =
+  match Export.entries_of_jsonl_string Testutil.truncated_flight_dump with
+  | Error e -> Alcotest.failf "jsonl: %s" e
+  | Ok { Export.entries; dropped } ->
+      Alcotest.(check int) "dropped count kept" 6 dropped;
+      Alcotest.(check int) "entries" 4 (List.length entries);
+      let trace = Export.trace_of_entries ~dropped entries in
+      Alcotest.(check int) "rebuilt trace dropped" 6 (Hyp_trace.dropped trace);
+      let slots =
+        List.filter_map
+          (fun e ->
+            if str_field "name" e = Some "slot" then
+              match
+                (str_field "ph" e, Json.member "tid" e, Json.member "ts" e)
+              with
+              | Some ph, Some (Json.Int tid), Some (Json.Float ts) ->
+                  Some (Printf.sprintf "%s tid %d at %.0f us" ph tid ts)
+              | _ -> Alcotest.fail "slot event without ph, tid or ts"
+            else None)
+          (events_of (Export.chrome_json trace))
+      in
+      Alcotest.(check (list string))
+        "one slot, from the switch on"
+        [ "B tid 3 at 6000 us"; "E tid 3 at 6050 us" ]
+        slots
 
 let suite =
   [
@@ -287,6 +320,8 @@ let suite =
     Alcotest.test_case "save/load files" `Quick test_save_load_files;
     Alcotest.test_case "load of a missing file is an Error" `Quick
       test_load_missing_file;
+    Alcotest.test_case "truncated dump: no slot before its first switch"
+      `Quick test_truncated_dump_slots;
     Alcotest.test_case "chrome tracks only the named partitions" `Quick
       test_chrome_sparse_partitions;
   ]

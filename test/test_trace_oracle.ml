@@ -230,6 +230,26 @@ let test_dropped_entries_skip_audit () =
       Alcotest.(check string) "warning" "warning" (D.severity_name d.D.severity)
   | ds -> Alcotest.failf "expected exactly RTHV107, got %d findings" (List.length ds)
 
+(* A re-imported flight dump that dropped entries audits like the ring
+   it came from: one RTHV107 warning, not errors about a slot owner the
+   dump never recorded. *)
+let test_truncated_dump_audit () =
+  match
+    Rthv_core.Trace_export.entries_of_jsonl_string
+      Testutil.truncated_flight_dump
+  with
+  | Error e -> Alcotest.failf "jsonl: %s" e
+  | Ok { Rthv_core.Trace_export.entries; dropped } -> (
+      let spec = Oracle.of_config (Scenarios.quickstart ()) in
+      match Oracle.audit_entries ~dropped spec entries with
+      | [ d ] ->
+          Alcotest.(check string) "RTHV107" "RTHV107" d.D.code;
+          Alcotest.(check string) "warning" "warning"
+            (D.severity_name d.D.severity)
+      | ds ->
+          Alcotest.failf "expected exactly RTHV107, got %s"
+            (String.concat ", " (List.map (fun d -> d.D.code) ds)))
+
 (* --- end-to-end: simulator-recorded traces audit clean ------------------ *)
 
 let audit_simulated config =
@@ -357,6 +377,8 @@ let suite =
       test_raise_completion_matching;
     Alcotest.test_case "RTHV107 dropped entries" `Quick
       test_dropped_entries_skip_audit;
+    Alcotest.test_case "RTHV107 from a truncated flight dump" `Quick
+      test_truncated_dump_audit;
     Alcotest.test_case "simulated quickstart clean" `Quick
       test_simulated_quickstart_clean;
     Alcotest.test_case "simulated scenarios clean" `Slow

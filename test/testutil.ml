@@ -79,3 +79,18 @@ let admit_all () =
         ~commit:(fun _ -> ())
         () );
   ]
+
+(* A flight dump whose ring dropped its first 6 entries: an IRQ on line 0
+   raised at 5000 us, a slot switch from partition 1 to 2 at 6000 us, then
+   the IRQ's completion.  Nothing in it says who owned the slot before the
+   switch. *)
+let truncated_flight_dump =
+  String.concat "\n"
+    [
+      {|{"ev":"meta","schema":"rthv-flight/1","reason":"test","recorded":10,"dropped":6,"capacity":4}|};
+      {|{"t":1000000,"ev":"irq_raised","irq":7,"line":0}|};
+      {|{"t":1000000,"ev":"top_handler","irq":7,"line":0}|};
+      {|{"t":1200000,"ev":"slot_switch","from":1,"to":2}|};
+      {|{"t":1210000,"ev":"bottom_handler_done","irq":7,"partition":1}|};
+    ]
+  ^ "\n"
