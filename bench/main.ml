@@ -299,6 +299,24 @@ let micro_bodies () : (string * (unit -> unit)) list =
            in
            Hyp_sim.run sim)
   in
+  (* One config of the bench/e2e fleet_certify corpus (the seed-42 fleet,
+     guest tasks stripped), certified and its artifact rechecked: the JSON
+     emitter and parser carry most of this row. *)
+  let certify =
+    let name, c = List.nth (Rthv_check.Fleet.gen_batch ~seed:42 ~count:4) 3 in
+    let config =
+      {
+        c with
+        Config.partitions =
+          List.map (fun p -> { p with Config.tasks = [] }) c.Config.partitions;
+      }
+    in
+    ( "certify build+recheck (fleet cfg-0003)",
+      fun () ->
+        match Rthv_check.Certify.build_string ~scenario:name config with
+        | Ok artifact -> ignore (Rthv_check.Certify.recheck_string artifact)
+        | Error e -> failwith e )
+  in
   [
     monitor_check;
     monitor_admit_steady;
@@ -309,6 +327,7 @@ let micro_bodies () : (string * (unit -> unit)) list =
     sim_15k;
     sim_metrics;
     sim_tracestore;
+    certify;
   ]
 
 let micro_tests () =

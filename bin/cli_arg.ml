@@ -34,6 +34,14 @@ let us_at_least lo =
 let us = us_at_least 1
 let us_or_zero = us_at_least 0
 
+let index =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 -> invalid s "an index >= 0"
+    | r -> r
+  in
+  Arg.conv ~docv:"IDX" (parse, Format.pp_print_int)
+
 let fraction =
   let parse s =
     match Arg.conv_parser Arg.float s with

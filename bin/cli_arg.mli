@@ -13,5 +13,8 @@ val us : int Cmdliner.Arg.conv
 val us_or_zero : int Cmdliner.Arg.conv
 (** {!us}, or 0 where the flag gives 0 a meaning. *)
 
+val index : int Cmdliner.Arg.conv
+(** An integer >= 0: a partition index. *)
+
 val fraction : float Cmdliner.Arg.conv
 (** A float in (0, 1]. *)

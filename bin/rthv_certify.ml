@@ -16,26 +16,25 @@ module C = Rthv_analysis.Certificate
 module GS = Rthv_analysis.Guest_sched
 module DF = Rthv_analysis.Distance_fn
 
+(* A duration in a spec, range-checked as a --cycle-us value is. *)
+let cycles_of_us text =
+  match Cmdliner.Arg.conv_parser Cli_arg.us text with
+  | Ok us -> Some (Cycles.of_us us)
+  | Error _ -> None
+
 let parse_task spec =
   match String.split_on_char ',' spec with
   | [ name; period; wcet ] -> (
-      match (int_of_string_opt period, int_of_string_opt wcet) with
-      | Some period_us, Some wcet_us when period_us > 0 && wcet_us > 0 ->
-          Ok
-            {
-              GS.name;
-              period = Cycles.of_us period_us;
-              wcet = Cycles.of_us wcet_us;
-              priority = 0;
-            }
+      match (cycles_of_us period, cycles_of_us wcet) with
+      | Some period, Some wcet -> Ok { GS.name; period; wcet; priority = 0 }
       | _ -> Error (Printf.sprintf "bad task %S" spec))
   | _ -> Error (Printf.sprintf "bad task %S (want name,period_us,wcet_us)" spec)
 
 let parse_partition index spec =
   match String.split_on_char ':' spec with
   | [ name; slot; tasks ] -> (
-      match int_of_string_opt slot with
-      | Some slot_us when slot_us > 0 ->
+      match cycles_of_us slot with
+      | Some slot ->
           let task_specs =
             List.filter (fun s -> s <> "") (String.split_on_char ';' tasks)
           in
@@ -48,13 +47,7 @@ let parse_partition index spec =
           in
           (match parse_all [] task_specs with
           | Ok tasks ->
-              Ok
-                {
-                  C.p_index = index;
-                  p_name = name;
-                  slot = Cycles.of_us slot_us;
-                  tasks;
-                }
+              Ok { C.p_index = index; p_name = name; slot; tasks }
           | Error msg -> Error msg)
       | _ -> Error (Printf.sprintf "bad slot in %S" spec))
   | _ ->
@@ -63,13 +56,13 @@ let parse_partition index spec =
 let parse_grant spec =
   match String.split_on_char ':' spec with
   | [ name; d_min; c_bh_eff ] -> (
-      match (int_of_string_opt d_min, int_of_string_opt c_bh_eff) with
-      | Some d_min_us, Some c_bh_eff_us when d_min_us > 0 && c_bh_eff_us > 0 ->
+      match (cycles_of_us d_min, cycles_of_us c_bh_eff) with
+      | Some d_min, Some c_bh_eff ->
           Ok
             {
               C.source_name = name;
-              monitor = DF.d_min (Cycles.of_us d_min_us);
-              c_bh_eff = Cycles.of_us c_bh_eff_us;
+              monitor = DF.d_min d_min;
+              c_bh_eff;
               subscriber = 0;
             }
       | _ -> Error (Printf.sprintf "bad grant %S" spec))
@@ -151,37 +144,41 @@ let main cycle_us ctx_us partition_specs grant_specs json =
   | Ok [], _ ->
       Format.eprintf "need at least one --partition@.";
       1
-  | Ok partitions, Ok grants ->
-      let declared =
-        List.fold_left (fun acc p -> acc + p.C.slot) 0 partitions
+  | Ok partitions, Ok grants -> (
+      let rec sum acc = function
+        | [] -> Some acc
+        | p :: rest ->
+            if acc > max_int - p.C.slot then None else sum (acc + p.C.slot) rest
       in
       let cycle = Cycles.of_us cycle_us in
-      if declared <> cycle then begin
-        Format.eprintf
-          "slot lengths sum to %a but --cycle-us says %a@." Cycles.pp declared
-          Cycles.pp cycle;
-        1
-      end
-      else begin
-        let cert =
-          C.check ~cycle ~c_ctx:(Cycles.of_us ctx_us) ~partitions ~grants
-        in
-        if json then
-          print_string (Rthv_obs.Json.to_string (cert_to_json cert) ^ "\n")
-        else C.pp Format.std_formatter cert;
-        if cert.C.holds then 0 else 2
-      end
+      match sum 0 partitions with
+      | None ->
+          Format.eprintf "slot lengths sum past max_int cycles@.";
+          1
+      | Some declared when declared <> cycle ->
+          Format.eprintf
+            "slot lengths sum to %a but --cycle-us says %a@." Cycles.pp
+            declared Cycles.pp cycle;
+          1
+      | Some _ ->
+          let cert =
+            C.check ~cycle ~c_ctx:(Cycles.of_us ctx_us) ~partitions ~grants
+          in
+          if json then
+            print_string (Rthv_obs.Json.to_string (cert_to_json cert) ^ "\n")
+          else C.pp Format.std_formatter cert;
+          if cert.C.holds then 0 else 2)
 
 open Cmdliner
 
 let cycle_us =
   Arg.(
-    value & opt int 14_000
+    value & opt Cli_arg.us 14_000
     & info [ "cycle-us" ] ~docv:"US" ~doc:"TDMA cycle length.")
 
 let ctx_us =
   Arg.(
-    value & opt int 50
+    value & opt Cli_arg.us_or_zero 50
     & info [ "ctx-us" ] ~docv:"US" ~doc:"Partition context-switch cost.")
 
 let partitions =

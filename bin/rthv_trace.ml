@@ -296,7 +296,7 @@ let out =
 let partition =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some Cli_arg.index) None
     & info [ "partition"; "p" ] ~docv:"IDX"
         ~doc:
           "Keep only events attributable to this partition (slot \

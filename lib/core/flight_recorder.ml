@@ -47,22 +47,14 @@ let sanitize reason =
       | _ -> '_')
     reason
 
-let meta_line ~reason ~detail trace =
-  Json.to_string
-    (Json.Obj
-       ([
-          ("ev", Json.String "meta");
-          ("schema", Json.String "rthv-flight/1");
-          ("reason", Json.String reason);
-        ]
-       @ (match detail with
-         | Some d -> [ ("detail", Json.String d) ]
-         | None -> [])
-       @ [
-           ("recorded", Json.Int (Hyp_trace.recorded trace));
-           ("dropped", Json.Int (Hyp_trace.dropped trace));
-           ("capacity", Json.Int (Hyp_trace.capacity trace));
-         ]))
+let meta ~reason ~detail trace =
+  [ ("schema", Json.String "rthv-flight/1"); ("reason", Json.String reason) ]
+  @ (match detail with Some d -> [ ("detail", Json.String d) ] | None -> [])
+  @ [
+      ("recorded", Json.Int (Hyp_trace.recorded trace));
+      ("dropped", Json.Int (Hyp_trace.dropped trace));
+      ("capacity", Json.Int (Hyp_trace.capacity trace));
+    ]
 
 let ensure_dir dir =
   if dir <> "" && dir <> "." && not (Sys.file_exists dir) then
@@ -91,9 +83,10 @@ let dump ~reason ?detail () =
           Fun.protect
             ~finally:(fun () -> close_out oc)
             (fun () ->
-              output_string oc (meta_line ~reason ~detail trace);
-              output_char oc '\n';
-              output_string oc (Trace_export.jsonl_string trace));
+              output_string oc
+                (Trace_export.jsonl_string
+                   ~meta:(meta ~reason ~detail trace)
+                   trace));
           local.last <- Some path;
           Some path
         with Sys_error msg ->

@@ -238,11 +238,23 @@ let jsonl_line entry =
   Json.to_string
     (json_of_row ~time:r.(0) ~kind:r.(1) ~a:r.(2) ~b:r.(3) ~c:r.(4) ~d:r.(5))
 
-let jsonl_string trace =
+(* A trace that lost entries says how many in a meta line first, the line
+   a flight dump's header is, so a re-import keeps the count. *)
+let jsonl_string ?meta trace =
   let buf = Buffer.create 4096 in
+  let dropped = Hyp_trace.dropped trace in
+  let meta =
+    match meta with
+    | None when dropped > 0 -> Some [ ("dropped", Json.Int dropped) ]
+    | meta -> meta
+  in
+  Option.iter
+    (fun fields ->
+      Json.to_buffer buf (Json.Obj (("ev", Json.String "meta") :: fields));
+      Buffer.add_char buf '\n')
+    meta;
   Hyp_trace.iter_rows trace (fun ~time ~kind ~a ~b ~c ~d ->
-      Buffer.add_string buf
-        (Json.to_string (json_of_row ~time ~kind ~a ~b ~c ~d));
+      Json.to_buffer buf (json_of_row ~time ~kind ~a ~b ~c ~d);
       Buffer.add_char buf '\n');
   Buffer.contents buf
 

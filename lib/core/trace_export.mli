@@ -36,8 +36,13 @@ val save_chrome :
 val jsonl_line : Hyp_trace.entry -> string
 (** One entry as a single-line JSON object (no trailing newline). *)
 
-val jsonl_string : Hyp_trace.t -> string
-(** All retained entries, one per line, trailing newline included. *)
+val jsonl_string :
+  ?meta:(string * Rthv_obs.Json.t) list -> Hyp_trace.t -> string
+(** All retained entries, one per line, trailing newline included.  A
+    trace that dropped entries starts with a [{"ev":"meta","dropped":N}]
+    line, so {!entries_of_jsonl_string} keeps the count; [meta] gives that
+    line's fields after ["ev"] instead and writes it whatever the count
+    (a flight dump's header). *)
 
 val save_jsonl : path:string -> Hyp_trace.t -> unit
 

@@ -3,9 +3,16 @@
     an external dependency.
 
     The emitter produces RFC 8259 output (non-finite floats become
-    [null]); the parser accepts any RFC 8259 document, which keeps the
-    round-trip tests honest against third-party consumers such as [jq] and
-    Perfetto. *)
+    [null]); the parser accepts any RFC 8259 document nested at most 512
+    levels deep, which keeps the round-trip tests honest against
+    third-party consumers such as [jq] and Perfetto.
+
+    Numbers render the same way on every platform, and the bytes are part
+    of the contract of every document that carries a digest (the
+    ["rthv-cert/1"] artifacts): an [Int] in decimal; a [Float] that is
+    integral with magnitude below 1e15 as ["%.1f"] (its digits and [.0],
+    [-0.0] kept); any other finite [Float] as ["%.12g"], never a
+    shortest-round-trip rendering. *)
 
 type t =
   | Null
@@ -25,7 +32,9 @@ val to_string : t -> string
 
 val parse : string -> (t, string) result
 (** Parse one complete document; trailing whitespace is allowed, trailing
-    garbage is an error.  Errors carry a character offset. *)
+    garbage is an error.  Errors carry a character offset
+    (["at offset N: ..."]); a container opened deeper than 512 levels is
+    an error at its bracket, so no input exhausts the stack. *)
 
 (** {2 Accessors} *)
 

@@ -9,12 +9,13 @@
 # hint, joined into one line, so the pin does not depend on where the
 # message wraps.
 #
-#   sh bad_flags.sh RTHV_SIM RTHV_TRACE RTHV_LINT RTHV_ANALYZE
+#   sh bad_flags.sh RTHV_SIM RTHV_TRACE RTHV_LINT RTHV_ANALYZE RTHV_CERTIFY
 set -u
 sim=$1
 trace=$2
 lint=$3
 analyze=$4
+certify=$5
 
 case_ () {
   tool=$1
@@ -44,8 +45,19 @@ case_ $sim --mean-us 23058430092136939 --count 3
 case_ $trace --jobs=0
 case_ $trace --capacity 0
 case_ $trace profile --repeat 0
+case_ $trace -s quickstart --partition=-1
+case_ $trace query --store bad_flags.rts --partition=-1
 case_ $lint --jobs=0
 case_ $lint --gen-batch=-3 --out-dir bad_flags_fleet
 case_ $analyze --dmin-us 0
 case_ $analyze --max-util=-1
+case_ $certify --ctx-us=-50 -p a:14000:
+case_ $certify --cycle-us=-5 -p a:14000:
+case_ $certify --cycle-us 100000000000000000 -p a:100000000000000000:
+case_ $certify --cycle-us 46116860184273879 -p a:14000:
+case_ $certify --ctx-us 100000000000000000 -p a:14000:
+case_ $certify -p a:100000000000000000:
+case_ $certify -p a:14000:t,100000000000000000,5
+case_ $certify -p a:14000: -g nic:1544:100000000000000000
+case_ $certify --cycle-us 23058430092136939 -p a:20000000000000000: -p b:20000000000000000:
 rm -rf bad_flags.err bad_flags_fleet

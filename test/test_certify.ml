@@ -60,10 +60,11 @@ let check_md5 name s =
         (name ^ " artifact byte-identical") md5
         (Digest.to_hex (Digest.string s))
 
+let is_scenario (name, _) = List.mem_assoc name Scenarios.all
+
 let test_scenarios_recheck () =
   List.iter
-    (fun (name, builder) ->
-      let s = build name (builder ()) in
+    (fun (name, s) ->
       check_md5 name s;
       (match Certify.recheck_string s with
       | Ok () -> ()
@@ -73,19 +74,29 @@ let test_scenarios_recheck () =
       match Certify.recheck_string (tamper s) with
       | Ok () -> Alcotest.failf "%s: tampered artifact accepted" name
       | Error _ -> ())
-    Scenarios.all
+    (List.filter is_scenario (Lazy.force Testutil.pinned_artifacts))
 
 let test_fleet_recheck () =
   List.iter
-    (fun (name, config) ->
-      let s = build name config in
+    (fun (name, s) ->
       check_md5 name s;
       match Certify.recheck_string s with
       | Ok () -> ()
       | Error msgs ->
           Alcotest.failf "%s: recheck rejected: %s" name
             (String.concat " | " msgs))
-    (Fleet.gen_batch ~seed:42 ~count:4)
+    (List.filter
+       (fun a -> not (is_scenario a))
+       (Lazy.force Testutil.pinned_artifacts))
+
+let without_tasks (c : Rthv_core.Config.t) =
+  {
+    c with
+    Rthv_core.Config.partitions =
+      List.map
+        (fun p -> { p with Rthv_core.Config.tasks = [] })
+        c.Rthv_core.Config.partitions;
+  }
 
 (* The [fleet_certify] corpus: the 128-config CI fleet with guest tasks
    stripped.  One digest over every artifact pins each witness replay's
@@ -93,22 +104,28 @@ let test_fleet_recheck () =
 let test_fleet_corpus_digest () =
   let buf = Buffer.create (1 lsl 20) in
   List.iter
-    (fun (name, (c : Rthv_core.Config.t)) ->
-      let config =
-        {
-          c with
-          Rthv_core.Config.partitions =
-            List.map
-              (fun p -> { p with Rthv_core.Config.tasks = [] })
-              c.Rthv_core.Config.partitions;
-        }
-      in
-      Buffer.add_string buf (build name config))
+    (fun (name, c) -> Buffer.add_string buf (build name (without_tasks c)))
     (Fleet.gen_batch ~seed:42 ~count:128);
   Alcotest.(check int) "corpus bytes" 684_080 (Buffer.length buf);
   Alcotest.(check string) "corpus artifacts byte-identical"
     "0b1597f2137ff2a8c6197f5b2542479c"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* build_string serializes once and splices the digest in: the same bytes
+   as serializing the built artifact, whatever the scenario name holds. *)
+let test_build_string_splice () =
+  List.iteri
+    (fun i (name, config) ->
+      let scenario = if i mod 2 = 0 then name else name ^ "\"\\\n\001" in
+      let config = without_tasks config in
+      match
+        ( Certify.build_string ~scenario config,
+          Certify.build ~scenario config )
+      with
+      | Ok s, Ok json ->
+          Alcotest.(check string) (name ^ " spliced") (J.to_string json) s
+      | _ -> Alcotest.failf "%s: build failed" name)
+    (Fleet.gen_batch ~seed:7 ~count:8)
 
 let test_recheck_rejects_garbage () =
   List.iter
@@ -184,6 +201,8 @@ let suite =
     Alcotest.test_case "fleet artifacts recheck" `Slow test_fleet_recheck;
     Alcotest.test_case "fleet corpus artifacts pinned" `Slow
       test_fleet_corpus_digest;
+    Alcotest.test_case "build_string splices the digest" `Quick
+      test_build_string_splice;
     Alcotest.test_case "recheck rejects garbage" `Quick
       test_recheck_rejects_garbage;
     Alcotest.test_case "certify_batch job-invariant" `Slow

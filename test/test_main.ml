@@ -38,6 +38,7 @@ let () =
       ("core.trace_query", Test_trace_query.suite);
       ("core.irq_fold", Test_irq_fold.suite);
       ("obs", Test_obs.suite);
+      ("obs.json", Test_json.suite);
       ("obs.merge", Test_obs_merge.suite);
       ("obs.span", Test_span.suite);
       ("obs.prof", Test_prof.suite);

@@ -306,6 +306,26 @@ let test_truncated_dump_slots () =
         [ "B tid 3 at 6000 us"; "E tid 3 at 6050 us" ]
         slots
 
+(* Re-exporting a truncated dump as JSONL keeps its dropped count in a
+   meta line, so JSONL -> JSONL -> Chrome draws what JSONL -> Chrome
+   does, and a second re-export writes the same bytes. *)
+let test_truncated_dump_reexport () =
+  let import text =
+    match Export.entries_of_jsonl_string text with
+    | Ok { Export.entries; dropped } -> Export.trace_of_entries ~dropped entries
+    | Error e -> Alcotest.failf "jsonl: %s" e
+  in
+  let once = import Testutil.truncated_flight_dump in
+  let text = Export.jsonl_string once in
+  Alcotest.(check string)
+    "meta line first" {|{"ev":"meta","dropped":6}|}
+    (List.hd (String.split_on_char '\n' text));
+  let twice = import text in
+  Alcotest.(check string) "stable re-export" text (Export.jsonl_string twice);
+  Alcotest.(check string)
+    "same Chrome export" (Export.chrome_string once)
+    (Export.chrome_string twice)
+
 let suite =
   [
     Alcotest.test_case "chrome export is valid JSON" `Quick
@@ -324,4 +344,6 @@ let suite =
       `Quick test_truncated_dump_slots;
     Alcotest.test_case "chrome tracks only the named partitions" `Quick
       test_chrome_sparse_partitions;
+    Alcotest.test_case "truncated dump: JSONL re-export keeps dropped" `Quick
+      test_truncated_dump_reexport;
   ]

@@ -232,14 +232,22 @@ let test_dropped_entries_skip_audit () =
 
 (* A re-imported flight dump that dropped entries audits like the ring
    it came from: one RTHV107 warning, not errors about a slot owner the
-   dump never recorded. *)
+   dump never recorded.  So does the dump re-exported as JSONL, twice. *)
 let test_truncated_dump_audit () =
-  match
-    Rthv_core.Trace_export.entries_of_jsonl_string
-      Testutil.truncated_flight_dump
-  with
-  | Error e -> Alcotest.failf "jsonl: %s" e
-  | Ok { Rthv_core.Trace_export.entries; dropped } -> (
+  let module Export = Rthv_core.Trace_export in
+  let import text =
+    match Export.entries_of_jsonl_string text with
+    | Error e -> Alcotest.failf "jsonl: %s" e
+    | Ok jsonl -> jsonl
+  in
+  let reexport text =
+    let { Export.entries; dropped } = import text in
+    Export.jsonl_string (Export.trace_of_entries ~dropped entries)
+  in
+  let dump = Testutil.truncated_flight_dump in
+  List.iter
+    (fun text ->
+      let { Export.entries; dropped } = import text in
       let spec = Oracle.of_config (Scenarios.quickstart ()) in
       match Oracle.audit_entries ~dropped spec entries with
       | [ d ] ->
@@ -249,6 +257,7 @@ let test_truncated_dump_audit () =
       | ds ->
           Alcotest.failf "expected exactly RTHV107, got %s"
             (String.concat ", " (List.map (fun d -> d.D.code) ds)))
+    [ dump; reexport dump; reexport (reexport dump) ]
 
 (* --- end-to-end: simulator-recorded traces audit clean ------------------ *)
 

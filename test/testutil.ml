@@ -94,3 +94,18 @@ let truncated_flight_dump =
       {|{"t":1210000,"ev":"bottom_handler_done","irq":7,"partition":1}|};
     ]
   ^ "\n"
+
+(* The eleven certify artifacts whose MD5s test_certify pins, as
+   [(name, artifact)]: every scenario's, then the first four configs of
+   the seed-42 fleet.  Built once per run, since those four configs' guest
+   task sets take seconds of busy-window analysis, and shared by the
+   suites that read them. *)
+let pinned_artifacts =
+  lazy
+    (List.map
+       (fun (name, config) ->
+         match Rthv_check.Certify.build_string ~scenario:name config with
+         | Ok s -> (name, s)
+         | Error e -> Alcotest.failf "%s: build failed: %s" name e)
+       (List.map (fun (name, make) -> (name, make ())) Rthv_check.Scenarios.all
+       @ Rthv_check.Fleet.gen_batch ~seed:42 ~count:4))
