@@ -317,6 +317,18 @@ let micro_bodies () : (string * (unit -> unit)) list =
         | Ok artifact -> ignore (Rthv_check.Certify.recheck_string artifact)
         | Error e -> failwith e )
   in
+  (* The interval analysis's densest admitted schedule for a token bucket,
+     cut at its 4096-event cap: each arrival folds the bucket's meter once
+     (the list replay it replaced refolded the whole history per arrival). *)
+  let schedule =
+    let policy = Rthv_analysis.Bound.Bucketed { capacity = 2; refill = 400 } in
+    ( "adversarial_schedule, 4096-event token bucket",
+      fun () ->
+        ignore
+          (Rthv_check.Absint.adversarial_schedule ~policy ~footprint:100
+             ~horizon:(Cycles.of_ms 100)
+            : Cycles.t list) )
+  in
   [
     monitor_check;
     monitor_admit_steady;
@@ -328,6 +340,7 @@ let micro_bodies () : (string * (unit -> unit)) list =
     sim_metrics;
     sim_tracestore;
     certify;
+    schedule;
   ]
 
 let micro_tests () =

@@ -32,14 +32,16 @@ type fix_stats = { mutable fs_steps : int; mutable fs_residual : int }
 let run_fixed_point stats ~q ~wcet ~interference =
   if q < 1 then invalid_arg "Busy_window.fixed_point: q < 1";
   if wcet < 0 then invalid_arg "Busy_window.fixed_point: negative wcet";
-  let base = q * wcet in
+  (* Saturating: an interference curve past max_int cycles diverges at the
+     ceiling instead of wrapping negative and passing for a fixed point. *)
+  let base = Cycles.mul_sat wcet q in
   let rec iterate steps w =
     if w > ceiling || steps > max_iterations then begin
       stats.fs_steps <- steps;
       Diverged
     end
     else begin
-      let w' = Cycles.( + ) base (interference w) in
+      let w' = Cycles.add_sat base (interference w) in
       if w' = w then begin
         stats.fs_steps <- steps;
         stats.fs_residual <- 0;

@@ -36,17 +36,19 @@ let analyse_curves ~cycle ~c_ctx ~partitions ~interference ~carry_in
   List.map
     (fun p ->
       let slot_eff = Cycles.( - ) p.slot c_ctx in
-      let budget = Cycles.( + ) (interference p.slot) carry_in in
-      if slot_eff <= 0 then
+      let budget = Cycles.add_sat (interference p.slot) carry_in in
+      let unschedulable why =
         {
           v_index = p.p_index;
           v_name = p.p_name;
           interference_budget = budget;
           utilisation_loss;
-          task_results =
-            List.map (fun t -> (t, Error "slot shorter than C_ctx")) p.tasks;
+          task_results = List.map (fun t -> (t, Error why)) p.tasks;
           schedulable = false;
         }
+      in
+      if budget = max_int then unschedulable "interference budget overflows"
+      else if slot_eff <= 0 then unschedulable "slot shorter than C_ctx"
       else begin
         let tdma = Tdma_interference.make ~cycle ~slot:slot_eff in
         let task_results =
@@ -103,6 +105,10 @@ let check ~cycle ~c_ctx ~partitions ~grants =
     holds = List.for_all (fun v -> v.schedulable) verdicts;
   }
 
+let pp_budget ppf budget =
+  if budget = max_int then Format.fprintf ppf "b_Ip past max_int cycles"
+  else Format.fprintf ppf "b_Ip = %a per slot" Cycles.pp budget
+
 let pp ppf t =
   Format.fprintf ppf
     "sufficient temporal independence certificate (T_TDMA = %a)@." Cycles.pp
@@ -116,9 +122,8 @@ let pp ppf t =
     t.grants;
   List.iter
     (fun v ->
-      Format.fprintf ppf
-        "partition %d (%s): b_Ip = %a per slot, %.2f%% long-term — %s@."
-        v.v_index v.v_name Cycles.pp v.interference_budget
+      Format.fprintf ppf "partition %d (%s): %a, %.2f%% long-term — %s@."
+        v.v_index v.v_name pp_budget v.interference_budget
         (100. *. v.utilisation_loss)
         (if v.schedulable then "SCHEDULABLE" else "NOT SCHEDULABLE");
       List.iter

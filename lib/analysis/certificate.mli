@@ -36,7 +36,9 @@ type verdict = {
   v_name : string;
   interference_budget : Rthv_engine.Cycles.t;
       (** b_Ip: worst interference in one slot window (sum of grants'
-          eq.-(14) curves over the slot, plus one carry-in). *)
+          eq.-(14) curves over the slot, plus one carry-in).  [max_int]
+          when that sum is past [max_int] cycles: the partition is then
+          not schedulable, and its tasks are not analysed. *)
   utilisation_loss : float;
       (** Long-term processor share taken by the grants. *)
   task_results : (Guest_sched.task * (Busy_window.result, string) result) list;

@@ -47,7 +47,7 @@ let delta t q =
       let k = (q - 2) / l in
       let r = q - (k * l) in
       let rest = if r <= 1 then 0 else t.entries.(r - 2) in
-      Cycles.( + ) (Cycles.( * ) t.entries.(l - 1) k) rest
+      Cycles.add_sat (Cycles.mul_sat t.entries.(l - 1) k) rest
     end
   end
 
@@ -57,19 +57,25 @@ let eta_plus t dt =
     let l = Array.length t.entries in
     if t.entries.(l - 1) = 0 then
       failwith "Distance_fn.eta_plus: degenerate function admits unbounded load";
-    (* delta is non-decreasing and unbounded here; find max q with
-       delta q < dt by doubling then binary search. *)
-    let rec find_hi hi = if delta t hi >= dt then hi else find_hi (hi * 2) in
-    let hi = find_hi 2 in
+    (* delta is non-decreasing and unbounded here (saturating at
+       max_int); find max q with delta q < dt by doubling then binary
+       search.  A window that holds more than max_int events saturates
+       the count at max_int ([find_hi] returns 0 then). *)
+    let rec find_hi hi =
+      if delta t hi >= dt then hi
+      else if hi <= max_int / 2 then find_hi (hi * 2)
+      else if delta t max_int >= dt then max_int
+      else 0
+    in
     (* Invariant: delta lo < dt <= delta hi. *)
     let rec bisect lo hi =
       if hi - lo <= 1 then lo
       else begin
-        let mid = (lo + hi) / 2 in
+        let mid = lo + ((hi - lo) / 2) in
         if delta t mid < dt then bisect mid hi else bisect lo mid
       end
     in
-    bisect 1 hi
+    match find_hi 2 with 0 -> max_int | hi -> bisect 1 hi
   end
 
 let conforms t timestamps =

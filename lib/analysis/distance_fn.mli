@@ -50,7 +50,8 @@ val delta : t -> int -> Rthv_engine.Cycles.t
 val eta_plus : t -> Rthv_engine.Cycles.t -> int
 (** Dual upper arrival function: the maximum number of events in any
     half-open window of the given length, [max {q : delta t q < dt}].
-    Returns 0 for non-positive windows.
+    Returns 0 for non-positive windows, and [max_int] when the count is
+    past [max_int] ({!delta} saturates at [max_int] as well).
     @raise Failure if the function is degenerate (all entries zero) and the
     window is positive, as the count would be unbounded. *)
 

@@ -29,13 +29,15 @@ let response_time ~tdma ?(interference = Independence.isolated) ?(blocking = 0)
     List.fold_left
       (fun acc hp ->
         if dt <= 0 then acc
-        else Cycles.( + ) acc (Cycles.( * ) hp.wcet (ceil_div dt hp.period)))
+        else
+          Cycles.add_sat acc (Cycles.mul_sat hp.wcet (ceil_div dt hp.period)))
       0 higher_priority
   in
   let total_interference dt =
-    Cycles.( + )
+    Cycles.add_sat
       (Tdma_interference.interference tdma dt)
-      (Cycles.( + ) (interference dt) (Cycles.( + ) blocking (hp_demand dt)))
+      (Cycles.add_sat (interference dt)
+         (Cycles.add_sat blocking (hp_demand dt)))
   in
   let delta q = if q <= 1 then 0 else (q - 1) * task.period in
   Busy_window.response_time ~wcet:task.wcet ~delta

@@ -19,7 +19,8 @@ val interposed_bound :
   monitor:Distance_fn.t -> c_bh_eff:Rthv_engine.Cycles.t -> interference_curve
 (** Equation (14), generalised to an l-entry monitoring condition:
     [fun dt -> eta^+_monitor(dt) * C'_BH].  For the l=1 [d_min] monitor this
-    is exactly [ceil(dt / d_min) * C'_BH]. *)
+    is exactly [ceil(dt / d_min) * C'_BH].  Like every curve here it
+    saturates at [max_int] ({!Rthv_engine.Cycles.mul_sat}). *)
 
 val d_min_bound :
   d_min:Rthv_engine.Cycles.t ->
@@ -54,7 +55,8 @@ val budget_bound :
     [cycle >= 1]. *)
 
 val sum : interference_curve list -> interference_curve
-(** Total interference from several independent interposing sources. *)
+(** Total interference from several independent interposing sources,
+    saturating at [max_int]. *)
 
 val is_sufficient :
   interference:interference_curve ->

@@ -172,99 +172,159 @@ end
 
 let max_events = 4096
 
-(* Earliest time >= t at which the policy admits, given the admitted history
-   (newest first).  [None] when admission cannot be predicted statically. *)
-let rec earliest_admissible policy t hist =
-  match policy with
-  | Bound.Unshaped | Bound.Shaped_opaque -> None
+(* A policy's admission state over the schedule built so far, advanced by
+   one [admit] per scheduled arrival.  Every query comes at or after the
+   latest admission (the schedule only moves forward), which is what makes
+   each state exact:
+   - a monitor's earliest admission reads only its last [l] admissions:
+     the [i]-th newest plus δ⁻(i+2);
+   - a token bucket's meter is {!Rthv_core.Throttle}'s arithmetic folded
+     over the admissions in order: the bucket starts full and earns one
+     token per elapsed [refill] (capped at [capacity]), and the meter runs
+     from [last], not from the consumptions, so the long-term rate is
+     1/refill regardless of capacity.  Keeping this in lockstep with the
+     simulator is what makes the interval's lower end genuinely
+     achievable;
+   - a budget counts the admissions in the query's aligned window, and
+     only the latest admission's window can hold any;
+   - a composite keeps one state per component and admits only at a time
+     every component agrees on. *)
+type bucket = {
+  capacity : int;
+  refill : Cycles.t;
+  mutable tokens : int;
+  mutable last : Cycles.t;
+}
+
+type admission =
+  | Never  (* unshaped, or admission cannot be predicted statically *)
+  | Monitor of {
+      gap : Cycles.t array;  (* [gap.(i)] = δ⁻(i+2) *)
+      recent : Cycles.t array;  (* the last [l] admissions, newest first *)
+      mutable n : int;  (* admissions so far *)
+    }
+  | Bucket of bucket
+  | Budget of {
+      per_cycle : int;
+      cycle : Cycles.t;
+      mutable window : int;
+      mutable count : int;  (* admissions in [window] *)
+    }
+  | All of admission list
+
+exception Unpredictable
+
+let rec admission = function
+  | Bound.Unshaped | Bound.Shaped_opaque -> Never
   | Bound.Monitored fn ->
       let l = DF.length fn in
-      let t' = ref t in
-      List.iteri
-        (fun i prev ->
-          if i < l then begin
-            let earliest = Cycles.( + ) prev (DF.delta fn (i + 2)) in
-            if earliest > !t' then t' := earliest
-          end)
-        hist;
-      Some !t'
+      Monitor
+        {
+          gap = Array.init l (fun i -> DF.delta fn (i + 2));
+          recent = Array.make l 0;
+          n = 0;
+        }
   | Bound.Bucketed { capacity; refill } ->
-      (* Replay the history through {!Rthv_core.Throttle}'s arithmetic: the
-         bucket starts full and earns one token per elapsed [refill]
-         (capped at [capacity]) — the meter runs from [last], not from the
-         consumptions, so the long-term rate is 1/refill regardless of
-         capacity.  Keeping this in lockstep with the simulator is what
-         makes the interval's lower end genuinely achievable. *)
-      let tokens = ref capacity and last = ref 0 in
-      let update ts =
-        if !tokens < capacity then begin
-          let earned = Cycles.( - ) ts !last / refill in
-          let granted = Stdlib.min earned (capacity - !tokens) in
-          tokens := !tokens + granted;
-          if !tokens = capacity then last := ts
-          else last := Cycles.( + ) !last (Cycles.( * ) refill earned)
-        end
-        else last := ts
-      in
-      List.iter
-        (fun a ->
-          update a;
-          decr tokens)
-        (List.rev hist);
-      update t;
-      if !tokens >= 1 then Some t else Some (Cycles.( + ) !last refill)
+      Bucket { capacity; refill; tokens = capacity; last = 0 }
   | Bound.Budgeted { per_cycle; cycle } ->
-      let window = t / cycle in
-      let in_window =
-        List.fold_left
-          (fun acc a -> if a / cycle = window then acc + 1 else acc)
-          0 hist
-      in
-      if in_window < per_cycle then Some t
-      else Some (Cycles.( * ) cycle (window + 1))
-  | Bound.Composite components ->
+      Budget { per_cycle; cycle; window = min_int; count = 0 }
+  | Bound.Composite components -> All (List.map admission components)
+
+(* The bucket's token count ([level]) and meter start ([meter]) once
+   {!Rthv_core.Throttle}'s update has brought them forward to [ts]. *)
+let level b ts =
+  if b.tokens < b.capacity then
+    b.tokens
+    + Stdlib.min (Cycles.( - ) ts b.last / b.refill) (b.capacity - b.tokens)
+  else b.tokens
+
+let meter b ts ~level =
+  if b.tokens < b.capacity && level < b.capacity then
+    Cycles.( + ) b.last
+      (Cycles.( * ) b.refill (Cycles.( - ) ts b.last / b.refill))
+  else ts
+
+(* Earliest time >= t at which the policy admits.
+   @raise Unpredictable when admission cannot be predicted statically. *)
+let rec earliest st t =
+  match st with
+  | Never -> raise Unpredictable
+  | Monitor { gap; recent; n } ->
+      let t' = ref t in
+      for i = 0 to Stdlib.min n (Array.length recent) - 1 do
+        let e = Cycles.( + ) recent.(i) gap.(i) in
+        if e > !t' then t' := e
+      done;
+      !t'
+  | Bucket b ->
+      let level = level b t in
+      if level >= 1 then t else Cycles.( + ) (meter b t ~level) b.refill
+  | Budget { per_cycle; cycle; window; count } ->
+      let w = t / cycle in
+      if (if w = window then count else 0) < per_cycle then t
+      else Cycles.( * ) cycle (w + 1)
+  | All components ->
       (* Iterate until every component agrees on the same admission time. *)
       let rec settle t guard =
-        if guard > 64 then None
+        if guard > 64 then raise Unpredictable
         else
-          let settled =
+          let t' =
             List.fold_left
-              (fun acc p ->
-                match (acc, earliest_admissible p t hist) with
-                | Some acc, Some t' -> Some (Cycles.max acc t')
-                | _ -> None)
-              (Some t) components
+              (fun acc st -> Cycles.max acc (earliest st t))
+              t components
           in
-          match settled with
-          | None -> None
-          | Some t' when t' = t -> Some t
-          | Some t' -> settle t' (guard + 1)
+          if t' = t then t else settle t' (guard + 1)
       in
       settle t 0
+
+let rec admit st t =
+  match st with
+  | Never -> ()
+  | Monitor m ->
+      for i = Array.length m.recent - 1 downto 1 do
+        m.recent.(i) <- m.recent.(i - 1)
+      done;
+      m.recent.(0) <- t;
+      m.n <- m.n + 1
+  | Bucket b ->
+      let level = level b t in
+      b.last <- meter b t ~level;
+      b.tokens <- level - 1
+  | Budget b ->
+      let w = t / b.cycle in
+      if w = b.window then b.count <- b.count + 1
+      else begin
+        b.window <- w;
+        b.count <- 1
+      end
+  | All components -> List.iter (fun st -> admit st t) components
 
 let adversarial_schedule ~policy ~footprint ~horizon =
   if footprint <= 0 then
     invalid_arg "Absint.adversarial_schedule: footprint must be positive";
-  let rec next acc count t =
-    if count >= max_events || t > horizon then List.rev acc
+  let st = admission policy in
+  let[@tail_mod_cons] rec next count t =
+    if count >= max_events || t > horizon then []
     else
-      match earliest_admissible policy t acc with
-      | None -> List.rev acc
-      | Some t' when t' > horizon -> List.rev acc
-      | Some t' -> next (t' :: acc) (count + 1) (Cycles.( + ) t' footprint)
+      match earliest st t with
+      | exception Unpredictable -> []
+      | t' when t' > horizon -> []
+      | t' ->
+          admit st t';
+          t' :: next (count + 1) (Cycles.( + ) t' footprint)
   in
-  next [] 0 1
+  next 0 1
 
-let max_in_window timestamps ~window =
+(* Densest count of the ascending [times] in any half-open window. *)
+let max_in_window times ~window =
   if window <= 0 then 0
   else begin
-    let arr = Array.of_list timestamps in
-    let n = Array.length arr in
+    let n = Array.length times in
     let best = ref 0 in
     let j = ref 0 in
     for i = 0 to n - 1 do
       if !j < i + 1 then j := i + 1;
-      while !j < n && Cycles.( - ) arr.(!j) arr.(i) < window do
+      while !j < n && Cycles.( - ) times.(!j) times.(i) < window do
         incr j
       done;
       if !j - i > !best then best := !j - i
@@ -411,32 +471,31 @@ let source_fact config ~cycle ~windows (s : Config.source) =
   let max_window = List.fold_left Cycles.max 0 windows in
   let horizon = Cycles.( + ) (Cycles.( * ) max_window 3) fp in
   let schedule =
-    if active then adversarial_schedule ~policy ~footprint:fp ~horizon
-    else []
+    if active then
+      Array.of_list (adversarial_schedule ~policy ~footprint:fp ~horizon)
+    else [||]
   in
-  let admissions =
+  (* Per window: the schedule's densest count and the proved curve, each
+     evaluated once for both the admissions and the interference. *)
+  let per_window =
     List.map
       (fun w ->
-        let lo = max_in_window schedule ~window:w in
-        let hi =
-          match curve with
-          | Some c -> Some (c w / Stdlib.max 1 eff)
-          | None -> if active then None else Some 0
-        in
-        (w, { Itv.lo; hi }))
-      windows
-  in
-  let interference =
-    List.map
-      (fun w ->
-        let lo = max_in_window schedule ~window:w * eff in
         let hi =
           match curve with
           | Some c -> Some (c w)
           | None -> if active then None else Some 0
         in
-        (w, { Itv.lo; hi }))
+        (w, max_in_window schedule ~window:w, hi))
       windows
+  in
+  let admissions =
+    List.map
+      (fun (w, lo, hi) ->
+        (w, { Itv.lo; hi = Option.map (fun h -> h / Stdlib.max 1 eff) hi }))
+      per_window
+  in
+  let interference =
+    List.map (fun (w, lo, hi) -> (w, { Itv.lo = lo * eff; hi })) per_window
   in
   let ceiling = List.map (fun w -> (w, (w / Stdlib.max 1 eff) + 1)) windows in
   {

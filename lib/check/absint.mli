@@ -210,8 +210,11 @@ val adversarial_schedule :
     [[]] for policies that never interpose ([Unshaped]) or whose admission
     cannot be predicted ([Shaped_opaque]).  This is the witness
     synthesizer's arrival source and the lower-interval generator: every
-    returned time is an admission the simulator will actually grant. *)
+    returned time is an admission the simulator will actually grant.
 
-val max_in_window :
-  Rthv_engine.Cycles.t list -> window:Rthv_engine.Cycles.t -> int
-(** Densest count of the (sorted) timestamps in any half-open window. *)
+    A schedule of [n] arrivals costs O(n) steps of O(1) each (O(l) for a
+    monitor with [l] entries; a composite settles its components in a
+    bounded loop), at most 4096 arrivals: the policy's admission state is
+    advanced by one admission per arrival instead of being replayed from
+    the whole admitted history at every step, which is exact because every
+    step comes after the latest admission. *)

@@ -184,6 +184,14 @@ let cycles_of ~what v =
   in
   Ok (Array.of_list (List.rev ints))
 
+(* A δ⁻ condition needs at least one entry; an empty list is a decode
+   error naming the field, not an exception out of [DF.of_entries]. *)
+let distance_fn_of ~what v =
+  let* entries = cycles_of ~what v in
+  if Array.length entries = 0 then
+    Error (Printf.sprintf "%s: expected a non-empty list" what)
+  else Ok (DF.of_entries entries)
+
 let map_all ~what f l =
   List.fold_left
     (fun acc v ->
@@ -200,8 +208,8 @@ let shaping_of_json json =
   | "none" -> Ok Config.No_shaping
   | "fixed_monitor" ->
       let* delta = field "delta" json in
-      let* entries = cycles_of ~what:"shaping.delta" delta in
-      Ok (Config.Fixed_monitor (DF.of_entries entries))
+      let* fn = distance_fn_of ~what:"shaping.delta" delta in
+      Ok (Config.Fixed_monitor fn)
   | "self_learning" ->
       let* l = int_field ~what:"shaping" "l" json in
       let* learn_events = int_field ~what:"shaping" "learn_events" json in
@@ -209,8 +217,8 @@ let shaping_of_json json =
         match opt_field "bound" json with
         | None | Some J.Null -> Ok None
         | Some v ->
-            let* entries = cycles_of ~what:"shaping.bound" v in
-            Ok (Some (DF.of_entries entries))
+            let* fn = distance_fn_of ~what:"shaping.bound" v in
+            Ok (Some fn)
       in
       Ok (Config.Self_learning { l; learn_events; bound })
   | "token_bucket" ->
@@ -222,10 +230,10 @@ let shaping_of_json json =
       Ok (Config.Budgeted { per_cycle })
   | "monitor_and_bucket" ->
       let* delta = field "delta" json in
-      let* entries = cycles_of ~what:"shaping.delta" delta in
+      let* fn = distance_fn_of ~what:"shaping.delta" delta in
       let* capacity = int_field ~what:"shaping" "capacity" json in
       let* refill = int_field ~what:"shaping" "refill" json in
-      Ok (Config.Monitor_and_bucket { fn = DF.of_entries entries; capacity; refill })
+      Ok (Config.Monitor_and_bucket { fn; capacity; refill })
   | kind -> Error (Printf.sprintf "unknown shaping kind %S" kind)
 
 let task_of_json json =

@@ -17,4 +17,17 @@ let ( * ) (a : t) (n : int) : t = Stdlib.( * ) a n
 let min (a : t) (b : t) : t = if Stdlib.( <= ) a b then a else b
 let max (a : t) (b : t) : t = if Stdlib.( >= ) a b then a else b
 let compare (a : t) (b : t) = Int.compare a b
+
+let add_sat (a : t) (b : t) : t =
+  let s = a + b in
+  if Stdlib.( > ) b 0 && Stdlib.( < ) s a then max_int else s
+
+(* Both factors below 2^31 cannot overflow: the division that tests the
+   general case stays off the busy-window and eq.-(14) inner loops. *)
+let mul_sat (a : t) (n : int) : t =
+  if (a lor n) lsr 31 = 0 then a * n
+  else if Stdlib.( > ) a 0 && Stdlib.( > ) n 0 && Stdlib.( > ) a (max_int / n)
+  then max_int
+  else a * n
+
 let pp ppf t = Format.fprintf ppf "%.2fus" (to_us t)

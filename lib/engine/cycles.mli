@@ -40,5 +40,12 @@ val max : t -> t -> t
 
 val compare : t -> t -> int
 
+val add_sat : t -> t -> t
+val mul_sat : t -> int -> t
+(** Saturating [( + )] and [( * )] for non-negative operands: a sum or
+    product past [max_int] is [max_int].  The analyses read a saturated
+    value as "unbounded": an interference budget of [max_int] cycles fits
+    in no slot. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as microseconds with the raw cycle count, e.g. ["150.5us"]. *)

@@ -60,4 +60,28 @@ case_ $certify -p a:100000000000000000:
 case_ $certify -p a:14000:t,100000000000000000,5
 case_ $certify -p a:14000: -g nic:1544:100000000000000000
 case_ $certify --cycle-us 23058430092136939 -p a:20000000000000000: -p b:20000000000000000:
-rm -rf bad_flags.err bad_flags_fleet
+
+# In-range values whose eq.-(14) terms pass max_int cycles inside the
+# analysis: the interference budget saturates and its partition is NOT
+# SCHEDULABLE (exit 2), never an uncaught exception or a budget wrapped
+# negative under "certificate HOLDS".  In the third case the budget fits
+# but the task's busy window reaches windows whose interference does not:
+# it diverges instead of wrapping into a fixed point.  Prints the exit
+# status, stderr and the verdict lines.
+verdict_ () {
+  tool=$1
+  shift
+  "$tool" "$@" > bad_flags.txt 2> bad_flags.err
+  status=$?
+  echo "$(basename "$tool" .exe) $*"
+  message=$(tr -s ' \n' '  ' < bad_flags.err | sed 's/ $//')
+  echo "  exit $status: ${message:-(nothing on stderr)}"
+  grep -E '^(partition|certificate) ' bad_flags.txt | sed 's/^/  /'
+}
+
+verdict_ $certify --cycle-us 23058430092136939 -p a:23058430092136939: -g x:1:1
+verdict_ $certify --cycle-us 23058430092136939 -p a:11529215046068469: \
+  -p b:11529215046068470: -g x:1:11529215046068469
+verdict_ $certify --cycle-us 2000 -p a:1000:t,10000000000,5 -p b:1000: \
+  -g x:1:150000000
+rm -rf bad_flags.err bad_flags.txt bad_flags_fleet

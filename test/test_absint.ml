@@ -99,6 +99,147 @@ let test_adversarial_schedule_conforms () =
             ai.A.sources)
     (Fleet.gen_batch ~seed:5 ~count:10)
 
+(* --- the incremental schedule against the list replay (Absint_ref) ------- *)
+
+module Bound = Rthv_analysis.Bound
+module DF = Rthv_analysis.Distance_fn
+
+let rec show_policy = function
+  | Bound.Unshaped -> "unshaped"
+  | Bound.Shaped_opaque -> "opaque"
+  | Bound.Monitored fn -> Format.asprintf "monitored %a" DF.pp fn
+  | Bound.Bucketed { capacity; refill } ->
+      Printf.sprintf "bucket(capacity %d, refill %d)" capacity refill
+  | Bound.Budgeted { per_cycle; cycle } ->
+      Printf.sprintf "budget(%d per %d)" per_cycle cycle
+  | Bound.Composite ps ->
+      "all[" ^ String.concat "; " (List.map show_policy ps) ^ "]"
+
+let same_schedule msg ~policy ~footprint ~horizon =
+  Alcotest.(check (list int))
+    (Printf.sprintf "%s: %s, footprint %d, horizon %d" msg (show_policy policy)
+       footprint horizon)
+    (Absint_ref.adversarial_schedule ~policy ~footprint ~horizon)
+    (A.adversarial_schedule ~policy ~footprint ~horizon)
+
+(* Monitors of 1-4 entries (one in five all zero, the degenerate
+   condition), buckets, budgets, composites nested two deep, and the two
+   policies that never predict. *)
+let gen_policy =
+  let open QCheck2.Gen in
+  let monitored =
+    let* l = int_range 1 4 in
+    let* zero = frequency [ (1, pure true); (4, pure false) ] in
+    let+ entries =
+      if zero then pure (Array.make l 0)
+      else array_size (pure l) (int_range 0 20_000)
+    in
+    Bound.Monitored (DF.of_entries entries)
+  in
+  let bucketed =
+    let+ capacity = int_range 1 5 and+ refill = int_range 1 20_000 in
+    Bound.Bucketed { capacity; refill }
+  in
+  let budgeted =
+    let+ per_cycle = int_range 1 4 and+ cycle = int_range 1 50_000 in
+    Bound.Budgeted { per_cycle; cycle }
+  in
+  let leaf =
+    frequency
+      [
+        (4, monitored);
+        (4, bucketed);
+        (4, budgeted);
+        (1, pure Bound.Unshaped);
+        (1, pure Bound.Shaped_opaque);
+      ]
+  in
+  let composite inner =
+    map (fun ps -> Bound.Composite ps) (list_size (int_range 0 3) inner)
+  in
+  frequency
+    [ (6, leaf); (3, composite leaf); (1, composite (frequency [ (3, leaf); (1, composite leaf) ])) ]
+
+let test_schedule_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500
+       ~name:"schedule equals the list replay (random policies)"
+       ~print:(fun (policy, footprint, horizon) ->
+         Printf.sprintf "%s, footprint %d, horizon %d" (show_policy policy)
+           footprint horizon)
+       QCheck2.Gen.(
+         triple gen_policy (int_range 100 5_000) (int_range 0 300_000))
+       (fun (policy, footprint, horizon) ->
+         Absint_ref.adversarial_schedule ~policy ~footprint ~horizon
+         = A.adversarial_schedule ~policy ~footprint ~horizon))
+
+(* Every active source of the CI fleet, at the horizon the interval
+   analysis uses (three of its longest windows plus one footprint) and at
+   the one Witness bursts over (six TDMA cycles).  Guest tasks play no part
+   in a schedule, and their busy windows take seconds, so they are
+   dropped. *)
+let test_fleet_schedules_match_reference () =
+  let cases = ref 0 in
+  List.iter
+    (fun (name, (config : Config.t)) ->
+      let config =
+        {
+          config with
+          Config.partitions =
+            List.map
+              (fun p -> { p with Config.tasks = [] })
+              config.Config.partitions;
+        }
+      in
+      match Config.validate config with
+      | Error _ -> ()
+      | Ok () ->
+          let ai = A.analyze config in
+          let max_window = List.fold_left max 0 ai.A.windows in
+          List.iter
+            (fun (sf : A.source_fact) ->
+              if sf.A.sf_active then begin
+                let footprint = sf.A.sf_footprint in
+                List.iter
+                  (fun horizon ->
+                    incr cases;
+                    same_schedule
+                      (name ^ "/" ^ sf.A.sf_name)
+                      ~policy:sf.A.sf_policy ~footprint ~horizon)
+                  [ (3 * max_window) + footprint; 6 * ai.A.cycle ]
+              end)
+            ai.A.sources)
+    (Fleet.gen_batch ~seed:42 ~count:128);
+  if !cases < 200 then Alcotest.failf "only %d fleet schedules compared" !cases
+
+(* A schedule that reaches the 4096-event cap long before its horizon. *)
+let test_schedule_cut_at_cap () =
+  let horizon = max_int / 2 in
+  List.iter
+    (fun (policy, footprint) ->
+      let s = A.adversarial_schedule ~policy ~footprint ~horizon in
+      Alcotest.(check int) (show_policy policy ^ ": capped") 4096 (List.length s);
+      same_schedule "capped" ~policy ~footprint ~horizon)
+    [
+      (Bound.Monitored (DF.of_entries [| 150; 400 |]), 100);
+      (Bound.Bucketed { capacity = 3; refill = 250 }, 100);
+    ]
+
+(* The replay reversed and refolded the whole history at every token-bucket
+   step, ~3n words per step; the incremental meter allocates the returned
+   list and a constant. *)
+let test_schedule_allocation_linear () =
+  let policy = Bound.Bucketed { capacity = 1; refill = 100 } in
+  let footprint = 100 and horizon = max_int / 2 in
+  ignore (A.adversarial_schedule ~policy ~footprint ~horizon : int list);
+  let before = Gc.minor_words () in
+  let s = A.adversarial_schedule ~policy ~footprint ~horizon in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "4096 events" 4096 (List.length s);
+  if words > 8. *. 4096. then
+    Alcotest.failf "4096-event bucket schedule allocated %.0f words (> 8/event)"
+      words
+
 let suite =
   [
     Alcotest.test_case "scenario intervals consistent" `Quick
@@ -106,4 +247,11 @@ let suite =
     test_fleet_intervals;
     Alcotest.test_case "adversarial schedules well-formed" `Quick
       test_adversarial_schedule_conforms;
+    test_schedule_matches_reference;
+    Alcotest.test_case "fleet schedules equal the list replay" `Quick
+      test_fleet_schedules_match_reference;
+    Alcotest.test_case "schedule cut at the 4096-event cap" `Quick
+      test_schedule_cut_at_cap;
+    Alcotest.test_case "bucket schedule allocates O(n) words" `Quick
+      test_schedule_allocation_linear;
   ]

@@ -111,6 +111,43 @@ let test_pp_renders () =
   Alcotest.(check bool) "mentions HOLDS" true (contains "certificate HOLDS");
   Alcotest.(check bool) "mentions the grant" true (contains "nic")
 
+(* A budget past max_int cycles saturates: the partition is NOT
+   SCHEDULABLE and its tasks are not analysed, where the wrapped sum used
+   to come out negative and pass. *)
+let test_budget_overflow () =
+  let slot = 2305843009213693800 in
+  let cert =
+    C.check ~cycle:(2 * slot) ~c_ctx:(us 50)
+      ~partitions:
+        [
+          {
+            C.p_index = 0;
+            p_name = "a";
+            slot;
+            tasks = [ task ~name:"t" ~period_us:1_000 ~wcet_us:5 ];
+          };
+          { C.p_index = 1; p_name = "b"; slot; tasks = [] };
+        ]
+      ~grants:
+        [
+          {
+            C.source_name = "x";
+            monitor = DF.d_min 200;
+            c_bh_eff = slot;
+            subscriber = 0;
+          };
+        ]
+  in
+  Alcotest.(check bool) "does not hold" false cert.C.holds;
+  List.iter
+    (fun (v : C.verdict) ->
+      Alcotest.(check int) "saturated budget" max_int v.C.interference_budget;
+      Alcotest.(check bool) "not schedulable" false v.C.schedulable)
+    cert.C.verdicts;
+  match (List.hd cert.C.verdicts).C.task_results with
+  | [ (_, Error "interference budget overflows") ] -> ()
+  | _ -> Alcotest.fail "task not reported as overflowing"
+
 let suite =
   [
     Alcotest.test_case "holds for a light task set" `Quick
@@ -123,4 +160,5 @@ let suite =
       test_marginal_task_rejected_only_with_grant;
     Alcotest.test_case "degenerate slot" `Quick test_degenerate_slot;
     Alcotest.test_case "rendering" `Quick test_pp_renders;
+    Alcotest.test_case "budget past max_int" `Quick test_budget_overflow;
   ]

@@ -138,6 +138,25 @@ let prop_learned_is_lower_bound timestamps =
     DF.conforms fn ts
   end
 
+(* Past max_int: delta saturates instead of wrapping negative, and the
+   doubling search of eta_plus stops at max_int instead of asking delta
+   for a negative q. *)
+let test_saturation () =
+  let fn = DF.d_min 200 in
+  Testutil.check_cycles "delta saturates" max_int (DF.delta fn max_int);
+  Alcotest.(check int) "eta_plus near max_int" 23058430092136939
+    (DF.eta_plus fn 4611686018427387800);
+  Alcotest.(check int) "eta_plus past max_int events" max_int
+    (DF.eta_plus (DF.d_min 1) max_int);
+  Alcotest.(check int) "eta_plus of a long l past max_int events" max_int
+    (DF.eta_plus (DF.of_entries [| 0; 0; 1 |]) max_int);
+  Testutil.check_cycles "in range unchanged" 1_000_000
+    (Rthv_engine.Cycles.add_sat 999_999 1);
+  Testutil.check_cycles "sum saturates" max_int
+    (Rthv_engine.Cycles.add_sat (max_int - 5) 6);
+  Testutil.check_cycles "product saturates" max_int
+    (Rthv_engine.Cycles.mul_sat (max_int / 3) 4)
+
 let suite =
   [
     Alcotest.test_case "d_min basics" `Quick test_d_min_basics;
@@ -161,4 +180,5 @@ let suite =
     Testutil.qtest "learned function lower-bounds its trace"
       QCheck2.Gen.(list_size (2 -- 60) (0 -- 1_000_000))
       prop_learned_is_lower_bound;
+    Alcotest.test_case "saturation past max_int" `Quick test_saturation;
   ]

@@ -50,6 +50,7 @@ let () =
       ("check.codec", Test_codec.suite);
       ("check.witness", Test_witness.suite);
       ("check.certify", Test_certify.suite);
+      ("check.robustness", Test_robustness.suite);
       ("core.admission", Test_admission.suite);
       ("core.slot_plan", Test_slot_plan.suite);
       ("analysis.bound", Test_bound.suite);
