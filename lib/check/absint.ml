@@ -18,20 +18,6 @@ let c_bh_eff ~platform ~c_bh =
 let footprint ~platform ~c_th ~c_bh_eff =
   Cycles.( + ) c_th (Cycles.( + ) (Platform.monitor_cost platform) c_bh_eff)
 
-(* The statically known envelope of the admitted stream.  A self-learning
-   monitor without a load bound has no static envelope; a bounded one admits
-   at most what the bound allows (Algorithm 2 raises every learned entry to
-   the bound, so conformance to the adjusted condition implies conformance
-   to the bound).  A composite inherits its monitored component's envelope;
-   a budget maintains no distance condition. *)
-let static_condition = function
-  | Config.Fixed_monitor fn -> Some fn
-  | Config.Self_learning { bound = Some b; _ } -> Some b
-  | Config.Monitor_and_bucket { fn; _ } -> Some fn
-  | Config.Self_learning { bound = None; _ }
-  | Config.No_shaping | Config.Token_bucket _ | Config.Budgeted _ ->
-      None
-
 let shaped source =
   match source.Config.shaping with
   | Config.No_shaping -> false
@@ -41,7 +27,11 @@ let shaped source =
 
 (* The analysis-side descriptor of a shaping policy: the single point where
    configuration variants map onto [Bound.policy], shared by the linter,
-   the trace oracle and the headroom gate. *)
+   the trace oracle and the headroom gate.  A self-learning monitor without
+   a load bound has no static envelope; a bounded one admits at most what
+   the bound allows (Algorithm 2 raises every learned entry to the bound,
+   so conformance to the adjusted condition implies conformance to the
+   bound). *)
 let bound_policy ~cycle = function
   | Config.No_shaping -> Bound.Unshaped
   | Config.Fixed_monitor fn -> Bound.Monitored fn
@@ -54,118 +44,26 @@ let bound_policy ~cycle = function
       Bound.Composite
         [ Bound.Monitored fn; Bound.Bucketed { capacity; refill } ]
 
-(* A condition whose superadditive extension never grows admits an unbounded
-   number of events in some finite window: eq. (14) yields no bound. *)
-let degenerate fn = DF.delta fn (DF.length fn + 1) = 0
-
 (* --- interval domain ---------------------------------------------------- *)
 
 module Itv = struct
   type t = { lo : int; hi : int option }
 
-  let exact v = { lo = v; hi = Some v }
-  let between lo hi = { lo; hi = Some hi }
-  let unbounded ~lo = { lo; hi = None }
-  let zero = exact 0
+  let zero = { lo = 0; hi = Some 0 }
 
+  (* Saturating: two saturated eq.-(14) curves sum to max_int, not to a
+     negative interval. *)
   let add a b =
     {
-      lo = a.lo + b.lo;
-      hi = (match (a.hi, b.hi) with Some x, Some y -> Some (x + y) | _ -> None);
-    }
-
-  let scale a k =
-    { lo = a.lo * k; hi = Option.map (fun h -> h * k) a.hi }
-
-  let join a b =
-    {
-      lo = Stdlib.min a.lo b.lo;
+      lo = Cycles.add_sat a.lo b.lo;
       hi =
         (match (a.hi, b.hi) with
-        | Some x, Some y -> Some (Stdlib.max x y)
+        | Some x, Some y -> Some (Cycles.add_sat x y)
         | _ -> None);
     }
 
   let consistent t =
     t.lo >= 0 && match t.hi with Some h -> t.lo <= h | None -> true
-
-  let pp ppf t =
-    match t.hi with
-    | Some h when h = t.lo -> Format.fprintf ppf "[%d]" t.lo
-    | Some h -> Format.fprintf ppf "[%d, %d]" t.lo h
-    | None -> Format.fprintf ppf "[%d, inf)" t.lo
-end
-
-(* --- generic worklist fixed-point --------------------------------------- *)
-
-module Fix = struct
-  type 'a system = {
-    nodes : string list;
-    deps : string -> string list;
-    init : string -> 'a;
-    transfer : (string -> 'a) -> string -> 'a;
-    equal : 'a -> 'a -> bool;
-  }
-
-  let ph_solve = Rthv_obs.Prof.phase "absint_fix"
-
-  let solve sys =
-    Rthv_obs.Prof.span (Rthv_obs.Prof.installed ()) ph_solve @@ fun () ->
-    let values = Hashtbl.create 64 in
-    List.iter (fun n -> Hashtbl.replace values n (sys.init n)) sys.nodes;
-    let get n =
-      match Hashtbl.find_opt values n with
-      | Some v -> v
-      | None -> failwith ("Absint.Fix: unknown node " ^ n)
-    in
-    (* Reverse dependency edges: who must re-run when a node changes. *)
-    let rdeps = Hashtbl.create 64 in
-    List.iter
-      (fun n ->
-        List.iter
-          (fun d ->
-            let prev = Option.value ~default:[] (Hashtbl.find_opt rdeps d) in
-            Hashtbl.replace rdeps d (prev @ [ n ]))
-          (sys.deps n))
-      sys.nodes;
-    let queue = Queue.create () in
-    let queued = Hashtbl.create 64 in
-    let enqueue n =
-      if not (Hashtbl.mem queued n) then begin
-        Hashtbl.replace queued n ();
-        Queue.add n queue
-      end
-    in
-    List.iter enqueue sys.nodes;
-    let budget = 1000 * (List.length sys.nodes + 1) in
-    let steps = ref 0 in
-    while not (Queue.is_empty queue) do
-      let n = Queue.pop queue in
-      Hashtbl.remove queued n;
-      incr steps;
-      if !steps > budget then
-        failwith "Absint.Fix: fixed-point iteration diverged";
-      let v' = sys.transfer get n in
-      if not (sys.equal (get n) v') then begin
-        Hashtbl.replace values n v';
-        List.iter enqueue
-          (Option.value ~default:[] (Hashtbl.find_opt rdeps n))
-      end
-    done;
-    (* Convergence telemetry, mirroring the rthv_busy_window_* gauges. *)
-    (match Rthv_obs.Registry.installed () with
-    | Some reg ->
-        let gauge name doc v =
-          Rthv_obs.Registry.set_help reg name doc;
-          Rthv_obs.Registry.set_gauge reg name (float_of_int v)
-        in
-        gauge "rthv_absint_steps"
-          "Abstract-interpretation solver steps of the last run." !steps;
-        gauge "rthv_absint_nodes"
-          "Constraint-system nodes of the last abstract-interpretation run."
-          (List.length sys.nodes)
-    | None -> ());
-    (get, !steps)
 end
 
 (* --- adversarial admission schedule ------------------------------------- *)
@@ -380,52 +278,26 @@ type t = {
   util : float * float option;
   closed : Certificate.t;
   full_verdicts : Certificate.verdict list option;
-  iterations : int;
 }
 
-(* Comparable projections: facts strip every closure before entering the
-   fixed-point, so structural equality is safe. *)
-type value =
-  | V_bot
-  | V_source of source_fact
-  | V_gate of bool
-  | V_partition of partition_fact
-  | V_util of (float * float option)
-
-let value_equal a b = Stdlib.compare a b = 0
-
-(* The closed-form long-term utilisation fold of RTHV004, verbatim — the
-   linter's message must not change by a single byte across the Absint
-   refactor. *)
-let util_loss_closed_of config ~cycle ~eff =
-  let source_loss (s : Config.source) =
-    let monitor_loss fn =
-      if degenerate fn then None
-      else
-        Some (Independence.utilisation_loss ~monitor:fn ~c_bh_eff:(eff s))
-    in
-    match s.Config.shaping with
-    | Config.Token_bucket { refill; _ } ->
-        Some (float_of_int (eff s) /. float_of_int refill)
-    | Config.Budgeted { per_cycle } ->
-        Some (float_of_int (per_cycle * eff s) /. float_of_int cycle)
-    | Config.Monitor_and_bucket { fn; refill; _ } ->
-        (* The admitted stream satisfies both components: the smaller
-           long-term loss governs. *)
-        let bucket = float_of_int (eff s) /. float_of_int refill in
-        Some
-          (match monitor_loss fn with
-          | Some m -> Float.min m bucket
-          | None -> bucket)
-    | shaping -> (
-        match static_condition shaping with
-        | Some fn -> monitor_loss fn
-        | None -> None)
-  in
-  ( List.fold_left
-      (fun acc s -> acc +. Option.value ~default:0. (source_loss s))
-      0. config.Config.sources,
-    source_loss )
+(* RTHV004's per-source long-term utilisation loss.  A composite's admitted
+   stream satisfies every component, so the smallest loss governs. *)
+let rec util_loss ~eff = function
+  | Bound.Unshaped | Bound.Shaped_opaque -> None
+  | Bound.Monitored fn ->
+      if Bound.degenerate fn then None
+      else Some (Independence.utilisation_loss ~monitor:fn ~c_bh_eff:eff)
+  | Bound.Bucketed { refill; _ } ->
+      Some (float_of_int eff /. float_of_int refill)
+  | Bound.Budgeted { per_cycle; cycle } ->
+      Some (float_of_int (Cycles.mul_sat eff per_cycle) /. float_of_int cycle)
+  | Bound.Composite ps ->
+      List.fold_left
+        (fun acc p ->
+          match (acc, util_loss ~eff p) with
+          | None, l | l, None -> l
+          | Some a, Some b -> Some (Float.min a b))
+        None ps
 
 (* The densest aligned-cycle window of the pre-generated workload — the
    RTHV015 envelope, computed for every firing source. *)
@@ -462,11 +334,13 @@ let source_fact config ~cycle ~windows (s : Config.source) =
   let eff = c_bh_eff ~platform ~c_bh:s.Config.c_bh in
   let fp = footprint ~platform ~c_th:s.Config.c_th ~c_bh_eff:eff in
   let is_degenerate =
-    match static_condition s.Config.shaping with
-    | Some fn -> degenerate fn
+    match Bound.condition policy with
+    | Some fn -> Bound.degenerate fn
     | None -> false
   in
-  let active = shaped s && Array.length s.Config.interarrivals > 0 in
+  let active =
+    Bound.shaped policy && Array.length s.Config.interarrivals > 0
+  in
   let curve = Bound.interference policy ~c_bh_eff:eff in
   let max_window = List.fold_left Cycles.max 0 windows in
   let horizon = Cycles.( + ) (Cycles.( * ) max_window 3) fp in
@@ -495,7 +369,9 @@ let source_fact config ~cycle ~windows (s : Config.source) =
       per_window
   in
   let interference =
-    List.map (fun (w, lo, hi) -> (w, { Itv.lo = lo * eff; hi })) per_window
+    List.map
+      (fun (w, lo, hi) -> (w, { Itv.lo = Cycles.mul_sat eff lo; hi }))
+      per_window
   in
   let ceiling = List.map (fun w -> (w, (w / Stdlib.max 1 eff) + 1)) windows in
   {
@@ -507,14 +383,26 @@ let source_fact config ~cycle ~windows (s : Config.source) =
     sf_footprint = fp;
     sf_degenerate = is_degenerate;
     sf_active = active;
-    sf_per_instance = false (* the gate node decides *);
+    sf_per_instance = false (* the gate below decides *);
     sf_admissions = admissions;
     sf_interference = interference;
     sf_ceiling = ceiling;
-    sf_util_loss = None (* filled from the closed fold below *);
+    sf_util_loss = util_loss ~eff policy;
     sf_workload_max_per_cycle = workload_max_per_cycle s ~cycle;
   }
 
+(* The eq.-(16) per-instance gate: a non-degenerate per-instance condition,
+   and no other active source can interpose (RTHV016's sole-interposer
+   assumption). *)
+let per_instance facts f =
+  f.sf_active
+  && (match Bound.per_instance_condition f.sf_policy with
+     | Some fn -> not (Bound.degenerate fn)
+     | None -> false)
+  && not (List.exists (fun o -> o.sf_name <> f.sf_name && o.sf_active) facts)
+
+(* One ordered pass: source facts, their gates, the two certificates, then
+   the partition facts and the utilisation interval, which fold them. *)
 let analyze config =
   let plan = Config.slot_plan config in
   let cycle = Rthv_core.Slot_plan.cycle_length plan in
@@ -524,163 +412,37 @@ let analyze config =
     List.sort_uniq Cycles.compare
       (cycle :: List.filter (fun s -> s > 0) (Array.to_list slots))
   in
-  let eff (s : Config.source) =
-    c_bh_eff ~platform:config.Config.platform ~c_bh:s.Config.c_bh
-  in
-  let util_loss_closed, source_loss = util_loss_closed_of config ~cycle ~eff in
   let sources = config.Config.sources in
   let partitions = config.Config.partitions in
-  let src_node (s : Config.source) = "src:" ^ s.Config.name in
-  let gate_node (s : Config.source) = "gate:" ^ s.Config.name in
-  let part_node i = Printf.sprintf "part:%d" i in
-  let src_nodes = List.map src_node sources in
-  let nodes =
-    src_nodes
-    @ List.map gate_node sources
-    @ List.mapi (fun i _ -> part_node i) partitions
-    @ [ "sys:util" ]
-  in
-  let find_source name =
-    List.find (fun (s : Config.source) -> "src:" ^ s.Config.name = name) sources
-  in
-  let deps n =
-    if String.length n >= 4 && String.sub n 0 4 = "src:" then []
-    else src_nodes
-  in
-  let source_facts get =
-    List.map
-      (fun s ->
-        match get (src_node s) with
-        | V_source f -> f
-        | _ -> failwith "Absint: source node not ready")
-      sources
-  in
-  let transfer get n =
-    if String.length n >= 4 && String.sub n 0 4 = "src:" then
-      V_source (source_fact config ~cycle ~windows (find_source n))
-    else if String.length n >= 5 && String.sub n 0 5 = "gate:" then begin
-      let name = String.sub n 5 (String.length n - 5) in
-      let facts = source_facts get in
-      let self = List.find (fun f -> f.sf_name = name) facts in
-      let has_condition =
-        match Bound.per_instance_condition self.sf_policy with
-        | Some fn -> not (degenerate fn)
-        | None -> false
-      in
-      let others_interpose =
-        List.exists (fun f -> f.sf_name <> name && f.sf_active) facts
-      in
-      V_gate (has_condition && self.sf_active && not others_interpose)
-    end
-    else if String.length n >= 5 && String.sub n 0 5 = "part:" then begin
-      let i = int_of_string (String.sub n 5 (String.length n - 5)) in
-      let p = List.nth partitions i in
-      let facts = source_facts get in
-      let slot = slots.(i) in
-      let share =
-        if slot <= c_ctx then 0.
-        else float_of_int (Cycles.( - ) slot c_ctx) /. float_of_int cycle
-      in
-      let task_util = Task.utilisation p.Config.tasks in
-      let irq_demand =
-        List.fold_left
-          (fun acc (s : Config.source) ->
-            let n_arr = Array.length s.Config.interarrivals in
-            if s.Config.subscriber <> i || n_arr = 0 then acc
-            else
-              let total =
-                Array.fold_left
-                  (fun acc d -> acc +. float_of_int d)
-                  0. s.Config.interarrivals
-              in
-              if total <= 0. then acc
-              else acc +. (float_of_int n_arr /. total *. float_of_int s.Config.c_bh))
-          0. sources
-      in
-      let interference =
-        List.fold_left
-          (fun acc f ->
-            if f.sf_subscriber = i || not f.sf_active then acc
-            else
-              match List.assoc_opt slot f.sf_interference with
-              | Some itv -> Itv.add acc itv
-              | None -> acc)
-          Itv.zero facts
-      in
-      V_partition
-        {
-          pf_index = i;
-          pf_name = p.Config.pname;
-          pf_declared = p.Config.slot;
-          pf_slot = slot;
-          pf_share = share;
-          pf_task_util = task_util;
-          pf_demand = task_util +. irq_demand;
-          pf_interference = interference;
-          pf_verdict = Unknown (* certificates refine this after the solve *);
-        }
-    end
-    else begin
-      (* sys:util — interference utilisation interval over one cycle. *)
-      let facts = source_facts get in
-      let lo =
-        List.fold_left
-          (fun acc f ->
-            match List.assoc_opt cycle f.sf_interference with
-            | Some itv -> acc +. (float_of_int itv.Itv.lo /. float_of_int cycle)
-            | None -> acc)
-          0. facts
-      in
-      let hi =
-        List.fold_left
-          (fun acc f ->
-            match acc with
-            | None -> None
-            | Some acc -> (
-                if not f.sf_active then Some acc
-                else
-                  match List.assoc_opt cycle f.sf_interference with
-                  | Some { Itv.hi = Some h; _ } ->
-                      Some (acc +. (float_of_int h /. float_of_int cycle))
-                  | Some { Itv.hi = None; _ } | None -> None))
-          (Some 0.) facts
-      in
-      V_util (lo, hi)
-    end
-  in
-  let get, iterations =
-    Fix.solve
-      { Fix.nodes; deps; init = (fun _ -> V_bot); transfer; equal = value_equal }
-  in
   let facts =
+    let facts = List.map (source_fact config ~cycle ~windows) sources in
     List.map
-      (fun s ->
-        let f =
-          match get (src_node s) with
-          | V_source f -> f
-          | _ -> failwith "Absint: unsolved source"
-        in
-        let gate =
-          match get (gate_node s) with V_gate g -> g | _ -> false
-        in
-        { f with sf_per_instance = gate; sf_util_loss = source_loss s })
-      sources
+      (fun f ->
+        if per_instance facts f then { f with sf_per_instance = true } else f)
+      facts
+  in
+  (* The closed-form long-term utilisation fold of RTHV004, in
+     configuration order. *)
+  let util_loss_closed =
+    List.fold_left
+      (fun acc f -> acc +. Option.value ~default:0. f.sf_util_loss)
+      0. facts
   in
   (* The grant-only certificate: exactly the RTHV005 proof obligation. *)
   let grants =
     List.filter_map
-      (fun (s : Config.source) ->
-        match static_condition s.Config.shaping with
-        | Some fn when not (degenerate fn) ->
+      (fun f ->
+        match Bound.condition f.sf_policy with
+        | Some fn when not (Bound.degenerate fn) ->
             Some
               {
-                Certificate.source_name = s.Config.name;
+                Certificate.source_name = f.sf_name;
                 monitor = fn;
-                c_bh_eff = eff s;
-                subscriber = s.Config.subscriber;
+                c_bh_eff = f.sf_c_bh_eff;
+                subscriber = f.sf_subscriber;
               }
         | Some _ | None -> None)
-      sources
+      facts
   in
   let cert_partitions =
     List.mapi
@@ -717,53 +479,99 @@ let analyze config =
         (Certificate.analyse_curves ~cycle ~c_ctx ~partitions:cert_partitions
            ~interference ~carry_in ~utilisation_loss:util_loss_closed)
   in
-  let partition_facts =
-    List.mapi
-      (fun i _ ->
-        let pf =
-          match get (part_node i) with
-          | V_partition pf -> pf
-          | _ -> failwith "Absint: unsolved partition"
-        in
-        let full_ok =
-          Option.map
-            (fun vs ->
-              List.exists
-                (fun (v : Certificate.verdict) ->
-                  v.Certificate.v_index = i && v.Certificate.schedulable)
-                vs)
-            full_verdicts
-        in
-        let closed_ok =
-          List.exists
-            (fun (v : Certificate.verdict) ->
-              v.Certificate.v_index = i && v.Certificate.schedulable)
-            closed.Certificate.verdicts
-        in
-        let verdict =
-          if pf.pf_share = 0. then Refuted
-          else if pf.pf_demand > pf.pf_share +. 1e-9 then Refuted
-          else
-            match full_ok with
-            | Some true -> Proved
-            | Some false -> Refuted
-            | None -> if closed_ok then Unknown else Refuted
-        in
-        { pf with pf_verdict = verdict })
-      partitions
+  let schedulable i (vs : Certificate.verdict list) =
+    List.exists
+      (fun (v : Certificate.verdict) ->
+        v.Certificate.v_index = i && v.Certificate.schedulable)
+      vs
   in
-  let util =
-    match get "sys:util" with V_util u -> u | _ -> (0., None)
+  let partition_fact i (p : Config.partition) =
+    let slot = slots.(i) in
+    let share =
+      if slot <= c_ctx then 0.
+      else float_of_int (Cycles.( - ) slot c_ctx) /. float_of_int cycle
+    in
+    let task_util = Task.utilisation p.Config.tasks in
+    let irq_demand =
+      List.fold_left
+        (fun acc (s : Config.source) ->
+          let n_arr = Array.length s.Config.interarrivals in
+          if s.Config.subscriber <> i || n_arr = 0 then acc
+          else
+            let total =
+              Array.fold_left
+                (fun acc d -> acc +. float_of_int d)
+                0. s.Config.interarrivals
+            in
+            if total <= 0. then acc
+            else acc +. (float_of_int n_arr /. total *. float_of_int s.Config.c_bh))
+        0. sources
+    in
+    let demand = task_util +. irq_demand in
+    let interference =
+      List.fold_left
+        (fun acc f ->
+          if f.sf_subscriber = i || not f.sf_active then acc
+          else
+            match List.assoc_opt slot f.sf_interference with
+            | Some itv -> Itv.add acc itv
+            | None -> acc)
+        Itv.zero facts
+    in
+    let verdict =
+      if share = 0. then Refuted
+      else if demand > share +. 1e-9 then Refuted
+      else
+        match Option.map (schedulable i) full_verdicts with
+        | Some true -> Proved
+        | Some false -> Refuted
+        | None ->
+            if schedulable i closed.Certificate.verdicts then Unknown
+            else Refuted
+    in
+    {
+      pf_index = i;
+      pf_name = p.Config.pname;
+      pf_declared = p.Config.slot;
+      pf_slot = slot;
+      pf_share = share;
+      pf_task_util = task_util;
+      pf_demand = demand;
+      pf_interference = interference;
+      pf_verdict = verdict;
+    }
+  in
+  (* Interference utilisation interval over one cycle. *)
+  let util_lo =
+    List.fold_left
+      (fun acc f ->
+        match List.assoc_opt cycle f.sf_interference with
+        | Some itv -> acc +. (float_of_int itv.Itv.lo /. float_of_int cycle)
+        | None -> acc)
+      0. facts
+  in
+  let util_hi =
+    List.fold_left
+      (fun acc f ->
+        match acc with
+        | None -> None
+        | Some acc -> (
+            if not f.sf_active then Some acc
+            else
+              match List.assoc_opt cycle f.sf_interference with
+              | Some { Itv.hi = Some h; _ } ->
+                  Some (acc +. (float_of_int h /. float_of_int cycle))
+              | Some { Itv.hi = None; _ } | None -> None))
+      (Some 0.) facts
   in
   {
     cycle;
     c_ctx;
     windows;
     sources = facts;
-    partitions = partition_facts;
+    partitions = List.mapi partition_fact partitions;
     util_loss_closed;
-    util;
+    util = (util_lo, util_hi);
     closed;
     full_verdicts;
-    iterations;
   }

@@ -1,10 +1,10 @@
-(** Interval-domain abstract interpreter over the policy-parameterized
-    configuration graph.
+(** Interval-domain abstract interpretation of a policy-parameterized
+    configuration.
 
     The linter's closed-form rules each evaluate one paper equation in
-    isolation; this module runs the whole configuration through a generic
-    worklist fixed-point and produces, for every source and partition, an
-    {e interval} of interference rather than a single bound:
+    isolation; this module runs the whole configuration through one ordered
+    pass and produces, for every source and partition, an {e interval} of
+    interference rather than a single bound:
 
     - the {b upper} end is the proved eq.-(14)-style bound of the source's
       admission policy ({!Rthv_analysis.Bound.interference}), [None] when no
@@ -22,10 +22,14 @@
     {e proof-carrying} — the certificate artifact re-derives it without
     re-running the analysis ({!Certify}).
 
-    The fixed-point is genuinely a dataflow problem, not a map: a source's
-    eq.-(16) per-instance gate depends on which {e other} sources can
-    interpose at all, partition facts fold every source's interval, and the
-    system utilisation folds both — {!Fix.solve} propagates until stable.
+    The facts depend on each other in two layers only, so one pass in
+    dependency order computes each exactly once: every source's facts from
+    its own declaration; then each source's eq.-(16) gate, which reads
+    whether any {e other} source can interpose; then the grant-only and the
+    interval certificates; then each partition's facts and verdict, which
+    fold the sources' intervals and the certificates, and the system
+    utilisation interval.  Interval sums saturate at [max_int]
+    ({!Rthv_engine.Cycles.add_sat}).
 
     The shared policy primitives ([c_bh_eff], [bound_policy], …) live here:
     {!Lint}, {!Trace_oracle}, {!Headroom} and {!Witness} all read them from
@@ -40,40 +44,8 @@ module Itv : sig
 
   type t = { lo : int; hi : int option }
 
-  val exact : int -> t
-  val between : int -> int -> t
-  val unbounded : lo:int -> t
-  val zero : t
-  val add : t -> t -> t
-  val scale : t -> int -> t
-  val join : t -> t -> t
-  (** Smallest interval containing both. *)
-
   val consistent : t -> bool
   (** [lo >= 0] and [lo <= hi] when bounded. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-module Fix : sig
-  (** A tiny generic worklist fixed-point solver over string-named nodes.
-      Deterministic: nodes are seeded in declaration order and re-queued
-      FIFO, so iteration counts and results are reproducible. *)
-
-  type 'a system = {
-    nodes : string list;  (** In evaluation-seed order. *)
-    deps : string -> string list;
-        (** Nodes whose value this node's transfer reads. *)
-    init : string -> 'a;
-    transfer : (string -> 'a) -> string -> 'a;
-        (** Recompute a node from current neighbour values. *)
-    equal : 'a -> 'a -> bool;
-  }
-
-  val solve : 'a system -> (string -> 'a) * int
-  (** Least fixed-point by worklist iteration; returns the solution and the
-      number of transfer applications.  @raise Failure on divergence (a
-      non-monotone system). *)
 end
 
 type verdict = Proved | Refuted | Unknown
@@ -152,11 +124,11 @@ type t = {
       (** The interval certificate: every active source's policy curve
           summed ({!Rthv_analysis.Certificate.analyse_curves}); [None] when
           an active source has no curve (nothing can be proved). *)
-  iterations : int;  (** Transfer applications until the fixed-point. *)
 }
 
 val analyze : Rthv_core.Config.t -> t
-(** Run the abstract interpretation.  The configuration must pass
+(** Run the pass: source facts, gates, certificates, partition facts and
+    utilisation, in that order.  The configuration must pass
     [Config.validate] (the linter's RTHV001 short-circuits before calling
     this). *)
 
@@ -176,17 +148,6 @@ val footprint :
     activations are all admitted despite the
     at-most-one-interposition-in-flight rule.  Used as the adversarial
     schedule's [min_gap] and as RTHV019's physical ceiling. *)
-
-val static_condition :
-  Rthv_core.Config.shaping -> Rthv_analysis.Distance_fn.t option
-(** The statically known delta^- envelope of the admitted stream: the
-    configured condition for [Fixed_monitor], the load bound for a bounded
-    [Self_learning] monitor (Algorithm 2 raises every learned entry to the
-    bound, so the run-phase condition is at least as strict), [None]
-    otherwise. *)
-
-val degenerate : Rthv_analysis.Distance_fn.t -> bool
-(** All entries zero: eq. (14) yields no bound. *)
 
 val shaped : Rthv_core.Config.source -> bool
 (** The source uses the modified top handler or the throttle baseline. *)

@@ -75,7 +75,11 @@ let analysis_to_json (ai : A.t) =
       ("cycle", J.Int ai.A.cycle);
       ("c_ctx", J.Int ai.A.c_ctx);
       ("windows", J.List (List.map (fun w -> J.Int w) ai.A.windows));
-      ("iterations", J.Int ai.A.iterations);
+      (* One fact and one gate per source, one fact per partition and one
+         utilisation interval: the facts the pass computes. *)
+      ( "iterations",
+        J.Int ((2 * List.length ai.A.sources) + List.length ai.A.partitions + 1)
+      );
       ("util_loss_closed", J.Float ai.A.util_loss_closed);
       ( "util",
         J.Obj [ ("lo", J.Float util_lo); ("hi", opt_float util_hi) ] );

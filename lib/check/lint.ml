@@ -191,7 +191,7 @@ let rule_workload_within_condition ctx =
     (fun (s : Config.source) ->
       match s.Config.shaping with
       | Config.Fixed_monitor fn
-        when (not (Absint.degenerate fn)) && Array.length s.Config.interarrivals > 0
+        when (not (Bound.degenerate fn)) && Array.length s.Config.interarrivals > 0
         ->
           let n = Array.length s.Config.interarrivals in
           let total =
@@ -339,7 +339,7 @@ let rule_composite_bucket ctx =
     (fun (s : Config.source) ->
       match s.Config.shaping with
       | Config.Monitor_and_bucket { fn; capacity; refill }
-        when not (Absint.degenerate fn) ->
+        when not (Bound.degenerate fn) ->
           let bucket = Bound.Bucketed { capacity; refill } in
           if Bound.vacuous_against fn bucket then
             Some
@@ -398,7 +398,7 @@ let rule_sole_interposer ctx =
     (fun ((s : Config.source), (f : Absint.source_fact)) ->
       let has_condition =
         match Bound.per_instance_condition f.Absint.sf_policy with
-        | Some fn -> not (Absint.degenerate fn)
+        | Some fn -> not (Bound.degenerate fn)
         | None -> false
       in
       let others =

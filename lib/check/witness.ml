@@ -200,8 +200,11 @@ let grant_claim_spec config (spec : TO.spec) =
     TO.sources =
       List.map2
         (fun (s : Config.source) (ss : TO.source_spec) ->
-          match Absint.static_condition s.Config.shaping with
-          | Some fn when not (Absint.degenerate fn) ->
+          match
+            Bound.condition
+              (Absint.bound_policy ~cycle:(cycle_of config) s.Config.shaping)
+          with
+          | Some fn when not (Bound.degenerate fn) ->
               let eff = Absint.c_bh_eff ~platform ~c_bh:s.Config.c_bh in
               {
                 ss with

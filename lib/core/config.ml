@@ -230,13 +230,3 @@ let validate t =
         match List.fold_left check_source (Ok ([], [])) t.sources with
         | Error _ as e -> e
         | Ok _ -> check_ports ())
-
-let monitoring_enabled t =
-  List.exists
-    (fun source ->
-      match source.shaping with
-      | No_shaping -> false
-      | Fixed_monitor _ | Self_learning _ | Token_bucket _ | Budgeted _
-      | Monitor_and_bucket _ ->
-          true)
-    t.sources

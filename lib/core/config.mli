@@ -154,6 +154,3 @@ val effective_slots : t -> Rthv_engine.Cycles.t array
     that weighted plans are bounded against the schedule actually run. *)
 
 val tdma : t -> Tdma.t
-
-val monitoring_enabled : t -> bool
-(** True iff any source uses the modified top handler. *)

@@ -7,6 +7,10 @@ module Config = Rthv_core.Config
 module A = Rthv_check.Absint
 module Fleet = Rthv_check.Fleet
 module Scenarios = Rthv_check.Scenarios
+module Lint = Rthv_check.Lint
+module D = Rthv_check.Diagnostic
+module Bound = Rthv_analysis.Bound
+module DF = Rthv_analysis.Distance_fn
 
 let check_itv msg (itv : A.Itv.t) =
   if not (A.Itv.consistent itv) then
@@ -48,18 +52,87 @@ let check_analysis name config =
 let test_scenario_intervals () =
   List.iter (fun (name, build) -> check_analysis name (build ())) Scenarios.all
 
-(* The randomized-fleet version is the regression net that caught a
-   token-bucket model divergence (the abstract model refilled at the
-   long-term rate, the simulator refills one token per period): random
-   configs mix every policy family, and an achievable count above the
-   proved curve is exactly how such a divergence surfaces. *)
-let test_fleet_intervals =
-  Testutil.qtest ~count:40 "fleet intervals consistent"
-    QCheck2.Gen.(int_range 0 500)
-    (fun i ->
-      check_analysis (Printf.sprintf "fleet-%d" i)
-        (Fleet.gen_config ~seed:97 i);
-      true)
+(* The fleet version is the regression net that caught a token-bucket
+   model divergence (the abstract model refilled at the long-term rate, the
+   simulator refills one token per period): the seed-97 fleet mixes every
+   policy family, and an achievable count above the proved curve is exactly
+   how such a divergence surfaces.  Every one of its 501 configs, with the
+   guest tasks stripped: no interval reads them, and their busy windows
+   take seconds. *)
+let test_fleet_intervals () =
+  for i = 0 to 500 do
+    check_analysis (Printf.sprintf "fleet-%d" i)
+      (Testutil.without_tasks (Fleet.gen_config ~seed:97 i))
+  done
+
+(* The eq.-(16) gate and RTHV016 split the sources that could claim the
+   per-instance bound (active, with a non-degenerate per-instance
+   condition): the sole interposer is gated, any other gets RTHV016.  A
+   source that cannot claim it gets neither, such as a sole interposer
+   whose condition is degenerate. *)
+let test_gate_splits_sole_interposer () =
+  let degenerate_sole =
+    Config.make
+      ~partitions:
+        [
+          Config.partition ~name:"a" ~slot_us:1_000 ();
+          Config.partition ~name:"b" ~slot_us:1_000 ();
+        ]
+      ~sources:
+        [
+          Config.source ~name:"zero" ~line:0 ~subscriber:0 ~c_th_us:5
+            ~c_bh_us:20
+            ~interarrivals:(Array.make 10 (Testutil.us 500))
+            ~shaping:(Config.Fixed_monitor (DF.unbounded ~l:1))
+            ();
+        ]
+      ()
+  in
+  let configs =
+    ("degenerate-sole", degenerate_sole)
+    :: List.map (fun (name, build) -> (name, build ())) Scenarios.all
+    @ List.init 501 (fun i ->
+          (Printf.sprintf "fleet97-%d" i, Fleet.gen_config ~seed:97 i))
+    @ Fleet.gen_batch ~seed:42 ~count:128
+  in
+  let gated = ref 0 and warned = ref 0 in
+  List.iter
+    (fun (name, config) ->
+      let config = Testutil.without_tasks config in
+      match Config.validate config with
+      | Error _ -> ()
+      | Ok () ->
+          let ai = A.analyze config in
+          let diags = Lint.analyze_with ai config in
+          List.iter
+            (fun (sf : A.source_fact) ->
+              let claims =
+                sf.A.sf_active
+                &&
+                match Bound.per_instance_condition sf.A.sf_policy with
+                | Some fn -> not (Bound.degenerate fn)
+                | None -> false
+              in
+              let rthv016 =
+                List.exists
+                  (fun (d : D.t) ->
+                    d.D.code = "RTHV016" && d.D.loc = "source " ^ sf.A.sf_name)
+                  diags
+              in
+              if sf.A.sf_per_instance then incr gated;
+              if rthv016 then incr warned;
+              let split =
+                if claims then sf.A.sf_per_instance <> rthv016
+                else not (sf.A.sf_per_instance || rthv016)
+              in
+              if not split then
+                Alcotest.failf "%s/%s: claims %b, gated %b, RTHV016 %b" name
+                  sf.A.sf_name claims sf.A.sf_per_instance rthv016)
+            ai.A.sources)
+    configs;
+  if !gated = 0 || !warned = 0 then
+    Alcotest.failf "%d gated and %d RTHV016 sources: both sides must occur"
+      !gated !warned
 
 let test_adversarial_schedule_conforms () =
   (* The greedy schedule must itself satisfy the policy it attacks: replay
@@ -100,9 +173,6 @@ let test_adversarial_schedule_conforms () =
     (Fleet.gen_batch ~seed:5 ~count:10)
 
 (* --- the incremental schedule against the list replay (Absint_ref) ------- *)
-
-module Bound = Rthv_analysis.Bound
-module DF = Rthv_analysis.Distance_fn
 
 let rec show_policy = function
   | Bound.Unshaped -> "unshaped"
@@ -182,15 +252,7 @@ let test_fleet_schedules_match_reference () =
   let cases = ref 0 in
   List.iter
     (fun (name, (config : Config.t)) ->
-      let config =
-        {
-          config with
-          Config.partitions =
-            List.map
-              (fun p -> { p with Config.tasks = [] })
-              config.Config.partitions;
-        }
-      in
+      let config = Testutil.without_tasks config in
       match Config.validate config with
       | Error _ -> ()
       | Ok () ->
@@ -244,7 +306,9 @@ let suite =
   [
     Alcotest.test_case "scenario intervals consistent" `Quick
       test_scenario_intervals;
-    test_fleet_intervals;
+    Alcotest.test_case "fleet intervals consistent" `Quick test_fleet_intervals;
+    Alcotest.test_case "gate and RTHV016 split the sources" `Quick
+      test_gate_splits_sole_interposer;
     Alcotest.test_case "adversarial schedules well-formed" `Quick
       test_adversarial_schedule_conforms;
     test_schedule_matches_reference;

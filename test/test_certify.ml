@@ -89,22 +89,14 @@ let test_fleet_recheck () =
        (fun a -> not (is_scenario a))
        (Lazy.force Testutil.pinned_artifacts))
 
-let without_tasks (c : Rthv_core.Config.t) =
-  {
-    c with
-    Rthv_core.Config.partitions =
-      List.map
-        (fun p -> { p with Rthv_core.Config.tasks = [] })
-        c.Rthv_core.Config.partitions;
-  }
-
 (* The [fleet_certify] corpus: the 128-config CI fleet with guest tasks
    stripped.  One digest over every artifact pins each witness replay's
    confirm-or-demote verdict, not just the four configs above. *)
 let test_fleet_corpus_digest () =
   let buf = Buffer.create (1 lsl 20) in
   List.iter
-    (fun (name, c) -> Buffer.add_string buf (build name (without_tasks c)))
+    (fun (name, c) ->
+      Buffer.add_string buf (build name (Testutil.without_tasks c)))
     (Fleet.gen_batch ~seed:42 ~count:128);
   Alcotest.(check int) "corpus bytes" 684_080 (Buffer.length buf);
   Alcotest.(check string) "corpus artifacts byte-identical"
@@ -117,7 +109,7 @@ let test_build_string_splice () =
   List.iteri
     (fun i (name, config) ->
       let scenario = if i mod 2 = 0 then name else name ^ "\"\\\n\001" in
-      let config = without_tasks config in
+      let config = Testutil.without_tasks config in
       match
         ( Certify.build_string ~scenario config,
           Certify.build ~scenario config )
@@ -134,6 +126,36 @@ let test_recheck_rejects_garbage () =
       | Ok () -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
     [ ""; "{}"; "{\"schema\":\"rthv-cert/9\"}"; "[1]"; "not json" ]
+
+(* Two bucket sources whose C_BH is 2^61 cycles: each eq.-(14) curve
+   saturates at max_int in every window, and the third partition suffers
+   both.  Its interference interval must saturate too: summed with [+] it
+   wraps to [-4611686018427346150, -2], which the recheck rejects. *)
+let test_saturated_interference_rechecks () =
+  let module Config = Rthv_core.Config in
+  let source i =
+    {
+      (Config.source ~name:(Printf.sprintf "irq%d" i) ~line:i ~subscriber:i
+         ~c_th_us:2 ~c_bh_us:1
+         ~interarrivals:(Array.make 10 500_000_000)
+         ())
+      with
+      Config.c_bh = 1 lsl 61;
+      shaping = Config.Token_bucket { capacity = 2; refill = 1 lsl 40 };
+    }
+  in
+  let config =
+    Config.make
+      ~partitions:
+        (List.init 3 (fun i ->
+             Config.partition ~name:(Printf.sprintf "p%d" i) ~slot_us:50_000 ()))
+      ~sources:[ source 0; source 1 ]
+      ()
+  in
+  match Certify.recheck_string (build "saturated" config) with
+  | Ok () -> ()
+  | Error msgs ->
+      Alcotest.failf "recheck rejected: %s" (String.concat " | " msgs)
 
 let test_certify_batch_job_invariant () =
   let batch = Fleet.gen_batch ~seed:42 ~count:4 in
@@ -205,6 +227,8 @@ let suite =
       test_build_string_splice;
     Alcotest.test_case "recheck rejects garbage" `Quick
       test_recheck_rejects_garbage;
+    Alcotest.test_case "saturated interference rechecks" `Quick
+      test_saturated_interference_rechecks;
     Alcotest.test_case "certify_batch job-invariant" `Slow
       test_certify_batch_job_invariant;
     Alcotest.test_case "SARIF export valid" `Quick test_sarif_valid;

@@ -188,22 +188,6 @@ let test_boundary_policy () =
   Alcotest.(check bool) "explicit policy wins" true
     (Config.finish_bh_at_boundary explicit_wins)
 
-let test_monitoring_enabled () =
-  Alcotest.(check bool) "off without shaping" false
-    (Config.monitoring_enabled (make [ source () ]));
-  Alcotest.(check bool) "on with a monitor" true
-    (Config.monitoring_enabled
-       (make [ source ~shaping:(Config.Fixed_monitor (DF.d_min 10)) () ]));
-  Alcotest.(check bool) "on with self-learning" true
-    (Config.monitoring_enabled
-       (make
-          [
-            source
-              ~shaping:
-                (Config.Self_learning { l = 1; learn_events = 1; bound = None })
-              ();
-          ]))
-
 let test_tdma_derivation () =
   let config = make [ source () ] in
   let tdma = Config.tdma config in
@@ -242,7 +226,6 @@ let suite =
     Alcotest.test_case "effective_slots follows the plan" `Quick
       test_effective_slots;
     Alcotest.test_case "boundary policy promotion" `Quick test_boundary_policy;
-    Alcotest.test_case "monitoring_enabled" `Quick test_monitoring_enabled;
     Alcotest.test_case "tdma derivation" `Quick test_tdma_derivation;
     Alcotest.test_case "constructor validation" `Quick
       test_constructor_validation;

@@ -24,6 +24,17 @@ let qtest ?(count = 200) name gen law =
 
 let us = Cycles.of_us
 
+(* [config] with every partition's guest tasks dropped: the interval
+   analysis and the certify corpus do not need their busy windows. *)
+let without_tasks (config : Rthv_core.Config.t) =
+  {
+    config with
+    Rthv_core.Config.partitions =
+      List.map
+        (fun p -> { p with Rthv_core.Config.tasks = [] })
+        config.Rthv_core.Config.partitions;
+  }
+
 (* [needle] occurs in [haystack]. *)
 let contains haystack needle =
   let n = String.length needle in
