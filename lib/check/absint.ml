@@ -6,6 +6,9 @@ module DF = Rthv_analysis.Distance_fn
 module Independence = Rthv_analysis.Independence
 module Certificate = Rthv_analysis.Certificate
 module Bound = Rthv_analysis.Bound
+module Admission = Rthv_core.Admission
+module Monitor = Rthv_core.Monitor
+module Throttle = Rthv_core.Throttle
 
 (* --- shared policy primitives (re-exported by Lint) --------------------- *)
 
@@ -70,146 +73,36 @@ end
 
 let max_events = 4096
 
-(* A policy's admission state over the schedule built so far, advanced by
-   one [admit] per scheduled arrival.  Every query comes at or after the
-   latest admission (the schedule only moves forward), which is what makes
-   each state exact:
-   - a monitor's earliest admission reads only its last [l] admissions:
-     the [i]-th newest plus δ⁻(i+2);
-   - a token bucket's meter is {!Rthv_core.Throttle}'s arithmetic folded
-     over the admissions in order: the bucket starts full and earns one
-     token per elapsed [refill] (capped at [capacity]), and the meter runs
-     from [last], not from the consumptions, so the long-term rate is
-     1/refill regardless of capacity.  Keeping this in lockstep with the
-     simulator is what makes the interval's lower end genuinely
-     achievable;
-   - a budget counts the admissions in the query's aligned window, and
-     only the latest admission's window can hold any;
-   - a composite keeps one state per component and admits only at a time
-     every component agrees on. *)
-type bucket = {
-  capacity : int;
-  refill : Cycles.t;
-  mutable tokens : int;
-  mutable last : Cycles.t;
-}
-
-type admission =
-  | Never  (* unshaped, or admission cannot be predicted statically *)
-  | Monitor of {
-      gap : Cycles.t array;  (* [gap.(i)] = δ⁻(i+2) *)
-      recent : Cycles.t array;  (* the last [l] admissions, newest first *)
-      mutable n : int;  (* admissions so far *)
-    }
-  | Bucket of bucket
-  | Budget of {
-      per_cycle : int;
-      cycle : Cycles.t;
-      mutable window : int;
-      mutable count : int;  (* admissions in [window] *)
-    }
-  | All of admission list
-
-exception Unpredictable
-
+(* The simulator's own policy for a descriptor, so every scheduled time is
+   one [Admission.decide] grants.  The empty composite admits at every
+   time: a monitor whose one entry is zero. *)
 let rec admission = function
-  | Bound.Unshaped | Bound.Shaped_opaque -> Never
-  | Bound.Monitored fn ->
-      let l = DF.length fn in
-      Monitor
-        {
-          gap = Array.init l (fun i -> DF.delta fn (i + 2));
-          recent = Array.make l 0;
-          n = 0;
-        }
+  | Bound.Unshaped | Bound.Shaped_opaque -> Admission.never ()
+  | Bound.Monitored fn -> Admission.of_monitor (Monitor.fixed fn)
   | Bound.Bucketed { capacity; refill } ->
-      Bucket { capacity; refill; tokens = capacity; last = 0 }
-  | Bound.Budgeted { per_cycle; cycle } ->
-      Budget { per_cycle; cycle; window = min_int; count = 0 }
-  | Bound.Composite components -> All (List.map admission components)
+      Admission.of_throttle (Throttle.create ~capacity ~refill)
+  | Bound.Budgeted { per_cycle; cycle } -> Admission.budgeted ~per_cycle ~cycle
+  | Bound.Composite [] ->
+      Admission.of_monitor (Monitor.fixed (DF.unbounded ~l:1))
+  | Bound.Composite components ->
+      Admission.all_of (List.map admission components)
 
-(* The bucket's token count ([level]) and meter start ([meter]) once
-   {!Rthv_core.Throttle}'s update has brought them forward to [ts]. *)
-let level b ts =
-  if b.tokens < b.capacity then
-    b.tokens
-    + Stdlib.min (Cycles.( - ) ts b.last / b.refill) (b.capacity - b.tokens)
-  else b.tokens
-
-let meter b ts ~level =
-  if b.tokens < b.capacity && level < b.capacity then
-    Cycles.( + ) b.last
-      (Cycles.( * ) b.refill (Cycles.( - ) ts b.last / b.refill))
-  else ts
-
-(* Earliest time >= t at which the policy admits.
-   @raise Unpredictable when admission cannot be predicted statically. *)
-let rec earliest st t =
-  match st with
-  | Never -> raise Unpredictable
-  | Monitor { gap; recent; n } ->
-      let t' = ref t in
-      for i = 0 to Stdlib.min n (Array.length recent) - 1 do
-        let e = Cycles.( + ) recent.(i) gap.(i) in
-        if e > !t' then t' := e
-      done;
-      !t'
-  | Bucket b ->
-      let level = level b t in
-      if level >= 1 then t else Cycles.( + ) (meter b t ~level) b.refill
-  | Budget { per_cycle; cycle; window; count } ->
-      let w = t / cycle in
-      if (if w = window then count else 0) < per_cycle then t
-      else Cycles.( * ) cycle (w + 1)
-  | All components ->
-      (* Iterate until every component agrees on the same admission time. *)
-      let rec settle t guard =
-        if guard > 64 then raise Unpredictable
-        else
-          let t' =
-            List.fold_left
-              (fun acc st -> Cycles.max acc (earliest st t))
-              t components
-          in
-          if t' = t then t else settle t' (guard + 1)
-      in
-      settle t 0
-
-let rec admit st t =
-  match st with
-  | Never -> ()
-  | Monitor m ->
-      for i = Array.length m.recent - 1 downto 1 do
-        m.recent.(i) <- m.recent.(i - 1)
-      done;
-      m.recent.(0) <- t;
-      m.n <- m.n + 1
-  | Bucket b ->
-      let level = level b t in
-      b.last <- meter b t ~level;
-      b.tokens <- level - 1
-  | Budget b ->
-      let w = t / b.cycle in
-      if w = b.window then b.count <- b.count + 1
-      else begin
-        b.window <- w;
-        b.count <- 1
-      end
-  | All components -> List.iter (fun st -> admit st t) components
-
+(* Each query comes at or after the latest admission, as [earliest]
+   requires; the step saturates, so a footprint near [max_int] ends the
+   schedule instead of wrapping it into negative times. *)
 let adversarial_schedule ~policy ~footprint ~horizon =
   if footprint <= 0 then
     invalid_arg "Absint.adversarial_schedule: footprint must be positive";
-  let st = admission policy in
+  let a = admission policy in
   let[@tail_mod_cons] rec next count t =
     if count >= max_events || t > horizon then []
     else
-      match earliest st t with
-      | exception Unpredictable -> []
-      | t' when t' > horizon -> []
-      | t' ->
-          admit st t';
-          t' :: next (count + 1) (Cycles.( + ) t' footprint)
+      let t' = Admission.earliest a t in
+      if t' > horizon || t' = max_int then []
+      else begin
+        Admission.commit a t';
+        t' :: next (count + 1) (Cycles.add_sat t' footprint)
+      end
   in
   next 0 1
 
@@ -391,14 +284,16 @@ let source_fact config ~cycle ~windows (s : Config.source) =
     sf_workload_max_per_cycle = workload_max_per_cycle s ~cycle;
   }
 
-(* The eq.-(16) per-instance gate: a non-degenerate per-instance condition,
-   and no other active source can interpose (RTHV016's sole-interposer
-   assumption). *)
+(* The eq.-(16) per-instance gate: a non-degenerate per-instance condition
+   (the policy half, which RTHV016 reads too), and no other active source
+   can interpose (RTHV016's sole-interposer assumption). *)
+let has_instance_condition f =
+  match Bound.per_instance_condition f.sf_policy with
+  | Some fn -> not (Bound.degenerate fn)
+  | None -> false
+
 let per_instance facts f =
-  f.sf_active
-  && (match Bound.per_instance_condition f.sf_policy with
-     | Some fn -> not (Bound.degenerate fn)
-     | None -> false)
+  f.sf_active && has_instance_condition f
   && not (List.exists (fun o -> o.sf_name <> f.sf_name && o.sf_active) facts)
 
 (* One ordered pass: source facts, their gates, the two certificates, then

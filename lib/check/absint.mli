@@ -40,7 +40,7 @@ module Itv : sig
       unbounded above.  [lo] is an achievability claim (a witness can
       realise at least this much), [hi] a soundness claim (no run exceeds
       it); [lo <= hi] is the analyzer's internal consistency invariant that
-      [Certify.recheck] re-validates. *)
+      [Certify.recheck_string] re-validates. *)
 
   type t = { lo : int; hi : int option }
 
@@ -126,6 +126,13 @@ type t = {
           an active source has no curve (nothing can be proved). *)
 }
 
+val has_instance_condition : source_fact -> bool
+(** The policy half of the eq.-(16) gate: the source's policy has a
+    non-degenerate per-instance condition
+    ({!Rthv_analysis.Bound.per_instance_condition}).  [sf_per_instance] is
+    this, [sf_active], and no other active source; RTHV016 fires for an
+    active source with a condition that the gate refuses. *)
+
 val analyze : Rthv_core.Config.t -> t
 (** Run the pass: source facts, gates, certificates, partition facts and
     utilisation, in that order.  The configuration must pass
@@ -167,15 +174,12 @@ val adversarial_schedule :
   horizon:Rthv_engine.Cycles.t ->
   Rthv_engine.Cycles.t list
 (** Greedy earliest arrival times (ascending, starting at 1) admitted by the
-    policy when spaced at least [footprint] apart, up to [horizon].  Returns
-    [[]] for policies that never interpose ([Unshaped]) or whose admission
-    cannot be predicted ([Shaped_opaque]).  This is the witness
-    synthesizer's arrival source and the lower-interval generator: every
-    returned time is an admission the simulator will actually grant.
-
-    A schedule of [n] arrivals costs O(n) steps of O(1) each (O(l) for a
-    monitor with [l] entries; a composite settles its components in a
-    bounded loop), at most 4096 arrivals: the policy's admission state is
-    advanced by one admission per arrival instead of being replayed from
-    the whole admitted history at every step, which is exact because every
-    step comes after the latest admission. *)
+    policy when spaced at least [footprint] apart, up to [horizon], at most
+    4096: the witness synthesizer's arrival source and the lower-interval
+    generator.  The policy is the simulator's own {!Rthv_core.Admission}
+    ([never], [of_monitor], [of_throttle], [budgeted], [all_of]; the empty
+    composite admits at every time), driven by alternating
+    {!Rthv_core.Admission.earliest} and [commit], so every returned time is
+    one the simulator grants.  [[]] when the policy never interposes or
+    cannot be predicted ([earliest] is [max_int]).  The step to the next
+    query saturates, so a footprint near [max_int] ends the schedule. *)

@@ -179,15 +179,6 @@ let witness_to_json (w : Witness.t) =
       ("digest", J.String w.Witness.w_digest);
     ]
 
-(* The tamper digest covers the whole artifact with its own field blanked,
-   so it must be the last field and recomputable from the parsed value. *)
-let with_digest fields digest =
-  J.Obj (fields @ [ (digest_field, J.String digest) ])
-
-let blanked fields = J.to_string (with_digest fields "")
-let hex_digest text = Digest.to_hex (Digest.string text)
-let digest_of fields = hex_digest (blanked fields)
-
 let fields ?(scenario = "config") config =
   match Config_codec.to_json config with
   | Error e -> Error e
@@ -213,19 +204,17 @@ let fields ?(scenario = "config") config =
           ("witnesses", J.List witnesses);
         ]
 
-let build ?scenario config =
-  Result.map
-    (fun fields -> with_digest fields (digest_of fields))
-    (fields ?scenario config)
-
-(* One serialization: the blanked artifact ends in ["digest":""}], and its
-   digest's 32 hex digits need no escaping, so putting them between those
-   quotes gives the bytes a second serialization would. *)
+(* One serialization: the tamper digest covers the artifact's bytes with
+   its own value blanked, so it is the last field and the blanked text
+   ends in ["digest":""}]; its 32 hex digits need no escaping and go
+   between those quotes. *)
 let build_string ?scenario config =
   Result.map
     (fun fields ->
-      let text = blanked fields in
-      let digest = hex_digest text in
+      let text =
+        J.to_string (J.Obj (fields @ [ (digest_field, J.String "") ]))
+      in
+      let digest = Digest.to_hex (Digest.string text) in
       let n = String.length text and d = String.length digest in
       let b = Bytes.create (n + d) in
       Bytes.blit_string text 0 b 0 (n - 2);
@@ -363,24 +352,34 @@ let check_witness ctx k json =
               (what "digest"))
   | _ -> fail ctx "%s: missing arrivals/digest" (what "arrivals")
 
-let recheck json =
+(* The inverse of [build_string]'s splice, on the bytes as given (JSON
+   whitespace after the closing brace is not part of the artifact): they
+   end in ["digest":"<32 hex digits>"}], and the MD5 of the text with the
+   digits cut out is the digits. *)
+let check_digest ctx s =
+  let n = ref (String.length s) in
+  while !n > 0 && String.contains " \t\n\r" s.[!n - 1] do
+    decr n
+  done;
+  let n = !n and tail = "\"" ^ digest_field ^ "\":\"" in
+  let start = n - 34 and t = String.length tail in
+  if start < t || String.sub s (start - t) t <> tail || s.[n - 1] <> '}' then
+    fail ctx "missing digest field"
+  else begin
+    let blanked = Bytes.create (start + 2) in
+    Bytes.blit_string s 0 blanked 0 start;
+    Bytes.blit_string s (n - 2) blanked start 2;
+    if Digest.to_hex (Digest.bytes blanked) <> String.sub s start 32 then
+      fail ctx "digest mismatch: artifact was modified"
+  end
+
+let recheck text json =
   let ctx = { violations = [] } in
   (match str "schema" json with
   | Some s when s = schema -> ()
   | Some s -> fail ctx "unsupported schema %S (expected %S)" s schema
   | None -> fail ctx "missing schema field");
-  (* The tamper digest: re-serialize with the digest blanked and compare. *)
-  (match json with
-  | J.Obj fields -> (
-      match List.assoc_opt digest_field fields with
-      | Some (J.String stored) ->
-          let blanked =
-            List.filter (fun (k, _) -> k <> digest_field) fields
-          in
-          if digest_of blanked <> stored then
-            fail ctx "digest mismatch: artifact was modified"
-      | _ -> fail ctx "missing digest field")
-  | _ -> fail ctx "artifact is not a JSON object");
+  check_digest ctx text;
   (* The embedded configuration must decode and re-encode identically. *)
   (match get "config" json with
   | None -> fail ctx "missing config"
@@ -460,4 +459,4 @@ let recheck json =
 let recheck_string s =
   match J.parse s with
   | Error e -> Error [ Printf.sprintf "artifact does not parse: %s" e ]
-  | Ok json -> recheck json
+  | Ok json -> recheck s json

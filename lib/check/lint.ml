@@ -391,25 +391,26 @@ let rule_budget_binds ctx =
    of an admitted activation assuming no other source's interposition can
    queue ahead of it.  The moment a second shaped source is active, an
    admitted activation can wait behind a foreign bottom handler (hypervisor
-   work is serialized) and exceed the per-instance bound. *)
+   work is serialized) and exceed the per-instance bound.  It fires exactly
+   where the eq.-(16) gate ([sf_per_instance]) refuses a source that has a
+   per-instance condition; the other active sources are named in the
+   message only. *)
 let rule_sole_interposer ctx =
-  let facts = List.map snd (source_facts ctx) in
   List.filter_map
     (fun ((s : Config.source), (f : Absint.source_fact)) ->
-      let has_condition =
-        match Bound.per_instance_condition f.Absint.sf_policy with
-        | Some fn -> not (Bound.degenerate fn)
-        | None -> false
-      in
-      let others =
-        List.filter_map
-          (fun (o : Absint.source_fact) ->
-            if o.Absint.sf_name <> f.Absint.sf_name && o.Absint.sf_active then
-              Some o.Absint.sf_name
-            else None)
-          facts
-      in
-      if has_condition && f.Absint.sf_active && others <> [] then
+      if
+        f.Absint.sf_active
+        && Absint.has_instance_condition f
+        && not f.Absint.sf_per_instance
+      then
+        let others =
+          List.filter_map
+            (fun (o : Absint.source_fact) ->
+              if o.Absint.sf_name <> f.Absint.sf_name && o.Absint.sf_active
+              then Some o.Absint.sf_name
+              else None)
+            ctx.ai.Absint.sources
+        in
         Some
           (D.warning ~code:"RTHV016" ~loc:(source_loc s)
              ~hint:"latency verdicts for interposed completions fall back \

@@ -84,7 +84,7 @@ val channels : (string * string) list
 val digest_of_arrivals :
   (int * Rthv_engine.Cycles.t array) list -> string
 (** The [w_digest] function: hex MD5 over the canonical rendering of the
-    arrival streams.  Exposed so {!Certify.recheck} can re-verify a
+    arrival streams.  Exposed so {!Certify.recheck_string} can re-verify a
     serialized witness's digest without re-running synthesis. *)
 
 val synthesize : Absint.t -> Rthv_core.Config.t -> Diagnostic.t -> t option
@@ -108,5 +108,5 @@ val certified_with :
 (** [certified_with ai config] is {!certified} for a configuration that
     passes [Config.validate], with [ai = Absint.analyze config] computed by
     the caller: the lint pass and every witness read this one analysis.
-    {!Certify.build} uses it to serialize the same analysis it certified
-    against. *)
+    {!Certify.build_string} uses it to serialize the same analysis it
+    certified against. *)

@@ -7,6 +7,7 @@ type t = {
   commit : Cycles.t -> unit;
   observe : Cycles.t -> unit;
   checks : unit -> int;
+  earliest : Cycles.t -> Cycles.t;
   monitor : Monitor.t option;
 }
 
@@ -16,9 +17,11 @@ let decide t ts = t.decide ts
 let commit t ts = t.commit ts
 let observe t ts = t.observe ts
 let checks t = t.checks ()
+let earliest t ts = t.earliest ts
 let monitor t = t.monitor
 
 let ignore_ts (_ : Cycles.t) = ()
+let unpredictable (_ : Cycles.t) = max_int
 
 let never () =
   {
@@ -29,6 +32,7 @@ let never () =
       (fun _ -> invalid_arg "Admission.never: nothing is ever admitted");
     observe = ignore_ts;
     checks = (fun () -> 0);
+    earliest = unpredictable;
     monitor = None;
   }
 
@@ -42,6 +46,7 @@ let of_monitor m =
     commit = (fun ts -> Monitor.admit m ts);
     observe = (fun ts -> Monitor.note_arrival m ts);
     checks = (fun () -> Monitor.checked_count m);
+    earliest = (fun ts -> Monitor.earliest m ts);
     monitor = Some m;
   }
 
@@ -59,6 +64,7 @@ let custom ?(observe = ignore_ts) ?monitor ~name ~decide ~commit () =
     commit;
     observe;
     checks = (fun () -> !checked);
+    earliest = unpredictable;
     monitor;
   }
 
@@ -70,6 +76,7 @@ let of_throttle th =
     commit = (fun ts -> Throttle.admit th ts);
     observe = ignore_ts;
     checks = (fun () -> Throttle.checked_count th);
+    earliest = (fun ts -> Throttle.earliest th ts);
     monitor = None;
   }
 
@@ -105,8 +112,18 @@ let budgeted ~per_cycle ~cycle =
         incr used);
     observe = ignore_ts;
     checks = (fun () -> !checked);
+    earliest =
+      (fun ts ->
+        sync ts;
+        if !used < per_cycle then ts
+        else Cycles.add_sat (Cycles.( - ) ts (ts mod cycle)) cycle);
     monitor = None;
   }
+
+let rec latest components ts acc =
+  match components with
+  | [] -> acc
+  | c :: rest -> latest rest ts (Cycles.max acc (c.earliest ts))
 
 let all_of components =
   match components with
@@ -128,6 +145,16 @@ let all_of components =
         observe = (fun ts -> List.iter (fun c -> c.observe ts) components);
         checks =
           (fun () -> List.fold_left (fun acc c -> acc + c.checks ()) 0 components);
+        earliest =
+          (fun ts ->
+            (* Ask again at the latest answer until every component agrees. *)
+            let rec settle ts round =
+              let ts' = latest components ts ts in
+              if ts' = ts then ts
+              else if round >= 64 || ts' = max_int then max_int
+              else settle ts' (round + 1)
+            in
+            settle ts 0);
         monitor;
       }
 

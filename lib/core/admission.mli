@@ -47,6 +47,13 @@ val checks : t -> int
 (** Number of paid {!decide} executions so far — each costs C_Mon on the
     real system; feeds the simulator's [monitor_checks] statistic. *)
 
+val earliest : t -> Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
+(** The earliest time at or after [ts] at which {!decide} would admit;
+    [max_int] when that cannot be predicted ({!never}, {!custom}, a learning
+    monitor, a composite that does not settle in 64 rounds).  Uncounted.
+    Like {!decide} it brings the policy's state forward to [ts], so queries
+    and commits must not go back in time (a bucket raises). *)
+
 val monitor : t -> Monitor.t option
 (** The underlying δ⁻ monitor, when the policy has one (introspection for
     learned-condition export; a composite exposes its first monitor). *)

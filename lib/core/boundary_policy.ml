@@ -2,9 +2,3 @@ type t = Finish_bottom_handler | Strict_cut
 
 let default = Finish_bottom_handler
 let defers = function Finish_bottom_handler -> true | Strict_cut -> false
-let of_bool b = if b then Finish_bottom_handler else Strict_cut
-let equal (a : t) b = a = b
-
-let pp ppf = function
-  | Finish_bottom_handler -> Format.fprintf ppf "finish-bottom-handler"
-  | Strict_cut -> Format.fprintf ppf "strict-cut"

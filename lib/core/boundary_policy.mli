@@ -21,11 +21,3 @@ val default : t
 
 val defers : t -> bool
 (** Whether a slot switch may be deferred for a mid-flight bottom handler. *)
-
-val of_bool : bool -> t
-(** [true] is {!Finish_bottom_handler} — the former
-    [finish_bh_at_boundary] encoding. *)
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -74,17 +74,9 @@ let source ~name ~line ~subscriber ~c_th_us ~c_bh_us ~interarrivals
   }
 
 let make ?(platform = Rthv_hw.Platform.arm926ejs_200mhz)
-    ?finish_bh_at_boundary ?boundary ?(plan = Partition_slots) ?(ports = [])
-    ~partitions ~sources () =
-  let boundary =
-    match (boundary, finish_bh_at_boundary) with
-    | Some b, _ -> b
-    | None, Some flag -> Boundary_policy.of_bool flag
-    | None, None -> Boundary_policy.default
-  in
+    ?(boundary = Boundary_policy.default) ?(plan = Partition_slots)
+    ?(ports = []) ~partitions ~sources () =
   { platform; partitions; sources; ports; boundary; plan }
-
-let finish_bh_at_boundary t = Boundary_policy.defers t.boundary
 
 let slot_plan t =
   match t.plan with

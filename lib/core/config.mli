@@ -117,7 +117,6 @@ val source :
 
 val make :
   ?platform:Rthv_hw.Platform.t ->
-  ?finish_bh_at_boundary:bool ->
   ?boundary:Boundary_policy.t ->
   ?plan:plan_spec ->
   ?ports:(string * int) list ->
@@ -126,12 +125,7 @@ val make :
   unit ->
   t
 (** Defaults to the paper's ARM926ej-s platform,
-    {!Boundary_policy.default}, [Partition_slots], and no IPC ports.
-    [finish_bh_at_boundary] is the legacy boolean encoding of [boundary];
-    if both are given, [boundary] wins. *)
-
-val finish_bh_at_boundary : t -> bool
-(** [Boundary_policy.defers t.boundary] — the legacy boolean view. *)
+    {!Boundary_policy.default}, [Partition_slots], and no IPC ports. *)
 
 val validate : t -> (unit, string) result
 (** Checks subscriber indices, line uniqueness and ranges, source-name

@@ -105,6 +105,18 @@ let conforms t timestamp =
      interposition is admitted. *)
   l > 0 && conforms_from t.history t.head t.entries l timestamp 0
 
+(* [conforms] solved for the time: the latest of the remembered admissions,
+   each plus its entry. *)
+let earliest t timestamp =
+  let l = Array.length t.entries in
+  let e = ref (if l = 0 then max_int else timestamp) in
+  for i = 0 to l - 1 do
+    let previous = t.history.((t.head - i + l) mod l) in
+    if previous <> no_event then
+      e := Cycles.max !e (Cycles.add_sat previous t.entries.(i))
+  done;
+  !e
+
 let check t timestamp =
   t.checked <- t.checked + 1;
   conforms t timestamp

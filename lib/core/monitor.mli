@@ -49,6 +49,10 @@ val conforms : t -> Rthv_engine.Cycles.t -> bool
     allocation-free — the per-IRQ hot path: the admitted history is an
     unboxed ring buffer, so the l distance comparisons touch no heap. *)
 
+val earliest : t -> Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
+(** The least time [>= ts] that {!conforms}, [max_int] while learning.
+    Uncounted; [ts] must not precede the newest admission. *)
+
 val check : t -> Rthv_engine.Cycles.t -> bool
 (** {!conforms}, counted: increments {!checked_count}, modelling one paid
     execution of the monitoring function (C_Mon on the real system).  The

@@ -52,9 +52,10 @@ let admit t ts =
   t.tokens <- t.tokens - 1;
   t.admitted <- t.admitted + 1
 
+let earliest t ts =
+  update t ts;
+  if t.tokens >= 1 then ts else Cycles.add_sat t.last_refill t.refill_period
+
 let level t = t.tokens
 let checked_count t = t.checked
 let admitted_count t = t.admitted
-
-let max_admissions t ~window =
-  if window < 0 then 0 else t.bucket_capacity + (window / t.refill_period)

@@ -32,12 +32,14 @@ val check : t -> Rthv_engine.Cycles.t -> bool
 val admit : t -> Rthv_engine.Cycles.t -> unit
 (** Consume a token.  @raise Invalid_argument if none is available. *)
 
+val earliest : t -> Rthv_engine.Cycles.t -> Rthv_engine.Cycles.t
+(** The earliest time [>= ts] at which a token is available.  Updates the
+    fill level to [ts] like {!check}, uncounted.
+    @raise Invalid_argument if time goes backwards. *)
+
 val level : t -> int
 (** Tokens currently available (at the last update time). *)
 
 val checked_count : t -> int
 
 val admitted_count : t -> int
-
-val max_admissions : t -> window:Rthv_engine.Cycles.t -> int
-(** The affine admission bound for a window: [capacity + window/refill]. *)

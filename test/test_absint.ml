@@ -287,6 +287,25 @@ let test_schedule_cut_at_cap () =
       (Bound.Bucketed { capacity = 3; refill = 250 }, 100);
     ]
 
+(* The bucket of check.certify's "saturated interference rechecks": two
+   2^61-cycle bottom handlers make the footprint 2,305,843,009,213,715,357
+   cycles, so the step after the second admission passes [max_int].  It
+   saturates and ends the schedule; a wrapping step went on into negative
+   times until the 4096-event cap. *)
+let test_schedule_saturates () =
+  let policy = Bound.Bucketed { capacity = 2; refill = 1 lsl 40 } in
+  let footprint = 2_305_843_009_213_715_357 in
+  let horizon = (3 * 30_000_000) + footprint in
+  let s = A.adversarial_schedule ~policy ~footprint ~horizon in
+  List.iter
+    (fun t ->
+      if t < 1 || t > horizon then
+        Alcotest.failf "admission %d outside (0, %d]" t horizon)
+    s;
+  if List.sort_uniq compare s <> s then Alcotest.fail "schedule not ascending";
+  Alcotest.(check (list int))
+    "two admissions" [ 1; 2_305_843_009_213_715_358 ] s
+
 (* The replay reversed and refolded the whole history at every token-bucket
    step, ~3n words per step; the incremental meter allocates the returned
    list and a constant. *)
@@ -316,6 +335,7 @@ let suite =
       test_fleet_schedules_match_reference;
     Alcotest.test_case "schedule cut at the 4096-event cap" `Quick
       test_schedule_cut_at_cap;
+    Alcotest.test_case "schedule saturates" `Quick test_schedule_saturates;
     Alcotest.test_case "bucket schedule allocates O(n) words" `Quick
       test_schedule_allocation_linear;
   ]

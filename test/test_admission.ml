@@ -141,6 +141,72 @@ let test_custom () =
   Alcotest.(check bool) "no monitor" true
     (Option.is_none (Admission.monitor a))
 
+(* [earliest] is the analysis's query: the time [decide] would next admit,
+   never counted as a paid check. *)
+let earliest a ts =
+  let checks = Admission.checks a in
+  let e = Admission.earliest a ts in
+  Alcotest.(check int) "earliest is not a paid check" checks
+    (Admission.checks a);
+  e
+
+let test_earliest_monitor () =
+  let a =
+    Admission.of_monitor (Monitor.fixed (DF.of_entries [| 1_000; 3_000 |]))
+  in
+  Alcotest.(check int) "empty history admits now" 0 (earliest a 0);
+  Admission.commit a 0;
+  Alcotest.(check int) "one entry after the newest" 1_000 (earliest a 10);
+  Admission.commit a 1_000;
+  Alcotest.(check int) "second entry after the older" 3_000 (earliest a 1_500);
+  Alcotest.(check bool) "decide agrees" true (Admission.decide a 3_000);
+  Alcotest.(check bool) "not a cycle earlier" false (Admission.decide a 2_999)
+
+let test_earliest_bucket () =
+  let a = Admission.of_throttle (Throttle.create ~capacity:2 ~refill:1_000) in
+  Alcotest.(check int) "full bucket admits now" 0 (earliest a 0);
+  Admission.commit a 0;
+  Alcotest.(check int) "one token left" 100 (earliest a 100);
+  Admission.commit a 100;
+  (* Dry: the meter runs from the last refill credit (0), not from the
+     consumptions. *)
+  Alcotest.(check int) "dry until the next refill" 1_000 (earliest a 200);
+  Alcotest.(check int) "a refill later admits at once" 1_500 (earliest a 1_500)
+
+let test_earliest_budget () =
+  let a = Admission.budgeted ~per_cycle:1 ~cycle:1_000 in
+  Alcotest.(check int) "fresh window admits now" 10 (earliest a 10);
+  Admission.commit a 10;
+  Alcotest.(check int) "spent: the next window's start" 1_000 (earliest a 20);
+  Admission.commit a 1_000;
+  Alcotest.(check int) "last cycle of a spent window" 2_000 (earliest a 1_999)
+
+let test_earliest_composite () =
+  let a =
+    Admission.all_of
+      [
+        Admission.of_monitor (Monitor.d_min 300);
+        Admission.budgeted ~per_cycle:2 ~cycle:1_000;
+      ]
+  in
+  Admission.commit a 0;
+  Alcotest.(check int) "monitor decides" 300 (earliest a 0);
+  Admission.commit a 300;
+  (* The monitor says 600, the spent budget 1000, and at 1000 both agree. *)
+  Alcotest.(check int) "settled where both admit" 1_000 (earliest a 300);
+  Alcotest.(check bool) "decide agrees" true (Admission.decide a 1_000)
+
+let test_earliest_unpredictable () =
+  Alcotest.(check int) "never" max_int (earliest (Admission.never ()) 5);
+  let custom =
+    Admission.custom ~name:"any" ~decide:(fun _ -> true) ~commit:ignore ()
+  in
+  Alcotest.(check int) "custom" max_int (earliest custom 5);
+  let learning =
+    Admission.of_monitor (Monitor.self_learning ~l:1 ~learn_events:4 ())
+  in
+  Alcotest.(check int) "learning monitor" max_int (earliest learning 5)
+
 let test_policies_injection () =
   let module Hyp_sim = Rthv_core.Hyp_sim in
   let module Gen = Rthv_workload.Gen in
@@ -224,4 +290,12 @@ let suite =
     Alcotest.test_case "custom: closures + counted checks" `Quick test_custom;
     Alcotest.test_case "Hyp_sim ?policies injection" `Quick
       test_policies_injection;
+    Alcotest.test_case "earliest: monitor" `Quick test_earliest_monitor;
+    Alcotest.test_case "earliest: bucket runs dry" `Quick test_earliest_bucket;
+    Alcotest.test_case "earliest: budget window edge" `Quick
+      test_earliest_budget;
+    Alcotest.test_case "earliest: composite settles" `Quick
+      test_earliest_composite;
+    Alcotest.test_case "earliest: never, custom, learning" `Quick
+      test_earliest_unpredictable;
   ]

@@ -103,20 +103,22 @@ let test_fleet_corpus_digest () =
     "0b1597f2137ff2a8c6197f5b2542479c"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-(* build_string serializes once and splices the digest in: the same bytes
-   as serializing the built artifact, whatever the scenario name holds. *)
+(* build_string serializes once and splices the digest in; the recheck
+   cuts it out of the same bytes, whatever the scenario name holds, and
+   ignores the final newline the CLI writes. *)
 let test_build_string_splice () =
   List.iteri
     (fun i (name, config) ->
       let scenario = if i mod 2 = 0 then name else name ^ "\"\\\n\001" in
-      let config = Testutil.without_tasks config in
-      match
-        ( Certify.build_string ~scenario config,
-          Certify.build ~scenario config )
-      with
-      | Ok s, Ok json ->
-          Alcotest.(check string) (name ^ " spliced") (J.to_string json) s
-      | _ -> Alcotest.failf "%s: build failed" name)
+      let s = build scenario (Testutil.without_tasks config) in
+      List.iter
+        (fun s ->
+          match Certify.recheck_string s with
+          | Ok () -> ()
+          | Error msgs ->
+              Alcotest.failf "%s: recheck rejected: %s" name
+                (String.concat " | " msgs))
+        [ s; s ^ "\n" ])
     (Fleet.gen_batch ~seed:7 ~count:8)
 
 let test_recheck_rejects_garbage () =
@@ -127,11 +129,9 @@ let test_recheck_rejects_garbage () =
       | Error _ -> ())
     [ ""; "{}"; "{\"schema\":\"rthv-cert/9\"}"; "[1]"; "not json" ]
 
-(* Two bucket sources whose C_BH is 2^61 cycles: each eq.-(14) curve
-   saturates at max_int in every window, and the third partition suffers
-   both.  Its interference interval must saturate too: summed with [+] it
-   wraps to [-4611686018427346150, -2], which the recheck rejects. *)
-let test_saturated_interference_rechecks () =
+(* Two bucket sources whose C_BH is 2^61 cycles, subscribed to two of
+   three partitions. *)
+let saturated_buckets ~refill =
   let module Config = Rthv_core.Config in
   let source i =
     {
@@ -141,21 +141,43 @@ let test_saturated_interference_rechecks () =
          ())
       with
       Config.c_bh = 1 lsl 61;
-      shaping = Config.Token_bucket { capacity = 2; refill = 1 lsl 40 };
+      shaping = Config.Token_bucket { capacity = 2; refill };
     }
   in
-  let config =
-    Config.make
-      ~partitions:
-        (List.init 3 (fun i ->
-             Config.partition ~name:(Printf.sprintf "p%d" i) ~slot_us:50_000 ()))
-      ~sources:[ source 0; source 1 ]
-      ()
-  in
-  match Certify.recheck_string (build "saturated" config) with
+  Config.make
+    ~partitions:
+      (List.init 3 (fun i ->
+           Config.partition ~name:(Printf.sprintf "p%d" i) ~slot_us:50_000 ()))
+    ~sources:[ source 0; source 1 ]
+    ()
+
+let check_rechecks name config =
+  match Certify.recheck_string (build name config) with
   | Ok () -> ()
   | Error msgs ->
-      Alcotest.failf "recheck rejected: %s" (String.concat " | " msgs)
+      Alcotest.failf "%s: recheck rejected: %s" name (String.concat " | " msgs)
+
+(* Each eq.-(14) curve saturates at max_int in every window, and the third
+   partition suffers both.  Its interference interval must saturate too:
+   summed with [+] it wraps to [-4611686018427346150, -2], which the
+   recheck rejects. *)
+let test_saturated_interference_rechecks () =
+  check_rechecks "saturated" (saturated_buckets ~refill:(1 lsl 40))
+
+(* With a 400,000-cycle refill the closed-form utilisation loss is
+   1.15292150461e+13: [%.12g] writes it in exponent form, which parses back
+   as an integral float and re-serializes as digits.  The digest is checked
+   on the bytes as written, so the artifact rechecks. *)
+let test_exponent_float_rechecks () =
+  let config = saturated_buckets ~refill:400_000 in
+  let s = build "exponent" config in
+  let needle = "\"util_loss_closed\":1.15292150461e+13," in
+  let n = String.length needle in
+  let rec has i =
+    i + n <= String.length s && (String.sub s i n = needle || has (i + 1))
+  in
+  Alcotest.(check bool) "util loss in exponent form" true (has 0);
+  check_rechecks "exponent" config
 
 let test_certify_batch_job_invariant () =
   let batch = Fleet.gen_batch ~seed:42 ~count:4 in
@@ -229,6 +251,8 @@ let suite =
       test_recheck_rejects_garbage;
     Alcotest.test_case "saturated interference rechecks" `Quick
       test_saturated_interference_rechecks;
+    Alcotest.test_case "exponent-form float rechecks" `Quick
+      test_exponent_float_rechecks;
     Alcotest.test_case "certify_batch job-invariant" `Slow
       test_certify_batch_job_invariant;
     Alcotest.test_case "SARIF export valid" `Quick test_sarif_valid;

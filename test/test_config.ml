@@ -161,32 +161,15 @@ let test_effective_slots () =
 
 let test_boundary_policy () =
   let open Rthv_core in
+  let defers (c : Config.t) = Boundary_policy.defers c.Config.boundary in
   let default = make [ source () ] in
-  Alcotest.(check bool) "default defers" true
-    (Config.finish_bh_at_boundary default);
+  Alcotest.(check bool) "default defers" true (defers default);
   let strict =
     Config.make
       ~partitions:[ partition "a" 100; partition "b" 100 ]
       ~sources:[ source () ] ~boundary:Boundary_policy.Strict_cut ()
   in
-  Alcotest.(check bool) "strict cut does not defer" false
-    (Config.finish_bh_at_boundary strict);
-  (* The legacy flag still works and the explicit policy wins over it. *)
-  let legacy =
-    Config.make
-      ~partitions:[ partition "a" 100; partition "b" 100 ]
-      ~sources:[ source () ] ~finish_bh_at_boundary:false ()
-  in
-  Alcotest.(check bool) "legacy flag mapped" false
-    (Config.finish_bh_at_boundary legacy);
-  let explicit_wins =
-    Config.make
-      ~partitions:[ partition "a" 100; partition "b" 100 ]
-      ~sources:[ source () ] ~finish_bh_at_boundary:false
-      ~boundary:Boundary_policy.Finish_bottom_handler ()
-  in
-  Alcotest.(check bool) "explicit policy wins" true
-    (Config.finish_bh_at_boundary explicit_wins)
+  Alcotest.(check bool) "strict cut does not defer" false (defers strict)
 
 let test_tdma_derivation () =
   let config = make [ source () ] in

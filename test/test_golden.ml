@@ -185,7 +185,9 @@ let diff_config (c : diff_case) =
       c.dc_sources
   in
   Config.make
-    ~finish_bh_at_boundary:c.dc_defer
+    ~boundary:
+      (if c.dc_defer then Rthv_core.Boundary_policy.Finish_bottom_handler
+       else Rthv_core.Boundary_policy.Strict_cut)
     ~partitions ~sources ()
 
 (* One run of a config, with the full observability stack attached (the

@@ -20,10 +20,10 @@ let partitions =
     Config.partition ~name:"HK" ~slot_us:2000 ();
   ]
 
-let config ?(partitions = partitions) ?(subscriber = 1) ?shaping
-    ?finish_bh_at_boundary ?platform interarrivals =
+let config ?(partitions = partitions) ?(subscriber = 1) ?shaping ?boundary
+    ?platform interarrivals =
   let shaping = Option.value shaping ~default:Config.No_shaping in
-  Config.make ?platform ?finish_bh_at_boundary ~partitions
+  Config.make ?platform ?boundary ~partitions
     ~sources:
       [
         Config.source ~name:"irq0" ~line:0 ~subscriber ~c_th_us:5 ~c_bh_us:50
@@ -153,7 +153,9 @@ let test_strict_tdma_cuts_bottom_handlers () =
   (* subscriber 0, slot 0 ends at 6000us *)
   let lenient = run (config ~subscriber:0 arrival) in
   let strict =
-    run (config ~subscriber:0 ~finish_bh_at_boundary:false arrival)
+    run
+      (config ~subscriber:0 ~boundary:Rthv_core.Boundary_policy.Strict_cut
+         arrival)
   in
   let latency sim =
     match Hyp_sim.records sim with

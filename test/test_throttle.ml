@@ -62,12 +62,6 @@ let test_creation_guards () =
     (Invalid_argument "Throttle.create: refill must be >= 1") (fun () ->
       ignore (Throttle.create ~capacity:1 ~refill:0 : Throttle.t))
 
-let test_max_admissions () =
-  let t = Throttle.create ~capacity:3 ~refill:(us 100) in
-  Alcotest.(check int) "burst only" 3 (Throttle.max_admissions t ~window:0);
-  Alcotest.(check int) "burst + rate" 8
-    (Throttle.max_admissions t ~window:(us 500))
-
 (* Property: the admitted stream over any simulated window never exceeds the
    affine bound. *)
 let prop_admissions_within_affine_bound (capacity, refill_us, gaps) =
@@ -184,7 +178,6 @@ let suite =
     Alcotest.test_case "admit guard" `Quick test_admit_guard;
     Alcotest.test_case "time monotonicity" `Quick test_time_monotonicity;
     Alcotest.test_case "creation guards" `Quick test_creation_guards;
-    Alcotest.test_case "max admissions" `Quick test_max_admissions;
     Testutil.qtest "admissions within the affine bound"
       QCheck2.Gen.(
         triple (0 -- 10) (0 -- 5_000) (list_size (0 -- 150) (0 -- 500_000)))
