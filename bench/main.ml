@@ -281,10 +281,10 @@ let micro_bodies () : (string * (unit -> unit)) list =
   in
   (* Batched trace capture: the same simulation with a bounded ring whose
      row hook streams every event row into the columnar store writer
-     (Trace_store), pricing the array-store + amortized-block-encode path
-     against the metrics fold.  Ring,
-     writer and (unlinked) temp file are hoisted so the row measures the
-     steady state, not construction. *)
+     (Trace_store), which encodes each row into its column buffers as it
+     arrives, priced against the metrics fold.  Ring, writer and
+     (unlinked) temp file are hoisted so the row measures the steady
+     state, not construction. *)
   let sim_tracestore =
     let path = Filename.temp_file "rthv_bench" ".rts" in
     let writer = Rthv_core.Trace_store.Writer.create path in
@@ -298,6 +298,56 @@ let micro_bodies () : (string * (unit -> unit)) list =
              Hyp_sim.create ~trace:ring (Params.config ~interarrivals ~shaping)
            in
            Hyp_sim.run sim)
+  in
+  (* The store codec and the latency fold alone, over the rows of the
+     15000-IRQ run recorded once: every row appended to a writer whose
+     bytes go to the null device, a scan of the store of those rows whose
+     callback does nothing, and the latency/class query over that store
+     (the Figure 6 distribution). *)
+  let rows =
+    let trace = Rthv_core.Hyp_trace.create ~capacity:1_000_000 () in
+    let sim =
+      Hyp_sim.create ~trace
+        (Params.config ~interarrivals:interarrivals_15k ~shaping)
+    in
+    Hyp_sim.run sim;
+    let acc = ref [] in
+    Rthv_core.Hyp_trace.iter_rows trace (fun ~time ~kind ~a ~b ~c ~d ->
+        acc := [| time; kind; a; b; c; d |] :: !acc);
+    Array.of_list (List.rev !acc)
+  in
+  let add_rows w =
+    for i = 0 to Array.length rows - 1 do
+      let r = rows.(i) in
+      Rthv_core.Trace_store.Writer.add_row w ~time:r.(0) ~kind:r.(1)
+        ~a:r.(2) ~b:r.(3) ~c:r.(4) ~d:r.(5)
+    done
+  in
+  let store = Filename.temp_file "rthv_bench" ".rts" in
+  at_exit (fun () -> try Sys.remove store with Sys_error _ -> ());
+  let w = Rthv_core.Trace_store.Writer.create store in
+  add_rows w;
+  Rthv_core.Trace_store.Writer.close w;
+  let store_add =
+    let writer = Rthv_core.Trace_store.Writer.create Filename.null in
+    ( "tracestore add_row, 15000-IRQ trace",
+      fun () -> add_rows writer )
+  in
+  let store_scan =
+    ( "tracestore scan (no-op), 15000-IRQ trace",
+      fun () ->
+        ignore
+          (Rthv_core.Trace_store.scan store
+             ~f:(fun ~time:_ ~kind:_ ~a:_ ~b:_ ~c:_ ~d:_ -> ())
+            : Rthv_obs.Tracestore.stats) )
+  in
+  let query_latency =
+    ( "trace query latency/class, 15000-IRQ trace",
+      fun () ->
+        ignore
+          (Rthv_core.Trace_query.run ~agg:Rthv_core.Trace_query.Latency
+             ~group_by:Rthv_core.Trace_query.By_class store
+            : Rthv_core.Trace_query.t) )
   in
   (* One config of the bench/e2e fleet_certify corpus (the seed-42 fleet,
      guest tasks stripped), certified and its artifact rechecked: the JSON
@@ -339,6 +389,9 @@ let micro_bodies () : (string * (unit -> unit)) list =
     sim_15k;
     sim_metrics;
     sim_tracestore;
+    store_add;
+    store_scan;
+    query_latency;
     certify;
     schedule;
   ]

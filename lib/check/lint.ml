@@ -275,8 +275,9 @@ let rule_handler_fits_slot ctx =
           else if s.Config.c_bh > Cycles.( - ) slot ctx.c_ctx then
             Some
               (D.warning ~code:"RTHV012" ~loc:(source_loc s)
-                 ~hint:"the handler spans TDMA cycles (strict mode) or \
-                        defers every boundary (finish_bh_at_boundary)"
+                 ~hint:"Strict_cut cuts the handler at the boundary, so it \
+                        spans TDMA cycles; Finish_bottom_handler defers \
+                        every boundary"
                  (Format.asprintf
                     "bottom handler (%a) cannot complete within one \
                      effective slot of subscriber %s (%a after C_ctx)"

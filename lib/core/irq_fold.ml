@@ -39,17 +39,24 @@ let all_component_names =
     "interposed_wait"; "bottom_handler";
   ]
 
-let components sp =
+(* The one definition of the component arithmetic: consecutive
+   timestamps, each converted to microseconds before the subtraction. *)
+let component sp j =
   let us = Cycles.to_us in
-  let arrival = us sp.arrival and top_start = us sp.top_start in
-  let top_end = us sp.top_end and decision = us sp.decision in
-  let bh_start = us sp.bh_start and completion = us sp.completion in
+  match j with
+  | 0 -> us sp.top_start -. us sp.arrival
+  | 1 -> us sp.top_end -. us sp.top_start
+  | 2 -> us sp.decision -. us sp.top_end
+  | 3 -> us sp.bh_start -. us sp.decision
+  | _ -> us sp.completion -. us sp.bh_start
+
+let components sp =
   [
-    ("top_wait", top_start -. arrival);
-    ("top_handler", top_end -. top_start);
-    ("decision_wait", decision -. top_end);
-    (wait_component sp.cls, bh_start -. decision);
-    ("bottom_handler", completion -. bh_start);
+    ("top_wait", component sp 0);
+    ("top_handler", component sp 1);
+    ("decision_wait", component sp 2);
+    (wait_component sp.cls, component sp 3);
+    ("bottom_handler", component sp 4);
   ]
 
 (* In-flight IRQs hold one row of [width] ints in an open-addressing table:
@@ -72,11 +79,13 @@ let width = 8
 type t = {
   on_span : span -> unit;
   c_th : Cycles.t array;  (* by line *)
-  names : (int, string) Hashtbl.t;  (* by line, filled on first use *)
+  mutable names : string array;  (* by line: configured or "line<N>" *)
   mutable owner : int;  (* current slot owner; partition 0 owns t = 0 *)
   mutable rows : int array;
   mutable live : int;  (* rows in use *)
 }
+
+let line_name line = Printf.sprintf "line%d" line
 
 let create ?config on_span =
   let sources = match config with Some c -> c.Config.sources | None -> [] in
@@ -84,22 +93,33 @@ let create ?config on_span =
     List.fold_left (fun m (s : Config.source) -> max m (s.Config.line + 1)) 0
       sources
   in
-  let c_th = Array.make lines 0 and names = Hashtbl.create 8 in
+  let c_th = Array.make lines 0 and names = Array.init lines line_name in
   List.iter
     (fun (s : Config.source) ->
       c_th.(s.Config.line) <- s.Config.c_th;
-      Hashtbl.replace names s.Config.line s.Config.name)
+      names.(s.Config.line) <- s.Config.name)
     sources;
   let rows = Array.make (64 * width) (-1) in
   { on_span; c_th; names; owner = 0; rows; live = 0 }
 
+(* Lines up to [name_limit] keep their generated name in [names], which
+   grows to cover them; the lines past it, which only a corrupt store
+   holds, format theirs on every completion. *)
+let name_limit = 4096
+
 let source_name t line =
-  match Hashtbl.find t.names line with
-  | name -> name
-  | exception Not_found ->
-      let name = Printf.sprintf "line%d" line in
-      Hashtbl.add t.names line name;
-      name
+  if line >= 0 && line < Array.length t.names then
+    Array.unsafe_get t.names line
+  else if line >= 0 && line < name_limit then begin
+    let len = Array.length t.names in
+    let names =
+      Array.init (min name_limit (max (line + 1) (2 * len))) (fun l ->
+          if l < len then t.names.(l) else line_name l)
+    in
+    t.names <- names;
+    names.(line)
+  end
+  else line_name line
 
 (* The row holding [irq], or else the free row that ends its probe. *)
 let probe rows irq =
@@ -146,12 +166,16 @@ let raised t ~time ~irq ~line =
   if irq >= 0 then begin
     if 2 * (t.live + 1) > Array.length t.rows / width then grow t;
     let r = probe t.rows irq in
-    if t.rows.(r + f_irq) < 0 then t.live <- t.live + 1;
-    Array.fill t.rows r width (-1);
-    t.rows.(r + f_irq) <- irq;
-    t.rows.(r + f_line) <- line;
-    t.rows.(r + f_arrival) <- time;
-    t.rows.(r + f_top_end) <- time
+    let rows = t.rows in
+    if rows.(r + f_irq) < 0 then t.live <- t.live + 1;
+    rows.(r + f_irq) <- irq;
+    rows.(r + f_line) <- line;
+    rows.(r + f_arrival) <- time;
+    rows.(r + f_top_end) <- time;
+    rows.(r + f_owner) <- -1;
+    rows.(r + f_decision) <- -1;
+    rows.(r + f_verdict) <- -1;
+    rows.(r + f_bh_start) <- -1
   end
 
 (* Row of a live IRQ, or -1 when its raise was not folded. *)

@@ -47,9 +47,13 @@ val all_component_names : string list
     [queue_wait] (direct), [slot_wait] (delayed) and [interposed_wait]
     exclude each other within a span. *)
 
-val components : span -> (string * float) list
-(** The span's five components in causal order: differences of
+val component : span -> int -> float
+(** Component [j] (0-4) of the span in causal order: the difference of
     consecutive timestamps, each converted to microseconds first. *)
+
+val components : span -> (string * float) list
+(** The span's five components in causal order, named: [component sp j]
+    for [j] = 0..4. *)
 
 type t
 

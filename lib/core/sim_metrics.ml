@@ -90,9 +90,9 @@ let span t (sp : Irq_fold.span) =
   incr s.completed;
   Quantile.observe s.latency (Irq_fold.latency_us sp);
   incr s.spans;
-  List.iteri
-    (fun j (_, v) -> Quantile.observe s.components.(j) v)
-    (Irq_fold.components sp)
+  for j = 0 to 4 do
+    Quantile.observe s.components.(j) (Irq_fold.component sp j)
+  done
 
 (* Label values by verdict code. *)
 let verdict_names = [| "admitted"; "denied"; "fallback_direct" |]

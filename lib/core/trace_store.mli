@@ -4,8 +4,8 @@
     {!Rthv_obs.Tracestore} ([rthv-tracestore/1]): a store row is the
     ring's row [(time, kind, a, b, c, d)], with the kind ids, arities and
     names {!Hyp_trace} declares, so a store round-trips losslessly with the
-    JSONL exporter ({!Trace_export}) while costing array stores instead of
-    a JSON object per event.  {!Writer.add_row} and {!scan} speak rows;
+    JSONL exporter ({!Trace_export}) while costing a few byte stores
+    instead of a JSON object per event.  {!Writer.add_row} and {!scan} speak rows;
     the typed {!Writer.add}, {!Writer.add_entry} and {!read_entries} remain
     because the end-to-end benchmark calls them, and go through the
     {!Hyp_trace} codec.

@@ -1,10 +1,11 @@
 (** Columnar binary trace store ([rthv-tracestore/1]).
 
     A batched, allocation-light container for timestamped integer event
-    rows, designed so that recording a million events costs array stores
-    plus one encode per ~8k-event block — not one allocation per event —
-    and so that a later scan can skip whole blocks from a tiny per-block
-    index without decoding them.
+    rows, designed so that recording a million events costs a few byte
+    stores per event, each row encoded into its block's columns as it
+    arrives, and one write per column per ~8k-event block — not one
+    allocation per event — and so that a later scan can skip whole blocks
+    from a tiny per-block index without decoding them.
 
     This layer is deliberately generic: a row is [(time, kind, a, b, c, d)]
     with per-kind argument arities fixed at file creation, plus an opaque
@@ -54,15 +55,19 @@ module Writer : sig
 
   val append :
     t -> time:int -> kind:int -> pmask:int -> a:int -> b:int -> c:int -> d:int -> unit
-  (** Buffer one row; flushes the current block automatically when full.
-      [pmask] is OR-ed into the block's partition bitmap.  Argument columns
-      beyond the kind's arity are ignored (pass 0).
+  (** Encode one row into the current block's column buffers: its time
+      delta, its kind byte and the arguments its kind carries.  Flushes
+      the block automatically when full.  [pmask] is OR-ed into the
+      block's partition bitmap.  Argument columns beyond the kind's arity
+      are ignored (pass 0).
       @raise Invalid_argument on an out-of-range [kind]. *)
 
   val flush_block : t -> unit
-  (** Encode and write the buffered partial block, if any, with one
-      [output] of a buffer the writer reuses for every block.  Does not
-      flush the underlying channel. *)
+  (** Write the current partial block, if any: its header and first time
+      delta (against the block's minimum time, known only now) with one
+      [output], then one [output] per column buffer; the writer reuses
+      every buffer for the next block.  Does not flush the underlying
+      channel. *)
 
   val events_written : t -> int
   (** Rows appended so far (buffered or flushed). *)

@@ -45,7 +45,7 @@ let artifact_md5 =
     ("automotive_ecu", "6e820b2604a4da0fb375dea0e3c3ef26");
     ("mixed_policies", "4a08f09906c6b0e6eb8ef8722287a33b");
     ("demo_bad", "1d008fe25bfc56f26da05dd0d03b4785");
-    ("demo_policy_bad", "29c08bd8b423bf8129eb9523f17c6c31");
+    ("demo_policy_bad", "f84f6e85309a2aa6fb6f6500aff875b9");
     ("cfg-0000", "3337149f48754f471ad21a1568fe040e");
     ("cfg-0001", "efef0918ab278a0832b989097a5ead15");
     ("cfg-0002", "b114370b48907305eab2c68b86c1ade8");

@@ -84,17 +84,21 @@ let test_live_equals_store () =
 (* The in-flight table against a model: raises and completions of ids
    that collide in the table (multiples of 64, ids 2^40 apart) or not,
    folded as rows.  Every completion of a live id yields one span with
-   its latest raise's arrival, whatever the collisions and removals. *)
+   its latest raise's arrival, whatever the collisions and removals, and
+   the source name of its raise's line, which without a configuration is
+   "line<N>" for any line: negative, past the names kept per line, or
+   arbitrary. *)
 let qcheck_in_flight_table =
   let gen =
     QCheck2.Gen.(
       list_size (0 -- 400)
-        (pair bool
+        (triple bool
            (oneof
               [
                 0 -- 7; map (fun k -> 64 * k) (0 -- 7);
                 map (fun k -> k lsl 40) (0 -- 3);
-              ])))
+              ])
+           (oneof [ 0 -- 7; -3 -- -1; 4090 -- 4100; int ])))
   in
   Testutil.qtest ~count:200 "in-flight table = model" gen (fun ops ->
       let on_span, spans = collect () in
@@ -103,23 +107,25 @@ let qcheck_in_flight_table =
       let done_ = Hyp_trace.kind_id Hyp_trace.Kind.Bottom_handler_done in
       let live = Hashtbl.create 16 and expected = ref [] in
       List.iteri
-        (fun time (raise, irq) ->
+        (fun time (raise, irq, line) ->
           if raise then begin
-            Hashtbl.replace live irq time;
-            Irq_fold.row fold ~time ~kind:raised ~a:irq ~b:0 ~c:0 ~d:0
+            Hashtbl.replace live irq (time, line);
+            Irq_fold.row fold ~time ~kind:raised ~a:irq ~b:line ~c:0 ~d:0
           end
           else begin
             (match Hashtbl.find_opt live irq with
-            | Some arrival ->
+            | Some (arrival, line) ->
                 Hashtbl.remove live irq;
-                expected := (irq, arrival, time) :: !expected
+                expected :=
+                  (irq, arrival, time, Printf.sprintf "line%d" line)
+                  :: !expected
             | None -> ());
             Irq_fold.row fold ~time ~kind:done_ ~a:irq ~b:0 ~c:0 ~d:0
           end)
         ops;
       List.rev !expected
       = List.map
-          (fun sp -> Irq_fold.(sp.irq, sp.arrival, sp.completion))
+          (fun sp -> Irq_fold.(sp.irq, sp.arrival, sp.completion, sp.source))
           (spans ()))
 
 let suite =

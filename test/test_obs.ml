@@ -146,6 +146,81 @@ let test_p2_observe_allocation () =
     Alcotest.failf "observe allocated %.0f minor words (%.2f per sample)" words
       per_sample
 
+(* --- P² against the reference step --------------------------------------- *)
+
+(* Finite streams with ties and negative values: a few repeated values, a
+   quarter grid and a wide range, over random tracked quantiles. *)
+let gen_p2_stream =
+  QCheck2.Gen.(
+    let value =
+      oneof
+        [
+          map float_of_int (-3 -- 3);
+          map (fun k -> float_of_int k *. 0.25) (-400 -- 400);
+          float_range (-1e9) 1e9;
+        ]
+    in
+    let* quantiles =
+      oneof
+        [
+          return None;
+          map
+            (fun ps -> Some ps)
+            (list_size (1 -- 4) (float_range 0.001 0.999));
+        ]
+    in
+    let* xs = list_size (0 -- 400) value in
+    return (quantiles, xs))
+
+(* The digest's reading, every float as its bits. *)
+let p2_bits quantiles mean min_value max_value =
+  let bits = Option.map Int64.bits_of_float in
+  ( List.map (fun (p, v) -> (p, Int64.bits_of_float v)) quantiles,
+    bits mean,
+    bits min_value,
+    bits max_value )
+
+let lib_bits d =
+  Quantile.(p2_bits (quantiles d) (mean d) (min_value d) (max_value d))
+
+let ref_bits r =
+  Quantile_ref.(p2_bits (quantiles r) (mean r) (min_value r) (max_value r))
+
+let qcheck_p2_matches_reference =
+  Testutil.qtest ~count:500 "P2 = reference step, bit for bit" gen_p2_stream
+    (fun (quantiles, xs) ->
+      let d = Quantile.create ?quantiles ()
+      and r = Quantile_ref.create ?quantiles () in
+      List.for_all
+        (fun x ->
+          Quantile.observe d x;
+          Quantile_ref.observe r x;
+          lib_bits d = ref_bits r)
+        xs)
+
+(* A NaN sample fails as the reference's does, wherever it comes, and the
+   samples after it behave the same too. *)
+let test_p2_nan_like_reference () =
+  let outcome f =
+    match f () with () -> "ok" | exception e -> Printexc.to_string e
+  in
+  List.iter
+    (fun xs ->
+      let d = Quantile.create () and r = Quantile_ref.create () in
+      List.iter
+        (fun x ->
+          let lib = outcome (fun () -> Quantile.observe d x) in
+          Alcotest.(check string) "outcome"
+            (outcome (fun () -> Quantile_ref.observe r x))
+            lib;
+          Alcotest.(check bool) "state" true (lib_bits d = ref_bits r))
+        xs)
+    [
+      [ 1.; 2.; 3.; 4.; 5.; 6.; Float.nan; 7. ];
+      [ Float.nan; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. ];
+      [ 3.; 1.; Float.nan; 2.; 5.; 4.; 0.; 9.; -1. ];
+    ]
+
 (* --- registry ----------------------------------------------------------- *)
 
 let test_registry_basics () =
@@ -339,6 +414,9 @@ let suite =
       test_p2_bits_pinned;
     Alcotest.test_case "P2 observe boxes nothing" `Quick
       test_p2_observe_allocation;
+    qcheck_p2_matches_reference;
+    Alcotest.test_case "P2 NaN fails like the reference" `Quick
+      test_p2_nan_like_reference;
     Alcotest.test_case "registry kinds and clash" `Quick test_registry_basics;
     Alcotest.test_case "labelled series are distinct" `Quick
       test_registry_labels_are_distinct_series;

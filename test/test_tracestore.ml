@@ -277,7 +277,7 @@ let u32_at s i =
   lor (Char.code s.[i + 2] lsl 16)
   lor (Char.code s.[i + 3] lsl 24)
 
-let blocks_of s =
+let blocks_of ?(from = file_header_len) s =
   let rec go pos acc =
     if pos >= String.length s then List.rev acc
     else
@@ -286,7 +286,7 @@ let blocks_of s =
       let b = { start = pos; header_len; body_len } in
       go (block_end b) (b :: acc)
   in
-  go file_header_len []
+  go from []
 
 (* The recorded multi-block store the mutations start from. *)
 let recorded_store () =
@@ -543,6 +543,267 @@ let qcheck_row_codec =
       && List.for_all jsonl_stable entries
       && stored = rows_of (Hyp_trace.iter_rows ring))
 
+(* --- differential tests against the reference codec ----------------------- *)
+
+module Ref = Tracestore_ref
+
+(* The values at every varint width edge: 2^b and its neighbours for the
+   raw (unsigned) header fields and, with their negations, for the zigzag
+   columns, where a b-bit magnitude takes b+1 bits; the extremes. *)
+let edge_values =
+  [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ]
+  @ List.concat_map
+      (fun b ->
+        let v = 1 lsl b in
+        [ v - 1; v; v + 1; -v - 1; -v; -v + 1 ])
+      [ 6; 7; 13; 14; 20; 21; 27; 28; 55; 56 ]
+
+let gen_value =
+  QCheck2.Gen.(oneof [ oneofl edge_values; -300 -- 300; int ])
+
+type op =
+  | Row of { time : int; kind : int; pmask : int; args : int array }
+  | Flush  (* an explicit [flush_block] in mid-stream *)
+
+(* A random arity table (1-62 kinds, arity 0-4), a block size, and a row
+   stream whose times step forward by small or edge gaps, jump to an edge
+   or random value (non-monotone), and whose arguments past a kind's
+   arity are not 0. *)
+let gen_store =
+  QCheck2.Gen.(
+    let* n_kinds = oneof [ 1 -- 62; oneofl [ 1; 2; 62 ] ] in
+    let* arities = array_repeat n_kinds (0 -- 4) in
+    let* block_events = oneofl [ Some 1; Some 2; Some 3; Some 16; None ] in
+    let step =
+      oneof
+        [
+          map (fun g -> `Step g) (0 -- 5000);
+          map (fun g -> `Step g) (oneofl edge_values);
+          map (fun t -> `Abs t) gen_value;
+        ]
+    in
+    let row =
+      let* step = step and* kind = 0 -- (n_kinds - 1) in
+      let* pmask = oneof [ 0 -- 7; gen_value ] in
+      let* args = array_repeat 4 gen_value in
+      return (step, kind, pmask, args)
+    in
+    let* steps = list_size (0 -- 120) (option ~ratio:0.97 row) in
+    let _, ops =
+      List.fold_left
+        (fun (prev, acc) -> function
+          | None -> (prev, Flush :: acc)
+          | Some (step, kind, pmask, args) ->
+              let time =
+                match step with `Step g -> prev + g | `Abs t -> t
+              in
+              (time, Row { time; kind; pmask; args } :: acc))
+        (0, []) steps
+    in
+    return (arities, block_events, List.rev ops))
+
+let file_contents path = In_channel.with_open_bin path In_channel.input_all
+
+(* The bytes, row count and block count of [ops] written by the library
+   and by the reference writer. *)
+let write_lib ?block_events ~arities ops =
+  Testutil.with_temp (fun path ->
+      let oc = open_out_bin path in
+      let w = Tracestore.Writer.create ?block_events ~arities oc in
+      List.iter
+        (function
+          | Row { time; kind; pmask; args } ->
+              Tracestore.Writer.append w ~time ~kind ~pmask ~a:args.(0)
+                ~b:args.(1) ~c:args.(2) ~d:args.(3)
+          | Flush -> Tracestore.Writer.flush_block w)
+        ops;
+      Tracestore.Writer.flush_block w;
+      close_out oc;
+      ( file_contents path,
+        Tracestore.Writer.events_written w,
+        Tracestore.Writer.blocks_written w ))
+
+let write_ref ?block_events ~arities ops =
+  Testutil.with_temp (fun path ->
+      let oc = open_out_bin path in
+      let w = Ref.Writer.create ?block_events ~arities oc in
+      List.iter
+        (function
+          | Row { time; kind; pmask; args } ->
+              Ref.Writer.append w ~time ~kind ~pmask ~a:args.(0) ~b:args.(1)
+                ~c:args.(2) ~d:args.(3)
+          | Flush -> Ref.Writer.flush_block w)
+        ops;
+      Ref.Writer.flush_block w;
+      close_out oc;
+      ( file_contents path,
+        Ref.Writer.events_written w,
+        Ref.Writer.blocks_written w ))
+
+let qcheck_writer_matches_reference =
+  Testutil.qtest ~count:200 "writer bytes = reference writer's" gen_store
+    (fun (arities, block_events, ops) ->
+      write_lib ?block_events ~arities ops
+      = write_ref ?block_events ~arities ops)
+
+(* Every callback of a scan, and how it ended: its stats, or [Corrupt]'s
+   message.  Any other exception escapes and fails the property. *)
+type outcome = {
+  rows : (int * int * int * int * int * int) list;
+  ended : (Tracestore.stats, string) result;
+}
+
+let scan_lib ~filter path =
+  let rows = ref [] in
+  let f ~time ~kind ~a ~b ~c ~d = rows := (time, kind, a, b, c, d) :: !rows in
+  let ended =
+    match Tracestore.scan ~filter path ~f with
+    | stats -> Ok stats
+    | exception Tracestore.Corrupt msg -> Error msg
+  in
+  { rows = List.rev !rows; ended }
+
+let scan_ref ~filter path =
+  let rows = ref [] in
+  let f ~time ~kind ~a ~b ~c ~d = rows := (time, kind, a, b, c, d) :: !rows in
+  let ended =
+    match Ref.scan ~filter path ~f with
+    | stats -> Ok stats
+    | exception Ref.Corrupt msg -> Error msg
+  in
+  { rows = List.rev !rows; ended }
+
+(* The bases: the recorded 16-event-block store, or a random one. *)
+let gen_base =
+  let _, recorded = recorded_store () in
+  QCheck2.Gen.(
+    oneof
+      [
+        return (recorded, file_header_len);
+        map
+          (fun (arities, block_events, ops) ->
+            let bytes, _, _ = write_lib ?block_events ~arities ops in
+            let header_len =
+              String.length "rthv-tracestore/1\n" + 1 + Array.length arities
+            in
+            (bytes, header_len))
+          gen_store;
+      ])
+
+let gen_filter =
+  QCheck2.Gen.(
+    let bound = option ~ratio:0.3 gen_value in
+    let* t_min = bound and* t_max = bound in
+    let* kind_mask = option ~ratio:0.3 (oneof [ 0 -- 0x7ff; gen_value ]) in
+    let* pmask = option ~ratio:0.3 (oneof [ 0 -- 7; gen_value ]) in
+    return { Tracestore.t_min; t_max; kind_mask; pmask })
+
+let u32 n = String.init 4 (fun k -> Char.chr ((n lsr (8 * k)) land 0xff))
+
+(* [s] with block [b]'s body cut to its first [k] bytes and its body
+   length saying so; the blocks after it stay. *)
+let shorten s b k =
+  let body_at = b.start + 8 + b.header_len in
+  String.sub s 0 (body_at - 4)
+  ^ u32 k
+  ^ String.sub s body_at k
+  ^ String.sub s (block_end b) (String.length s - block_end b)
+
+(* A base store with one block's header in front of another's body, one
+   block's body cut short (and maybe a byte damaged just before the cut:
+   in the kind column, the damaged kind is the error, not the cut), byte
+   flips, and maybe a cut of the file anywhere. *)
+let gen_damaged =
+  QCheck2.Gen.(
+    let* base, header_len = gen_base in
+    let* splice = option ~ratio:0.3 (pair nat nat) in
+    let* short =
+      option ~ratio:0.4 (triple nat nat (option (pair (0 -- 20) (0 -- 255))))
+    in
+    let* flips = list_size (0 -- 3) (pair nat (1 -- 255)) in
+    let* cut = option ~ratio:0.2 nat in
+    let* filter = oneof [ return Tracestore.pass_all; gen_filter ] in
+    let blocks s = Array.of_list (blocks_of ~from:header_len s) in
+    let s =
+      let bs = blocks base in
+      match splice with
+      | Some (i, j) when Array.length bs > 0 ->
+          let hb = bs.(i mod Array.length bs)
+          and bb = bs.(j mod Array.length bs) in
+          String.sub base 0 hb.start
+          ^ String.sub base hb.start (4 + hb.header_len)
+          ^ String.sub base (bb.start + 4 + bb.header_len) (4 + bb.body_len)
+          ^ String.sub base (block_end hb) (String.length base - block_end hb)
+      | _ -> base
+    in
+    let s =
+      let bs = blocks s in
+      match short with
+      | Some (i, k, damage) when Array.length bs > 0 ->
+          let b = bs.(i mod Array.length bs) in
+          let k = k mod (b.body_len + 1) in
+          let s = shorten s b k in
+          let body_at = b.start + 8 + b.header_len in
+          (match damage with
+          | Some (r, c) when r < k ->
+              set_byte s (body_at + k - 1 - r) (Char.chr c)
+          | _ -> s)
+      | _ -> s
+    in
+    let s =
+      List.fold_left
+        (fun s (i, delta) ->
+          if s = "" then s
+          else
+            let i = i mod String.length s in
+            set_byte s i (Char.chr ((Char.code s.[i] + delta) land 0xff)))
+        s flips
+    in
+    let s =
+      match cut with
+      | Some k -> String.sub s 0 (k mod (String.length s + 1))
+      | None -> s
+    in
+    return (s, filter))
+
+let qcheck_scan_matches_reference =
+  Testutil.qtest ~count:500 "scan = reference scan on damaged stores"
+    gen_damaged (fun (bytes, filter) ->
+      Testutil.with_temp (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          let lib = scan_lib ~filter path and rf = scan_ref ~filter path in
+          if lib = rf then true
+          else
+            QCheck2.Test.fail_reportf "library %s, reference %s"
+              (match lib.ended with Ok _ -> "Ok" | Error m -> m)
+              (match rf.ended with Ok _ -> "Ok" | Error m -> m)))
+
+(* A kind byte out of range, and the body cut a few bytes later inside the
+   kind column: the bad kind is read first, so it is the error, as the
+   reference reports it. *)
+let test_bad_kind_before_cut () =
+  let _, store = recorded_store () in
+  let first = List.hd (blocks_of store) in
+  let body_at = first.start + 8 + first.header_len in
+  (* The kind column follows the 16 time varints, each ending in a byte
+     below 0x80. *)
+  let rec skip pos rows =
+    if rows = 0 then pos
+    else
+      skip (pos + 1) (if Char.code store.[pos] < 0x80 then rows - 1 else rows)
+  in
+  let kinds_at = skip body_at 16 in
+  let bytes =
+    shorten (set_byte store kinds_at '\xff') first (kinds_at + 4 - body_at)
+  in
+  Testutil.with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let ended o = match o.ended with Ok _ -> "Ok" | Error m -> m in
+      let rf = scan_ref ~filter:Tracestore.pass_all path in
+      Alcotest.(check string) "reference" "kind 255 out of range" (ended rf);
+      Alcotest.(check string) "library" (ended rf)
+        (ended (scan_lib ~filter:Tracestore.pass_all path)))
+
 let suite =
   [
     Alcotest.test_case "all kinds round-trip" `Quick test_all_kinds_roundtrip;
@@ -572,4 +833,8 @@ let suite =
       test_short_body_stops_at_its_end;
     Alcotest.test_case "Writer.add allocates nothing per event" `Quick
       test_writer_add_allocation;
+    qcheck_writer_matches_reference;
+    qcheck_scan_matches_reference;
+    Alcotest.test_case "a bad kind before a cut is the error" `Quick
+      test_bad_kind_before_cut;
   ]
